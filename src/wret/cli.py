@@ -1,17 +1,20 @@
 """Command-line front end for the retrieval pipeline.
 
-Every subcommand accepts --config pointing at a JSON file whose keys
-mirror the flag names; explicit flags win over the config file, which
-wins over built-in defaults. Exit codes: 0 success, 1 validation
-error, 2 I/O error.
+Every subcommand accepts --config pointing at a JSON object keyed by
+config field names such as n_clusters (not flag names such as
+--clusters), each value of its field's type; `report` nests one object
+per stage under "cluster", "train" and "encode". Explicit flags win
+over the config file, which wins over built-in defaults. Exit codes:
+0 success, 1 validation error, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import types
+import typing
 from dataclasses import asdict
-from pathlib import Path
 
 from .errors import TrainingError, ValidationError
 from .fileio import read_json
@@ -61,15 +64,53 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _merge(defaults: dict, config: dict, cli: dict) -> dict:
-    """defaults < config file < explicitly provided flags."""
+_MISMATCH = object()
+
+
+def _coerce(value, annotation):
+    """value as a field annotated `annotation` holds it, or _MISMATCH.
+    Lists fill tuple and list fields, ints fill float fields, and bools
+    fill only bool fields."""
+    origin = typing.get_origin(annotation)
+    if origin in (typing.Union, types.UnionType):
+        for arm in typing.get_args(annotation):
+            got = _coerce(value, arm)
+            if got is not _MISMATCH:
+                return got
+        return _MISMATCH
+    if origin in (tuple, list):
+        if not isinstance(value, (list, tuple)):
+            return _MISMATCH
+        items = [_coerce(v, typing.get_args(annotation)[0]) for v in value]
+        return _MISMATCH if _MISMATCH in items else origin(items)
+    if annotation is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return _MISMATCH
+    return value if type(value) is annotation else _MISMATCH
+
+
+def _merge(fields: dict, defaults: dict, config: dict, cli: dict) -> dict:
+    """defaults < config file < explicitly provided flags; every config
+    value is checked against its annotation in `fields`."""
     unknown = set(config) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     out = dict(defaults)
-    out.update(config)
+    for key, value in config.items():
+        out[key] = _coerce(value, fields[key])
+        if out[key] is _MISMATCH:
+            kind = fields[key]
+            kind = kind.__name__ if isinstance(kind, type) else str(kind)
+            raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
     out.update({k: v for k, v in cli.items() if v is not None})
     return out
+
+
+def _config(cls, config: dict, cli: dict):
+    """A config dataclass from its defaults, a config object and flags."""
+    return cls(**_merge(typing.get_type_hints(cls), asdict(cls()), config, cli))
 
 
 def build_parser() -> _Parser:
@@ -192,16 +233,13 @@ def _cmd_synth(args) -> int:
         "noise_sigma": args.noise,
         "seed": args.seed,
     }
-    merged = _merge(defaults, _load_config(args.config), cli)
-    if isinstance(merged["pages_per_writer"], list):
-        merged["pages_per_writer"] = tuple(merged["pages_per_writer"])
+    merged = _merge(typing.get_type_hints(SynthSpec), defaults, _load_config(args.config), cli)
     manifest = run_synth(SynthSpec(**merged), args.out)
     print(f"wrote {manifest}")
     return 0
 
 
 def _cmd_cluster(args) -> int:
-    defaults = asdict(ClusterConfig())
     cli = {
         "n_clusters": args.clusters,
         "target_dim": args.target_dim,
@@ -209,7 +247,7 @@ def _cmd_cluster(args) -> int:
         "cap": args.cap,
         "seed": args.seed,
     }
-    cfg = ClusterConfig(**_merge(defaults, _load_config(args.config), cli))
+    cfg = _config(ClusterConfig, _load_config(args.config), cli)
     report = run_cluster(args.manifest, args.out, cfg)
     print(
         f"clustered {report['n_descriptors']} descriptors: "
@@ -219,7 +257,6 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    defaults = asdict(TrainConfig())
     dims = args.backbone_dims
     cli = {
         "margin": args.margin,
@@ -239,10 +276,7 @@ def _cmd_train(args) -> int:
         "val_pool_cap": args.val_pool_cap,
         "seed": args.seed,
     }
-    merged = _merge(defaults, _load_config(args.config), cli)
-    if isinstance(merged["backbone_dims"], list):
-        merged["backbone_dims"] = tuple(merged["backbone_dims"])
-    report = run_train(args.labels, args.out, TrainConfig(**merged))
+    report = run_train(args.labels, args.out, _config(TrainConfig, _load_config(args.config), cli))
     print(
         f"trained {report['steps']} steps, best validation mAP "
         f"{report['best_val_map']:.4f} at epoch {report['best_epoch']}"
@@ -251,7 +285,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    defaults = asdict(EncodeConfig())
     cli = {
         "page_dim": args.page_dim,
         "power_alpha": args.power_alpha,
@@ -259,7 +292,7 @@ def _cmd_encode(args) -> int:
         "page_pca": args.page_pca,
         "seed": args.seed,
     }
-    cfg = EncodeConfig(**_merge(defaults, _load_config(args.config), cli))
+    cfg = _config(EncodeConfig, _load_config(args.config), cli)
     path = run_encode(args.manifest, args.models, args.out, cfg)
     print(f"wrote {path}")
     return 0
@@ -268,19 +301,14 @@ def _cmd_encode(args) -> int:
 def _cmd_evaluate(args) -> int:
     defaults = {"score_isolated": False, "per_query": False}
     cli = {"score_isolated": args.score_isolated, "per_query": args.per_query}
-    merged = _merge(defaults, _load_config(args.config), cli)
-    report = run_evaluate(
-        args.embeddings,
-        args.out,
-        score_isolated=bool(merged["score_isolated"]),
-        per_query=bool(merged["per_query"]),
-    )
+    fields = {"score_isolated": bool, "per_query": bool}
+    merged = _merge(fields, defaults, _load_config(args.config), cli)
+    report = run_evaluate(args.embeddings, args.out, **merged)
     print(f"mAP {report['map']:.4f}  Top-1 {report['top1']:.4f}")
     return 0
 
 
 def _cmd_rerank(args) -> int:
-    defaults = asdict(RerankConfig())
     cli = {
         "method": args.method,
         "k": args.k,
@@ -289,7 +317,7 @@ def _cmd_rerank(args) -> int:
         "k1": args.k1,
         "weighting": args.weighting,
     }
-    cfg = RerankConfig(**_merge(defaults, _load_config(args.config), cli))
+    cfg = _config(RerankConfig, _load_config(args.config), cli)
     report = run_rerank(args.embeddings, args.out, cfg)
     print(
         f"{report['method']}: mAP {report['before']['map']:.4f} -> "
@@ -311,47 +339,31 @@ def _cmd_sweep(args) -> int:
         "ks": _ints(args.ks) if args.ks is not None else None,
         "method": args.method,
     }
-    merged = _merge(defaults, _load_config(args.config), cli)
-    path = run_sweep(
-        args.embeddings,
-        args.out,
-        gammas=list(merged["gammas"]),
-        layers_grid=list(merged["layers_grid"]),
-        ks=list(merged["ks"]),
-        method=merged["method"],
-    )
+    fields = {"gammas": list[float], "layers_grid": list[int], "ks": list[int], "method": str}
+    merged = _merge(fields, defaults, _load_config(args.config), cli)
+    path = run_sweep(args.embeddings, args.out, **merged)
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    doc = _load_config(args.config)
-    unknown = set(doc) - {"cluster", "train", "encode", "seeds"}
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    cluster_kw = dict(doc.get("cluster", {}))
-    train_kw = dict(doc.get("train", {}))
-    encode_kw = dict(doc.get("encode", {}))
-    seeds = doc.get("seeds", [0])
-    if args.seeds is not None:
-        seeds = _ints(args.seeds)
-    if args.clusters is not None:
-        cluster_kw["n_clusters"] = args.clusters
-    if args.epochs_max is not None:
-        train_kw["epochs_max"] = args.epochs_max
-    if args.max_steps is not None:
-        train_kw["max_steps"] = args.max_steps
-    if args.page_dim is not None:
-        encode_kw["page_dim"] = args.page_dim
-    if isinstance(train_kw.get("backbone_dims"), list):
-        train_kw["backbone_dims"] = tuple(train_kw["backbone_dims"])
+    sections = {"cluster": ClusterConfig, "train": TrainConfig, "encode": EncodeConfig}
+    cli = {
+        "cluster": {"n_clusters": args.clusters},
+        "train": {"epochs_max": args.epochs_max, "max_steps": args.max_steps},
+        "encode": {"page_dim": args.page_dim},
+    }
+    merged = _merge(
+        {"seeds": list[int], **{name: dict for name in sections}},
+        {"seeds": [0], **{name: {} for name in sections}},
+        _load_config(args.config),
+        {"seeds": _ints(args.seeds) if args.seeds is not None else None},
+    )
     report = run_report(
         args.manifest,
         args.out,
-        seeds=list(seeds),
-        cluster_cfg=ClusterConfig(**cluster_kw),
-        train_cfg=TrainConfig(**train_kw),
-        encode_cfg=EncodeConfig(**encode_kw),
+        seeds=merged["seeds"],
+        **{f"{name}_cfg": _config(cls, merged[name], cli[name]) for name, cls in sections.items()},
     )
     print(
         f"mAP {report['map_mean']:.4f} +- {report['map_spread']:.4f}  "

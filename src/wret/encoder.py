@@ -202,14 +202,6 @@ def flatten_encoding(v: np.ndarray) -> np.ndarray:
     raise ValidationError(f"expected an encoding matrix or stack, got ndim {v.ndim}")
 
 
-def unflatten_encoding(vec: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Inverse of flatten_encoding for a single encoding."""
-    vec = np.asarray(vec)
-    if vec.ndim != 1 or vec.shape[0] % n_clusters != 0:
-        raise ValidationError("flattened length is not a multiple of n_clusters")
-    return vec.reshape(n_clusters, -1)
-
-
 def init_codebook(
     mode: str,
     n_clusters: int,

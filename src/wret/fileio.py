@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -201,6 +202,17 @@ def save_model(path: Path | str, kind: str, meta: dict, arrays: dict[str, np.nda
     Path(path).write_bytes(bytes(out))
 
 
+def _valid_array_entry(entry) -> bool:
+    """A named <f8 or <i8 array whose shape lists non-negative ints."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and entry.get("dtype") in ("<f8", "<i8")
+        and isinstance(entry.get("shape"), list)
+        and all(type(extent) is int and extent >= 0 for extent in entry["shape"])
+    )
+
+
 def load_model(path: Path | str) -> tuple[str, dict, dict[str, np.ndarray]]:
     path = Path(path)
     try:
@@ -218,12 +230,20 @@ def load_model(path: Path | str) -> tuple[str, dict, dict[str, np.ndarray]]:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise ArtifactIOError(f"{path} has a corrupt header") from None
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("kind"), str)
+        and isinstance(header.get("meta"), dict)
+        and isinstance(header.get("arrays"), list)
+        and all(_valid_array_entry(entry) for entry in header["arrays"])
+    ):
+        raise ArtifactIOError(f"{path} has a malformed header")
     offset = 16 + header_len
     arrays = {}
     for entry in header["arrays"]:
         shape = tuple(entry["shape"])
         dtype = np.dtype(entry["dtype"])
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)
         nbytes = size * dtype.itemsize
         if offset + nbytes > len(raw):
             raise ArtifactIOError(f"{path} is truncated in array {entry['name']}")
@@ -242,7 +262,7 @@ def save_backbone(path: Path | str, backbone: Backbone, seed: int) -> None:
         arrays[f"layer{i}.bias"] = layer.bias
     meta = {
         "activations": [layer.activation for layer in backbone.layers],
-        "dims": [backbone.input_dim] + [l.weight.shape[1] for l in backbone.layers],
+        "dims": [backbone.input_dim] + [layer.weight.shape[0] for layer in backbone.layers],
         "seed": seed,
     }
     save_model(path, "backbone", meta, arrays)

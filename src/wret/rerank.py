@@ -9,6 +9,7 @@ import numpy as np
 
 from .aggregation import PageEmbedding
 from .errors import ValidationError
+from .retrieval import rank_rows
 
 METHODS = ("sgr", "krnn_qe", "hard_graph")
 UNIT_NORM_TOL = 1e-9
@@ -77,37 +78,34 @@ def build_similarity_graph(pages: list[PageEmbedding], gamma: float) -> Similari
     return SimilarityGraph(similarity=sims, adjacency=adjacency, gamma=gamma)
 
 
-def _knn_sets(sims: np.ndarray, k: int) -> list[np.ndarray]:
-    """k most similar OTHER vertices per row, ties by ascending index."""
-    n = len(sims)
-    neighbors = []
-    for i in range(n):
-        order = sorted((j for j in range(n) if j != i), key=lambda j: (-sims[i, j], j))
-        neighbors.append(np.array(order[:k], dtype=int))
-    return neighbors
-
-
 def _propagate(
     features: np.ndarray,
-    neighbors: list[np.ndarray],
+    neighbors: np.ndarray,
     weights: np.ndarray,
     layers: int,
 ) -> np.ndarray:
-    """h_i <- l2(h_i + sum_j w_ij h_j) repeated `layers` times.
+    """h_i <- l2(h_i + sum_j w_ij h_j) over the (n, k) neighbors, `layers` times.
 
     Neighbor contributions are added in descending-weight order (ties by
     ascending index) so the sum is bitwise permutation-equivariant."""
+    neighbors = rank_rows(weights, np.arange(len(weights)), candidates=neighbors)
+    w = np.take_along_axis(weights, neighbors, axis=1)
     h = features.copy()
     for _ in range(layers):
         nxt = h.copy()
-        for i, neigh in enumerate(neighbors):
-            order = sorted(neigh.tolist(), key=lambda j: (-weights[i, j], j))
-            for j in order:
-                nxt[i] = nxt[i] + weights[i, j] * h[j]
+        for c in range(neighbors.shape[1]):
+            nxt += w[:, c, None] * h[neighbors[:, c]]
         norms = np.linalg.norm(nxt, axis=1)
         safe = np.where(norms > 0.0, norms, 1.0)
         h = nxt / safe[:, None]
     return h
+
+
+def _membership(neighbors: np.ndarray) -> np.ndarray:
+    """Boolean (n, n) matrix: member[i, j] iff j is among neighbors[i]."""
+    member = np.zeros((len(neighbors), len(neighbors)), dtype=bool)
+    np.put_along_axis(member, neighbors, True, axis=1)
+    return member
 
 
 def _with_vectors(pages: list[PageEmbedding], vectors: np.ndarray) -> list[PageEmbedding]:
@@ -125,7 +123,7 @@ def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     if len(pages) < cfg.k + 1:
         raise ValidationError("need at least k + 1 pages")
     graph = build_similarity_graph(pages, cfg.gamma)
-    neighbors = _knn_sets(graph.similarity, cfg.k)
+    neighbors = rank_rows(graph.similarity, np.arange(len(pages)))[:, : cfg.k]
     weights = graph.similarity if cfg.weighting == "similarity" else graph.adjacency
     refined = _propagate(graph.adjacency.copy(), neighbors, weights, cfg.layers)
     return _with_vectors(pages, refined)
@@ -140,17 +138,16 @@ def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
         raise ValidationError("k must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
-    neighbors = _knn_sets(sims, min(k, len(pages) - 1))
-    sets = [set(n.tolist()) for n in neighbors]
-    out = np.empty_like(unit)
-    for i in range(len(pages)):
-        reciprocal = [j for j in neighbors[i] if i in sets[j]]
-        acc = unit[i].copy()
-        for j in reciprocal:
-            acc += unit[j]
-        acc /= len(reciprocal) + 1
-        norm = np.linalg.norm(acc)
-        out[i] = acc / norm if norm > 0.0 else acc
+    neighbors = rank_rows(sims, np.arange(len(pages)))[:, :k]
+    member = _membership(neighbors)
+    # reciprocal[i, c]: vertex i is among the neighbors of its c-th neighbor
+    reciprocal = np.take_along_axis(member.T, neighbors, axis=1)
+    acc = unit.copy()
+    for c in range(neighbors.shape[1]):
+        np.add(acc, unit[neighbors[:, c]], out=acc, where=reciprocal[:, c, None])
+    acc /= (reciprocal.sum(axis=1) + 1)[:, None]
+    norms = np.linalg.norm(acc, axis=1)
+    out = acc / np.where(norms > 0.0, norms, 1.0)[:, None]
     return _with_vectors(pages, out)
 
 
@@ -167,20 +164,11 @@ def hard_graph_rerank(
         raise ValidationError("layers must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
-    k1_sets = [set(neigh.tolist()) for neigh in _knn_sets(sims, k1)]
-    adjacency = np.zeros((n, n))
-    for i in range(n):
-        adjacency[i, i] = 1.0
-        for j in range(n):
-            if i == j:
-                continue
-            fwd = j in k1_sets[i]
-            back = i in k1_sets[j]
-            if fwd and back:
-                adjacency[i, j] = 1.0
-            elif fwd or back:
-                adjacency[i, j] = 0.5
-    neighbors = _knn_sets(sims, k2)
+    order = rank_rows(sims, np.arange(n))
+    fwd = _membership(order[:, :k1])
+    adjacency = np.where(fwd & fwd.T, 1.0, np.where(fwd | fwd.T, 0.5, 0.0))
+    np.fill_diagonal(adjacency, 1.0)
+    neighbors = order[:, :k2]
     refined = _propagate(adjacency.copy(), neighbors, adjacency, layers)
     return _with_vectors(pages, refined)
 

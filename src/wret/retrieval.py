@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +22,27 @@ class RankedList:
     gallery: tuple[str, ...]
     scores: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.gallery) != len(self.scores):
-            raise ValidationError("gallery and scores must be parallel")
-        if any(a < b for a, b in zip(self.scores, self.scores[1:])):
-            raise ValidationError("scores must be non-increasing")
+
+@dataclass(frozen=True)
+class Ranking(Sequence):
+    """Leave-one-out ranking of a whole collection: row q of `order` holds
+    the gallery indices for query page_ids[q], best first, and `scores`
+    their similarities. Each item is that query's RankedList."""
+
+    page_ids: tuple[str, ...]
+    order: np.ndarray  # (n, n - 1) gallery indices
+    scores: np.ndarray  # (n, n - 1) similarities, non-increasing per row
+
+    def __len__(self) -> int:
+        return len(self.page_ids)
+
+    def __getitem__(self, q: int) -> RankedList:
+        q = range(len(self))[q]
+        return RankedList(
+            query=self.page_ids[q],
+            gallery=tuple(self.page_ids[j] for j in self.order[q]),
+            scores=tuple(self.scores[q].tolist()),
+        )
 
 
 @dataclass(frozen=True)
@@ -47,18 +63,34 @@ class RetrievalReport:
     query_count: int
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Plain cosine; rejects zero vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValidationError("cosine similarity is undefined for zero vectors")
-    return float(a @ b) / (na * nb)
+def rank_rows(
+    scores: np.ndarray, tie_rank: np.ndarray, candidates: np.ndarray | None = None
+) -> np.ndarray:
+    """Each row's candidate columns (an (n, m) index matrix) reordered by
+    descending score, ties by ascending tie_rank of the column. By default
+    the candidates are every column but the row's own: the (n, n - 1)
+    leave-one-out ranking."""
+    if candidates is None:
+        n = len(scores)
+        cols = np.arange(n - 1)
+        candidates = cols + (cols >= np.arange(n)[:, None])
+    order = np.lexsort(
+        (tie_rank[candidates], -np.take_along_axis(scores, candidates, axis=1)), axis=1
+    )
+    return np.take_along_axis(candidates, order, axis=1)
 
 
-def rank_all(pages: list[PageEmbedding]) -> list[RankedList]:
+def average_precisions(hits: np.ndarray) -> np.ndarray:
+    """AP of every row of a boolean relevance matrix ranked left to right:
+    the mean of hits_so_far/position over the relevant positions, summed
+    in rank order. A row without hits scores 0.0."""
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    summed = np.cumsum(np.where(hits, precision, 0.0), axis=1)[:, -1]
+    total = hits.sum(axis=1)
+    return np.where(total > 0, summed / np.maximum(total, 1), 0.0)
+
+
+def rank_all(pages: list[PageEmbedding]) -> Ranking:
     """Each page queries all the others; exhaustive cosine ranking with
     ties broken by ascending page_id."""
     if len(pages) < 2:
@@ -72,68 +104,37 @@ def rank_all(pages: list[PageEmbedding]) -> list[RankedList]:
         raise ValidationError("zero embedding cannot be ranked")
     unit = vectors / norms[:, None]
     sims = unit @ unit.T
-    ranked = []
-    for q in range(len(pages)):
-        gallery = [j for j in range(len(pages)) if j != q]
-        # Sort key: descending similarity, then ascending page_id.
-        order = sorted(gallery, key=lambda j: (-sims[q, j], ids[j]))
-        ranked.append(
-            RankedList(
-                query=ids[q],
-                gallery=tuple(ids[j] for j in order),
-                scores=tuple(float(sims[q, j]) for j in order),
-            )
-        )
-    return ranked
-
-
-def average_precision(relevance: list[bool]) -> float:
-    """AP down a ranked relevance list: mean of hits_so_far/position over
-    the relevant positions. Returns 0.0 when nothing is relevant."""
-    hits = 0
-    total = 0.0
-    for position, rel in enumerate(relevance, start=1):
-        if rel:
-            hits += 1
-            total += hits / position
-    return total / hits if hits else 0.0
+    id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
+    order = rank_rows(sims, id_rank)
+    return Ranking(
+        page_ids=tuple(ids), order=order, scores=np.take_along_axis(sims, order, axis=1)
+    )
 
 
 def evaluate(
-    ranked: list[RankedList],
+    ranking: Ranking,
     writers: dict[str, str],
     score_isolated_as_zero: bool = False,
 ) -> RetrievalReport:
-    """Score ranked lists against writer identities."""
-    per_ap: dict[str, float] = {}
-    per_top1: dict[str, bool] = {}
-    first_rank: dict[str, int] = {}
-    isolated: list[str] = []
-    for rl in ranked:
-        if rl.query not in writers:
-            raise ValidationError(f"page {rl.query} has no writer identity")
-        for page in rl.gallery:
-            if page not in writers:
-                raise ValidationError(f"page {page} has no writer identity")
-        relevance = [writers[p] == writers[rl.query] for p in rl.gallery]
-        if not any(relevance):
-            isolated.append(rl.query)
-            if not score_isolated_as_zero:
-                continue
-        per_ap[rl.query] = average_precision(relevance)
-        per_top1[rl.query] = bool(relevance[0])
-        first_rank[rl.query] = relevance.index(True) + 1 if any(relevance) else 0
-    scored = list(per_ap)
-    map_value = float(np.mean([per_ap[q] for q in scored])) if scored else 0.0
-    top1_value = float(np.mean([per_top1[q] for q in scored])) if scored else 0.0
+    """Score a ranking against writer identities."""
+    ids = ranking.page_ids
+    for page in ids:
+        if page not in writers:
+            raise ValidationError(f"page {page} has no writer identity")
+    _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
+    hits = labels[ranking.order] == labels[:, None]
+    ap = average_precisions(hits)
+    isolated = ~hits.any(axis=1)
+    first = np.where(isolated, 0, np.argmax(hits, axis=1) + 1)
+    scored = np.flatnonzero(~isolated | score_isolated_as_zero)
     return RetrievalReport(
-        map=map_value,
-        top1=top1_value,
-        per_query_ap=per_ap,
-        per_query_top1=per_top1,
-        first_relevant_rank=first_rank,
-        isolated_queries=tuple(isolated),
-        query_count=len(ranked),
+        map=float(np.mean(ap[scored])) if len(scored) else 0.0,
+        top1=float(np.mean(hits[scored, 0])) if len(scored) else 0.0,
+        per_query_ap={ids[q]: float(ap[q]) for q in scored},
+        per_query_top1={ids[q]: bool(hits[q, 0]) for q in scored},
+        first_relevant_rank={ids[q]: int(first[q]) for q in scored},
+        isolated_queries=tuple(ids[q] for q in np.flatnonzero(isolated)),
+        query_count=len(ids),
     )
 
 
@@ -170,7 +171,3 @@ def report_to_csv(report: RetrievalReport) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def report_dumps(report: RetrievalReport) -> str:
-    return json.dumps(report_to_json(report), indent=2, sort_keys=True)

@@ -23,6 +23,7 @@ from .encoder import (
 )
 from .errors import TrainingError, ValidationError
 from .features import PseudoLabeledSet
+from .retrieval import average_precisions, rank_rows
 from .seeds import derive_seed
 
 ADAM_BETA1 = 0.9
@@ -344,9 +345,6 @@ class _ParamState:
         )
         return Backbone(layers=layers), codebook
 
-    def snapshot(self) -> tuple[Backbone, Codebook]:
-        return self.to_models()
-
 
 class _Adam:
     """Adam over the flat list of parameter arrays, fixed constants."""
@@ -414,27 +412,17 @@ def _epoch_batches(
 
 def _pool_retrieval_map(vectors: np.ndarray, labels: np.ndarray) -> float:
     """Leave-one-out retrieval score over a pool: every item queries the
-    rest, ranked by cosine on l2-normalized vectors; relevance = same
-    label. Items whose label is unique in the pool are skipped."""
+    rest, ranked by cosine with ties by index; relevance = same label.
+    Items whose label is unique in the pool are skipped."""
     n = len(labels)
     if n < 2:
         return 0.0
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     unit = vectors / np.where(norms > 0.0, norms, 1.0)
-    sims = unit @ unit.T
-    aps: list[float] = []
-    for q in range(n):
-        gallery = np.concatenate([np.arange(0, q), np.arange(q + 1, n)])
-        relevant = labels[gallery] == labels[q]
-        total = int(relevant.sum())
-        if total == 0:
-            continue
-        order = np.lexsort((gallery, -sims[q, gallery]))
-        hits = relevant[order]
-        ranks = np.flatnonzero(hits) + 1
-        precisions = np.arange(1, total + 1) / ranks
-        aps.append(float(precisions.sum() / total))
-    return float(np.mean(aps)) if aps else 0.0
+    order = rank_rows(unit @ unit.T, np.arange(n))
+    hits = labels[order] == labels[:, None]
+    aps = average_precisions(hits)[hits.any(axis=1)]
+    return float(np.mean(aps)) if len(aps) else 0.0
 
 
 def train(
@@ -508,7 +496,7 @@ def train(
     lrs: list[float] = []
     best_map = -np.inf
     best_epoch = -1
-    best_snapshot = params.snapshot()
+    best_snapshot = params.to_models()
     steps = 0
     out_of_steps = False
     stopped_epoch = 0
@@ -550,7 +538,7 @@ def train(
         if val_map > best_map:
             best_map = val_map
             best_epoch = epoch
-            best_snapshot = params.snapshot()
+            best_snapshot = params.to_models()
         if epoch - best_epoch >= cfg.patience or out_of_steps:
             break
 

@@ -13,7 +13,6 @@ from wret.encoder import (
     init_backbone,
     init_codebook,
     soft_assign,
-    unflatten_encoding,
 )
 from wret.errors import ValidationError
 
@@ -257,7 +256,6 @@ class TestFlattening:
         assert flat.shape == (15,)
         # Row-major: first 5 entries are cluster 0's row.
         np.testing.assert_array_equal(flat[:5], v[0])
-        np.testing.assert_array_equal(unflatten_encoding(flat, 3), v)
 
     def test_stack_flattening(self):
         rng = np.random.default_rng(5)
@@ -265,10 +263,6 @@ class TestFlattening:
         flat = flatten_encoding(stack)
         assert flat.shape == (4, 15)
         np.testing.assert_array_equal(flat[2], flatten_encoding(stack[2]))
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValidationError):
-            unflatten_encoding(np.zeros(7), 2)
 
 
 class TestInitCodebook:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
 from wret.features import fit_pca
 from wret.fileio import (
+    MAGIC_MODEL,
     PageRecord,
+    canonical_json,
     load_backbone,
     load_cluster_model,
     load_codebook,
@@ -173,6 +176,13 @@ class TestModelFiles:
             np.testing.assert_array_equal(got.bias, orig.bias)
             assert got.activation == orig.activation
 
+    def test_backbone_dims_metadata_follows_layer_outputs(self, tmp_path):
+        path = tmp_path / "bb.wrmd"
+        save_backbone(path, init_backbone((32, 48, 64), seed=0), seed=0)
+        _, meta, _ = load_model_kind(path)
+        assert meta["dims"] == [32, 48, 64]
+        assert [layer.weight.shape for layer in load_backbone(path).layers] == [(48, 32), (64, 48)]
+
     def test_codebook_round_trip(self, tmp_path):
         codebook = init_codebook("netrvlad", 4, 6, seed=5)
         path = tmp_path / "cb.wrmd"
@@ -211,6 +221,49 @@ class TestModelFiles:
             save_model(
                 tmp_path / "m.wrmd", "labels", {}, {"x": np.ones(3, dtype=np.float32)}
             )
+
+
+_GOOD_ENTRY = {"dtype": "<i8", "name": "x", "shape": [2]}
+
+
+def _model_file(tmp_path, header):
+    """A model file with the given header followed by two int64 zeros."""
+    text = canonical_json(header).encode("utf-8")
+    path = tmp_path / "m.wrmd"
+    path.write_bytes(MAGIC_MODEL + struct.pack("<IQ", 1, len(text)) + text + bytes(16))
+    return path
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"kind": "labels", "meta": {}},
+        {"arrays": [_GOOD_ENTRY], "meta": {}},
+        {"arrays": [_GOOD_ENTRY], "kind": "labels"},
+        {"arrays": [_GOOD_ENTRY], "kind": 3, "meta": {}},
+        {"arrays": [_GOOD_ENTRY], "kind": "labels", "meta": []},
+        {"arrays": {"x": _GOOD_ENTRY}, "kind": "labels", "meta": {}},
+        {"arrays": [[2]], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "name": 7}], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "shape": 2}], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "shape": [-2]}], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "shape": [2.0]}], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "shape": [True, True]}], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "dtype": "<f4"}], "kind": "labels", "meta": {}},
+        {"arrays": [{**_GOOD_ENTRY, "dtype": "O"}], "kind": "labels", "meta": {}},
+        ["not", "an", "object"],
+    ],
+)
+def test_malformed_model_header_raises_artifact_error(tmp_path, header):
+    with pytest.raises(ArtifactIOError, match="malformed header"):
+        load_model_kind(_model_file(tmp_path, header))
+
+
+def test_oversized_model_shape_reads_as_truncated(tmp_path):
+    # 2**62 * 4 elements overflow int64; the size check must still see them.
+    header = {"arrays": [{**_GOOD_ENTRY, "shape": [2**62, 4]}], "kind": "labels", "meta": {}}
+    with pytest.raises(ArtifactIOError, match="truncated"):
+        load_model_kind(_model_file(tmp_path, header))
 
 
 def load_model_kind(path):
@@ -536,6 +589,55 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("rerank", {"k": "2"}),
+            ("rerank", {"k": 1e9}),
+            ("rerank", {"gamma": True}),
+            ("rerank", {"gamma": 10**400}),
+            ("rerank", {"method": None}),
+            ("evaluate", {"per_query": 1}),
+            ("sweep", {"ks": [1.5]}),
+            ("sweep", {"gammas": 0.4}),
+            ("train", {"backbone_dims": ["16", 8]}),
+            ("report", {"seeds": "1,2"}),
+            ("report", {"cluster": [1]}),
+            ("report", {"train": {"epochs_max": "3"}}),
+            ("report", {"encode": {"bogus": 1}}),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_one(
+        self, workspace, tmp_path, capsys, command, config
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        inputs = {
+            "rerank": ["--embeddings", str(workspace["embeddings"])],
+            "evaluate": ["--embeddings", str(workspace["embeddings"])],
+            "sweep": ["--embeddings", str(workspace["embeddings"])],
+            "train": ["--labels", str(workspace["run"] / "labels.wrmd")],
+            "report": ["--manifest", str(workspace["manifest"])],
+        }[command]
+        out = tmp_path / "out"
+        code = entrypoint([command, *inputs, "--out", str(out), "--config", str(cfg_path)])
+        assert code == 1
+        assert "config key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_int_fills_float_field(self, workspace, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"k": 2, "gamma": 1}))
+        code = entrypoint(
+            [
+                "rerank", "--embeddings", str(workspace["embeddings"]),
+                "--out", str(tmp_path / "rr"), "--config", str(cfg_path),
+            ]
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "rr" / "rerank_report.json").read_text())
+        assert report["params"]["gamma"] == 1.0 and isinstance(report["params"]["gamma"], float)
 
     def test_bad_flag_exits_one(self):
         assert entrypoint(["cluster", "--nope"]) == 1

@@ -26,6 +26,11 @@ def _unit_pages(vectors: np.ndarray, writers: list[str] | None = None) -> list[P
     ]
 
 
+def _tied_pages() -> list[PageEmbedding]:
+    # p001 and p002 are exactly equally similar to p000 (s = 0.6 both).
+    return _unit_pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
+
+
 def _ring_pages(n: int, seed: int = 0) -> list[PageEmbedding]:
     rng = np.random.default_rng(seed)
     return _unit_pages(rng.normal(size=(n, 5)))
@@ -138,6 +143,18 @@ class TestSgr:
         perm_ranked = {rl.query: rl.gallery for rl in rank_all(sgr(permuted, cfg))}
         assert base_ranked == perm_ranked
 
+    def test_exact_tie_keeps_lowest_index(self):
+        pages = _tied_pages()
+        x = np.array([p.vector for p in pages])
+        s = x @ x.T
+        assert s[0, 1] == s[0, 2]
+        adj = np.exp(-((1 - s) ** 2) / 0.4)
+        out = sgr(pages, RerankConfig(method="sgr", k=1, layers=1, gamma=0.4))
+        kept = adj[0] + s[0, 1] * adj[1]
+        dropped = adj[0] + s[0, 2] * adj[2]
+        assert not np.allclose(kept / np.linalg.norm(kept), dropped / np.linalg.norm(dropped))
+        np.testing.assert_allclose(out[0].vector, kept / np.linalg.norm(kept), atol=1e-12)
+
     def test_k_too_large_rejected(self):
         with pytest.raises(ValidationError):
             sgr(_ring_pages(3), RerankConfig(method="sgr", k=3, layers=1, gamma=0.4))
@@ -223,6 +240,13 @@ class TestHardGraph:
         expected = nxt / np.linalg.norm(nxt, axis=1, keepdims=True)
         for i in range(3):
             np.testing.assert_allclose(out[i].vector, expected[i], atol=1e-9)
+
+    def test_exact_tie_keeps_lowest_index(self):
+        # p000 ties between p001 and p002 and must pick p001: mutual with
+        # p001, one-directional with p002 (which points back at p000).
+        out = hard_graph_rerank(_tied_pages(), k1=1, k2=1, layers=1)
+        row = np.array([1.0, 1.0, 0.5]) + 1.0 * np.array([1.0, 1.0, 0.0])
+        np.testing.assert_allclose(out[0].vector, row / np.linalg.norm(row), atol=1e-12)
 
     def test_k1_saturation(self):
         pages = _ring_pages(5, seed=6)

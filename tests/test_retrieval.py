@@ -6,9 +6,7 @@ import pytest
 from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
 from wret.retrieval import (
-    RankedList,
-    average_precision,
-    cosine_similarity,
+    average_precisions,
     evaluate,
     rank_all,
     report_to_csv,
@@ -22,23 +20,6 @@ def _pages(vectors: np.ndarray, writers: list[str] | None = None) -> list[PageEm
         PageEmbedding(page_id=f"p{i:03d}", writer_id=w, vector=np.asarray(v, dtype=float))
         for i, (v, w) in enumerate(zip(vectors, writers))
     ]
-
-
-class TestCosine:
-    def test_identical_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_scalar_oracle(self):
-        got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(1.0 / math.sqrt(2.0))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValidationError):
-            cosine_similarity(np.zeros(2), np.ones(2))
 
 
 class TestRankAll:
@@ -58,6 +39,30 @@ class TestRankAll:
         vectors = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
         ranked = rank_all(_pages(vectors))
         assert ranked[0].gallery == ("p001", "p002")
+
+    def test_tie_break_uses_page_id_not_list_order(self):
+        # Identical vectors tie exactly; the pages are listed out of id order.
+        pages = [
+            PageEmbedding(page_id=pid, writer_id="w", vector=np.array([1.0, 2.0]))
+            for pid in ("p002", "p000", "p001")
+        ]
+        ranked = rank_all(pages)
+        assert [rl.query for rl in ranked] == ["p002", "p000", "p001"]
+        assert ranked[0].gallery == ("p000", "p001")
+        assert ranked[1].gallery == ("p001", "p002")
+        assert ranked[2].gallery == ("p000", "p002")
+
+    def test_array_ranking_matches_views(self):
+        rng = np.random.default_rng(4)
+        pages = _pages(rng.normal(size=(6, 3)))
+        ranking = rank_all(pages)
+        assert ranking.order.shape == ranking.scores.shape == (6, 5)
+        assert len(ranking) == 6
+        for q, rl in enumerate(ranking):
+            assert rl == ranking[q - 6]  # negative indices address the same query
+            assert rl.gallery == tuple(ranking.page_ids[j] for j in ranking.order[q])
+            assert rl.scores == tuple(ranking.scores[q].tolist())
+            assert q not in ranking.order[q]
 
     def test_duplicate_page_id_rejected(self):
         pages = _pages(np.eye(2))
@@ -102,16 +107,22 @@ class TestRankAll:
 class TestAveragePrecision:
     def test_hand_oracle(self):
         # Pattern [1, 0, 1]: AP = (1/2)(1/1 + 2/3) = 5/6.
-        assert average_precision([True, False, True]) == pytest.approx(5.0 / 6.0)
+        assert average_precisions(np.array([[True, False, True]]))[0] == pytest.approx(5.0 / 6.0)
 
     def test_perfect_prefix(self):
-        assert average_precision([True, True, False]) == pytest.approx(1.0)
+        assert average_precisions(np.array([[True, True, False]]))[0] == pytest.approx(1.0)
 
     def test_single_hit_at_rank_two(self):
-        assert average_precision([False, True]) == pytest.approx(0.5)
+        assert average_precisions(np.array([[False, True]]))[0] == pytest.approx(0.5)
 
     def test_nothing_relevant(self):
-        assert average_precision([False, False]) == 0.0
+        assert average_precisions(np.array([[False, False]]))[0] == 0.0
+
+    def test_rows_are_independent(self):
+        hits = np.array([[True, False, True], [False, False, False], [False, True, False]])
+        np.testing.assert_array_equal(
+            average_precisions(hits), [(1.0 + 2.0 / 3.0) / 2.0, 0.0, 0.5]
+        )
 
 
 class TestEvaluate:
@@ -126,9 +137,9 @@ class TestEvaluate:
 
     def test_rank_two_hit(self):
         # Query p000: nearest is the other writer, second is its match.
-        rl = RankedList(query="p000", gallery=("p001", "p002"), scores=(0.9, 0.8))
-        writers = {"p000": "a", "p001": "b", "p002": "a"}
-        report = evaluate([rl], writers)
+        pages = _pages(np.array([[1.0, 0.0], [1.0, 0.1], [1.0, 0.5]]), ["a", "b", "a"])
+        assert rank_all(pages)[0].gallery == ("p001", "p002")
+        report = evaluate(rank_all(pages), {p.page_id: p.writer_id for p in pages})
         assert report.per_query_ap["p000"] == pytest.approx(0.5)
         assert report.per_query_top1["p000"] is False
         assert report.first_relevant_rank["p000"] == 2
@@ -154,9 +165,9 @@ class TestEvaluate:
         assert flagged.map < base.map
 
     def test_missing_writer_rejected(self):
-        rl = RankedList(query="p0", gallery=("p1",), scores=(0.5,))
-        with pytest.raises(ValidationError):
-            evaluate([rl], {"p0": "a"})
+        ranking = rank_all(_pages(np.eye(2)))
+        with pytest.raises(ValidationError, match="p001"):
+            evaluate(ranking, {"p000": "a"})
 
     def test_map_against_brute_force_small_batch(self):
         # The full 100-instance sweep lives in the acceptance suite.
