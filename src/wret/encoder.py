@@ -143,21 +143,33 @@ def soft_assign(cb: Codebook, x: np.ndarray) -> np.ndarray:
     return alpha[0] if single else alpha
 
 
-def encode_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
-    """Encode a batch of embeddings to (n, n_clusters, dim) residual stacks."""
+def encode_patches(
+    cb: Codebook, xs: np.ndarray, return_cache: bool = False
+) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray | None]]:
+    """Encode a batch of embeddings to (n, n_clusters, dim) residual stacks.
+
+    With return_cache, also return the intermediates the backward pass
+    needs: znorm (input norms), xhat (the inputs after prenormalization),
+    alpha (soft assignments), resid (xhat minus each center) and gnorm
+    (norms of the weighted residual rows before intranormalization);
+    znorm and gnorm are None in netrvlad mode."""
     rows, _ = _as_rows(xs, cb.dim, "encode_patches")
+    znorm = gnorm = None
     if cb.mode == "netvlad":
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
+        znorm = np.linalg.norm(rows, axis=1, keepdims=True)
+        if np.any(znorm == 0.0):
             raise ValidationError("netvlad prenormalization rejects zero embeddings")
-        rows = rows / norms
+        rows = rows / znorm
     alpha = soft_assign(cb, rows)
-    v = alpha[:, :, None] * (rows[:, None, :] - cb.centers[None, :, :])
+    resid = rows[:, None, :] - cb.centers[None, :, :]
+    v = alpha[:, :, None] * resid
     if cb.mode == "netvlad":
-        row_norms = np.linalg.norm(v, axis=2, keepdims=True)
+        gnorm = np.linalg.norm(v, axis=2, keepdims=True)
         # Zero residual rows stay zero rather than dividing by zero.
-        v = np.where(row_norms > 0.0, v / np.where(row_norms > 0.0, row_norms, 1.0), v)
-    return v
+        v = np.where(gnorm > 0.0, v / np.where(gnorm > 0.0, gnorm, 1.0), v)
+    if not return_cache:
+        return v
+    return v, {"znorm": znorm, "xhat": rows, "alpha": alpha, "resid": resid, "gnorm": gnorm}
 
 
 def encode_patch(cb: Codebook, x: np.ndarray) -> np.ndarray:

@@ -63,10 +63,21 @@ def read_json(path: Path | str):
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ArtifactIOError(f"missing file {path}") from None
+    except UnicodeDecodeError:
+        raise ArtifactIOError(f"{path} is not UTF-8 text") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ArtifactIOError(f"{path} is not valid JSON: {exc}") from None
+
+
+def typed_entry(path: Path | str, table, key: str, kind: type | tuple[type, ...]):
+    """table[key] when table is a dict holding a `kind` there; otherwise an
+    ArtifactIOError naming the artifact at path."""
+    value = table.get(key) if isinstance(table, dict) else None
+    if not isinstance(value, kind):
+        raise ArtifactIOError(f"{path} has no '{key}' entry of the expected type")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -141,10 +152,13 @@ def write_embeddings(
 def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
     json_path = Path(json_path)
     sidecar = read_json(json_path)
-    for key in ("blob", "count", "dim", "pages"):
-        if key not in sidecar:
-            raise ArtifactIOError(f"{json_path} is missing the '{key}' field")
-    blob_path = json_path.parent / sidecar["blob"]
+    blob_path = json_path.parent / typed_entry(json_path, sidecar, "blob", str)
+    sidecar_count = typed_entry(json_path, sidecar, "count", int)
+    sidecar_dim = typed_entry(json_path, sidecar, "dim", int)
+    ids = [
+        (typed_entry(json_path, rec, "page_id", str), typed_entry(json_path, rec, "writer_id", str))
+        for rec in typed_entry(json_path, sidecar, "pages", list)
+    ]
     try:
         raw = blob_path.read_bytes()
     except FileNotFoundError:
@@ -154,9 +168,9 @@ def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
     version, dim, count = struct.unpack("<IIQ", raw[4:20])
     if version != FORMAT_VERSION:
         raise ArtifactIOError(f"{blob_path}: unsupported version {version}")
-    if dim != sidecar["dim"] or count != sidecar["count"]:
+    if dim != sidecar_dim or count != sidecar_count:
         raise ArtifactIOError(f"{blob_path} disagrees with its sidecar")
-    if count != len(sidecar["pages"]):
+    if count != len(ids):
         raise ArtifactIOError(f"{json_path} page list does not match count")
     expected = 20 + count * dim * 8
     if len(raw) != expected:
@@ -164,12 +178,8 @@ def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
     matrix = np.frombuffer(raw, dtype="<f8", count=count * dim, offset=20)
     matrix = matrix.reshape(count, dim).astype(np.float64)
     pages = [
-        PageEmbedding(
-            page_id=rec["page_id"],
-            writer_id=rec["writer_id"],
-            vector=matrix[i],
-        )
-        for i, rec in enumerate(sidecar["pages"])
+        PageEmbedding(page_id=page_id, writer_id=writer_id, vector=matrix[i])
+        for i, (page_id, writer_id) in enumerate(ids)
     ]
     return pages, sidecar
 
@@ -274,11 +284,11 @@ def load_backbone(path: Path | str) -> Backbone:
         raise ArtifactIOError(f"{path} holds a {kind!r} model, expected a backbone")
     layers = [
         Layer(
-            weight=arrays[f"layer{i}.weight"],
-            bias=arrays[f"layer{i}.bias"],
+            weight=typed_entry(path, arrays, f"layer{i}.weight", np.ndarray),
+            bias=typed_entry(path, arrays, f"layer{i}.bias", np.ndarray),
             activation=act,
         )
-        for i, act in enumerate(meta["activations"])
+        for i, act in enumerate(typed_entry(path, meta, "activations", list))
     ]
     return Backbone(layers=tuple(layers))
 
@@ -297,10 +307,10 @@ def load_codebook(path: Path | str) -> Codebook:
     if kind != "codebook":
         raise ArtifactIOError(f"{path} holds a {kind!r} model, expected a codebook")
     return Codebook(
-        centers=arrays["centers"],
-        weights=arrays["weights"],
-        bias=arrays["bias"],
-        mode=meta["mode"],
+        centers=typed_entry(path, arrays, "centers", np.ndarray),
+        weights=typed_entry(path, arrays, "weights", np.ndarray),
+        bias=typed_entry(path, arrays, "bias", np.ndarray),
+        mode=typed_entry(path, meta, "mode", str),
     )
 
 
@@ -314,10 +324,10 @@ def load_pca(path: Path | str) -> PcaModel:
     if kind != "pca":
         raise ArtifactIOError(f"{path} holds a {kind!r} model, expected a pca")
     return PcaModel(
-        mean=arrays["mean"],
-        basis=arrays["basis"],
-        scale=arrays["scale"],
-        whiten=bool(meta["whiten"]),
+        mean=typed_entry(path, arrays, "mean", np.ndarray),
+        basis=typed_entry(path, arrays, "basis", np.ndarray),
+        scale=typed_entry(path, arrays, "scale", np.ndarray),
+        whiten=typed_entry(path, meta, "whiten", bool),
     )
 
 
@@ -330,7 +340,10 @@ def load_cluster_model(path: Path | str) -> ClusterModel:
     kind, meta, arrays = load_model(path)
     if kind != "kmeans":
         raise ArtifactIOError(f"{path} holds a {kind!r} model, expected kmeans")
-    return ClusterModel(centers=arrays["centers"], inertia=float(meta["inertia"]))
+    return ClusterModel(
+        centers=typed_entry(path, arrays, "centers", np.ndarray),
+        inertia=float(typed_entry(path, meta, "inertia", (int, float))),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -379,21 +392,21 @@ def load_manifest(path: Path | str) -> Manifest:
     """Parse and validate a manifest; descriptor paths resolve relative to it."""
     path = Path(path)
     doc = read_json(path)
-    for key in ("dataset", "split", "pages"):
-        if key not in doc:
-            raise ArtifactIOError(f"{path} is missing the '{key}' field")
-    if doc["split"] not in SPLITS:
+    dataset = typed_entry(path, doc, "dataset", str)
+    split = typed_entry(path, doc, "split", str)
+    pages = typed_entry(path, doc, "pages", list)
+    if split not in SPLITS:
         raise ValidationError(f"manifest split must be one of {SPLITS}")
-    if not doc["pages"]:
+    if not pages:
         raise ValidationError(f"{path} lists no pages")
     records = []
     seen = set()
     base = path.parent
-    for rec in doc["pages"]:
+    for rec in pages:
         record = PageRecord(
-            page_id=rec["page_id"],
-            writer_id=rec["writer_id"],
-            descriptor_file=rec["descriptor_file"],
+            page_id=typed_entry(path, rec, "page_id", str),
+            writer_id=typed_entry(path, rec, "writer_id", str),
+            descriptor_file=typed_entry(path, rec, "descriptor_file", str),
         )
         if record.page_id in seen:
             raise ValidationError(f"duplicate page_id {record.page_id!r} in {path}")
@@ -403,9 +416,7 @@ def load_manifest(path: Path | str) -> Manifest:
                 f"missing file {base / record.descriptor_file} referenced by {path}"
             )
         records.append(record)
-    return Manifest(
-        dataset=doc["dataset"], split=doc["split"], pages=tuple(records), base_dir=base
-    )
+    return Manifest(dataset=dataset, split=split, pages=tuple(records), base_dir=base)
 
 
 def load_page_descriptors(

@@ -42,6 +42,7 @@ from .fileio import (
     save_cluster_model,
     save_model,
     save_pca,
+    typed_entry,
     write_embeddings,
     write_json,
 )
@@ -235,11 +236,14 @@ def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
     kind, meta, arrays = load_model(_require(Path(path), "cluster"))
     if kind != "labels":
         raise ArtifactIOError(f"{path} holds a {kind!r} model, expected labels")
-    labeled = PseudoLabeledSet(
-        items=tuple(zip(arrays["kept"].tolist(), arrays["labels"].tolist())),
-        rejected=tuple(arrays["rejected"].tolist()),
+    kept, labels, rejected, descriptors = (
+        typed_entry(path, arrays, name, np.ndarray)
+        for name in ("kept", "labels", "rejected", "descriptors")
     )
-    return labeled, arrays["descriptors"], meta
+    labeled = PseudoLabeledSet(
+        items=tuple(zip(kept.tolist(), labels.tolist())), rejected=tuple(rejected.tolist())
+    )
+    return labeled, descriptors, meta
 
 
 def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) -> dict:
@@ -270,6 +274,7 @@ def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) ->
             "seed": cfg.seed,
             "steps": result.steps,
             "stopped_epoch": result.stopped_epoch,
+            "triplets": list(result.triplets),
             "val_maps": list(result.val_maps),
         }
         write_json(outputs[2], report)

@@ -8,16 +8,17 @@ stopping on a pseudo-class retrieval score over a held-out pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .encoder import (
     Backbone,
     Codebook,
-    Layer,
     backbone_forward,
     encode_flat,
+    encode_patches,
+    flatten_encoding,
     init_backbone,
     init_codebook,
 )
@@ -108,10 +109,12 @@ class TrainReport:
     """Per-epoch traces plus the stopping decision.
 
     losses[e] is the mean batch loss of epoch e (a batch that mined no
-    triplets contributes 0); best_epoch indexes the snapshot returned.
+    triplets contributes 0) and triplets[e] the number of triplets its
+    batches admitted; best_epoch indexes the snapshot returned.
     """
 
     losses: tuple[float, ...]
+    triplets: tuple[int, ...]
     val_maps: tuple[float, ...]
     learning_rates: tuple[float, ...]
     stopped_epoch: int
@@ -185,43 +188,6 @@ def mine_hard_triplets(
     return tuple(triplets)
 
 
-def _forward_cached(backbone: Backbone, codebook: Codebook, inputs: np.ndarray) -> dict:
-    """Forward pass keeping every intermediate the backward pass needs."""
-    z, layer_cache = backbone_forward(backbone, inputs, return_cache=True)
-    if codebook.mode == "netvlad":
-        znorm = np.linalg.norm(z, axis=1, keepdims=True)
-        if np.any(znorm == 0.0):
-            raise TrainingError("netvlad prenormalization hit a zero embedding")
-        xhat = z / znorm
-    else:
-        znorm = None
-        xhat = z
-    logits = xhat @ codebook.weights.T + codebook.bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    alpha = e / e.sum(axis=1, keepdims=True)
-    resid = xhat[:, None, :] - codebook.centers[None, :, :]
-    g = alpha[:, :, None] * resid
-    if codebook.mode == "netvlad":
-        gnorm = np.linalg.norm(g, axis=2, keepdims=True)
-        safe = np.where(gnorm > 0.0, gnorm, 1.0)
-        v = np.where(gnorm > 0.0, g / safe, 0.0)
-    else:
-        gnorm = None
-        v = g
-    return {
-        "layers": layer_cache,
-        "z": z,
-        "znorm": znorm,
-        "xhat": xhat,
-        "alpha": alpha,
-        "resid": resid,
-        "gnorm": gnorm,
-        "v": v,
-        "flat": v.reshape(len(alpha), -1),
-    }
-
-
 def _check_finite(grads: Gradients) -> None:
     for name, arr in grads.named_blocks():
         if not np.isfinite(arr).all():
@@ -238,8 +204,9 @@ def backward(
     """
     if not batch.triplets:
         raise ValidationError("backward requires a nonempty triplet list")
-    fwd = _forward_cached(backbone, codebook, np.asarray(batch.inputs, dtype=np.float64))
-    flat = fwd["flat"]
+    z, layer_cache = backbone_forward(backbone, batch.inputs, return_cache=True)
+    v, fwd = encode_patches(codebook, z, return_cache=True)
+    flat = flatten_encoding(v)
     n, n_clusters = fwd["alpha"].shape
     count = len(batch.triplets)
     dflat = np.zeros_like(flat)
@@ -261,7 +228,7 @@ def backward(
 
     dv = dflat.reshape(n, n_clusters, -1)
     if codebook.mode == "netvlad":
-        v, gnorm = fwd["v"], fwd["gnorm"]
+        gnorm = fwd["gnorm"]
         dot = np.sum(dv * v, axis=2, keepdims=True)
         safe = np.where(gnorm > 0.0, gnorm, 1.0)
         dg = np.where(gnorm > 0.0, (dv - dot * v) / safe, 0.0)
@@ -285,7 +252,7 @@ def backward(
         dh = dxhat
     layer_w_grads: list[np.ndarray] = []
     layer_b_grads: list[np.ndarray] = []
-    for layer, (h_in, pre) in zip(reversed(backbone.layers), reversed(fwd["layers"])):
+    for layer, (h_in, pre) in zip(reversed(backbone.layers), reversed(layer_cache)):
         da = dh * (pre > 0.0) if layer.activation == "relu" else dh
         layer_w_grads.append(da.T @ h_in)
         layer_b_grads.append(da.sum(axis=0))
@@ -313,56 +280,42 @@ def learning_rate(epoch: int, cfg: TrainConfig) -> float:
     return 0.5 * base * (1.0 + math.cos(math.pi * (epoch - cfg.warmup_epochs) / span))
 
 
-class _ParamState:
-    """Mutable working copy of all trainable arrays, in Gradients order."""
-
-    def __init__(self, backbone: Backbone, codebook: Codebook):
-        self.activations = tuple(layer.activation for layer in backbone.layers)
-        self.layer_weights = [np.array(layer.weight, dtype=np.float64) for layer in backbone.layers]
-        self.layer_biases = [np.array(layer.bias, dtype=np.float64) for layer in backbone.layers]
-        self.centers = np.array(codebook.centers, dtype=np.float64)
-        self.weights = np.array(codebook.weights, dtype=np.float64)
-        self.bias = np.array(codebook.bias, dtype=np.float64)
-        self.mode = codebook.mode
-
-    def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.layer_weights, self.layer_biases):
-            out.extend((w, b))
-        out.extend((self.centers, self.weights, self.bias))
-        return out
-
-    def to_models(self) -> tuple[Backbone, Codebook]:
-        layers = tuple(
-            Layer(weight=w.copy(), bias=b.copy(), activation=act)
-            for w, b, act in zip(self.layer_weights, self.layer_biases, self.activations)
+def _copy_models(backbone: Backbone, codebook: Codebook) -> tuple[Backbone, Codebook]:
+    """Models holding float64 copies of every parameter array."""
+    layers = tuple(
+        replace(
+            layer,
+            weight=np.array(layer.weight, dtype=np.float64),
+            bias=np.array(layer.bias, dtype=np.float64),
         )
-        codebook = Codebook(
-            centers=self.centers.copy(),
-            weights=self.weights.copy(),
-            bias=self.bias.copy(),
-            mode=self.mode,
-        )
-        return Backbone(layers=layers), codebook
+        for layer in backbone.layers
+    )
+    copied = replace(
+        codebook,
+        centers=np.array(codebook.centers, dtype=np.float64),
+        weights=np.array(codebook.weights, dtype=np.float64),
+        bias=np.array(codebook.bias, dtype=np.float64),
+    )
+    return Backbone(layers=layers), copied
 
 
 class _Adam:
-    """Adam over the flat list of parameter arrays, fixed constants."""
+    """Adam updating the models' parameter arrays in place, fixed constants.
 
-    def __init__(self, params: _ParamState):
-        self.m = [np.zeros_like(a) for a in params.arrays()]
-        self.v = [np.zeros_like(a) for a in params.arrays()]
+    The arrays are listed in Gradients.named_blocks() order."""
+
+    def __init__(self, backbone: Backbone, codebook: Codebook):
+        self.params = [a for layer in backbone.layers for a in (layer.weight, layer.bias)]
+        self.params += [codebook.centers, codebook.weights, codebook.bias]
+        self.m = [np.zeros_like(a) for a in self.params]
+        self.v = [np.zeros_like(a) for a in self.params]
         self.t = 0
 
-    def step(self, params: _ParamState, grads: Gradients, lr: float) -> None:
+    def step(self, grads: Gradients, lr: float) -> None:
         self.t += 1
-        flat_grads: list[np.ndarray] = []
-        for w, b in zip(grads.layer_weights, grads.layer_biases):
-            flat_grads.extend((w, b))
-        flat_grads.extend((grads.centers, grads.weights, grads.bias))
         c1 = 1.0 - ADAM_BETA1**self.t
         c2 = 1.0 - ADAM_BETA2**self.t
-        for arr, g, m, v in zip(params.arrays(), flat_grads, self.m, self.v):
+        for arr, (_, g), m, v in zip(self.params, grads.named_blocks(), self.m, self.v):
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -487,16 +440,19 @@ def train(
     if codebook.dim != backbone.output_dim:
         raise ValidationError("codebook dimension must match the backbone output")
 
-    params = _ParamState(backbone, codebook)
-    adam = _Adam(params)
+    # Adam trains copies in place; the untouched inputs are the snapshot
+    # until an epoch scores.
+    best_snapshot = (backbone, codebook)
+    backbone, codebook = _copy_models(backbone, codebook)
+    adam = _Adam(backbone, codebook)
     sample_rng = np.random.default_rng(derive_seed(cfg.seed, "train/sampler"))
 
     losses: list[float] = []
+    triplet_counts: list[int] = []
     val_maps: list[float] = []
     lrs: list[float] = []
     best_map = -np.inf
     best_epoch = -1
-    best_snapshot = params.to_models()
     steps = 0
     out_of_steps = False
     stopped_epoch = 0
@@ -505,16 +461,17 @@ def train(
         stopped_epoch = epoch
         lr = learning_rate(epoch, cfg)
         batch_losses: list[float] = []
+        admitted = 0
         for batch_idx in _epoch_batches(class_items, cfg, sample_rng):
             if cfg.max_steps is not None and steps >= cfg.max_steps:
                 out_of_steps = True
                 break
             steps += 1
-            bb, cb = params.to_models()
             x = data[batch_idx]
             lab = labels[batch_idx]
-            flat = encode_flat(bb, cb, x)
+            flat = encode_flat(backbone, codebook, x)
             trips = mine_hard_triplets(flat, lab, cfg.margin, cfg.mining)
+            admitted += len(trips)
             if not trips:
                 # Nothing admitted: zero gradient, so skip the Adam step to
                 # avoid momentum-only drift.
@@ -523,28 +480,31 @@ def train(
             batch = TripletBatch(
                 inputs=x, encodings=flat, labels=lab, triplets=trips, margin=cfg.margin
             )
-            loss, grads = backward(batch, bb, cb)
-            adam.step(params, grads, lr)
+            loss, grads = backward(batch, backbone, codebook)
+            adam.step(grads, lr)
             batch_losses.append(loss)
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
-        bb, cb = params.to_models()
         if len(val_idx) >= 2:
-            val_map = _pool_retrieval_map(encode_flat(bb, cb, data[val_idx]), labels[val_idx])
+            val_map = _pool_retrieval_map(
+                encode_flat(backbone, codebook, data[val_idx]), labels[val_idx]
+            )
         else:
             val_map = 0.0
         losses.append(epoch_loss)
+        triplet_counts.append(admitted)
         val_maps.append(val_map)
         lrs.append(lr)
         if val_map > best_map:
             best_map = val_map
             best_epoch = epoch
-            best_snapshot = params.to_models()
+            best_snapshot = _copy_models(backbone, codebook)
         if epoch - best_epoch >= cfg.patience or out_of_steps:
             break
 
     backbone_out, codebook_out = best_snapshot
     report = TrainReport(
         losses=tuple(losses),
+        triplets=tuple(triplet_counts),
         val_maps=tuple(val_maps),
         learning_rates=tuple(lrs),
         stopped_epoch=stopped_epoch,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wret.encoder import (
+    MODES,
     Backbone,
     Codebook,
     Layer,
@@ -205,12 +206,15 @@ class TestEncodePatch:
             encode_patch(_simple_codebook(mode="netvlad"), np.zeros(2))
 
     def test_batch_matches_single(self):
-        cb = _simple_codebook()
         rng = np.random.default_rng(2)
         xs = rng.normal(size=(6, 2))
-        stack = encode_patches(cb, xs)
-        for i in range(6):
-            np.testing.assert_array_equal(stack[i], encode_patch(cb, xs[i]))
+        for mode in MODES:
+            cb = _simple_codebook(mode)
+            stack = encode_patches(cb, xs)
+            for i in range(6):
+                np.testing.assert_array_equal(stack[i], encode_patch(cb, xs[i]))
+            # The cached variant runs the same forward pass.
+            np.testing.assert_array_equal(encode_patches(cb, xs, return_cache=True)[0], stack)
 
 
 class TestHardVlad:

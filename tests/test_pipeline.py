@@ -266,6 +266,39 @@ def test_oversized_model_shape_reads_as_truncated(tmp_path):
         load_model_kind(_model_file(tmp_path, header))
 
 
+_LAYER = {"layer0.weight": np.ones((2, 2)), "layer0.bias": np.zeros(2)}
+_CODEBOOK = {"bias": np.zeros(2), "centers": np.ones((2, 2)), "weights": np.ones((2, 2))}
+_PCA = {"basis": np.eye(2), "mean": np.zeros(2), "scale": np.ones(2)}
+_LABELS = {
+    "descriptors": np.ones((2, 2)),
+    "labels": np.zeros(2, dtype=np.int64),
+    "rejected": np.zeros(0, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize(
+    "loader, kind, meta, arrays",
+    [
+        (load_backbone, "backbone", {}, _LAYER),
+        (load_backbone, "backbone", {"activations": ["relu"]}, {"layer0.bias": np.zeros(2)}),
+        (load_backbone, "backbone", {"activations": 3}, _LAYER),
+        (load_codebook, "codebook", {}, _CODEBOOK),
+        (load_codebook, "codebook", {"mode": ["netvlad"]}, _CODEBOOK),
+        (load_codebook, "codebook", {"mode": "netvlad"}, {**_CODEBOOK, "centers": None}),
+        (load_pca, "pca", {}, _PCA),
+        (load_pca, "pca", {"whiten": "yes"}, _PCA),
+        (load_cluster_model, "kmeans", {}, {"centers": np.ones((2, 2))}),
+        (load_cluster_model, "kmeans", {"inertia": "big"}, {"centers": np.ones((2, 2))}),
+        (load_labels, "labels", {}, _LABELS),
+    ],
+)
+def test_model_without_needed_entry_raises_artifact_error(tmp_path, loader, kind, meta, arrays):
+    path = tmp_path / "m.wrmd"
+    save_model(path, kind, meta, {k: v for k, v in arrays.items() if v is not None})
+    with pytest.raises(ArtifactIOError, match="expected type"):
+        loader(path)
+
+
 def load_model_kind(path):
     from wret.fileio import load_model
 
@@ -659,6 +692,50 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--embeddings", "--config"])
+    def test_binary_json_input_exits_two(self, workspace, tmp_path, capsys, flag):
+        args = {"--embeddings": str(workspace["embeddings"])}
+        args[flag] = str(workspace["embeddings"].with_suffix(".bin"))
+        code = entrypoint(["evaluate", *[arg for pair in args.items() for arg in pair], "--out", str(tmp_path)])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: 3,
+            lambda doc: {**doc, "pages": ["p0", *doc["pages"][1:]]},
+            lambda doc: {**doc, "pages": [{"writer_id": "w0"}, *doc["pages"][1:]]},
+            lambda doc: {**doc, "pages": [{**doc["pages"][0], "writer_id": 7}, *doc["pages"][1:]]},
+        ],
+        ids=["not-an-object", "page-not-an-object", "no-page-id", "numeric-writer-id"],
+    )
+    def test_malformed_embeddings_sidecar_exits_two(self, workspace, tmp_path, capsys, edit):
+        sidecar = tmp_path / "embeddings.json"
+        sidecar.write_text(json.dumps(edit(json.loads(workspace["embeddings"].read_text()))))
+        (tmp_path / "embeddings.bin").write_bytes(
+            workspace["embeddings"].with_suffix(".bin").read_bytes()
+        )
+        code = entrypoint(["evaluate", "--embeddings", str(sidecar), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "expected type" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "page",
+        [
+            {"page_id": "p0", "writer_id": "w0"},
+            {"page_id": "p0", "descriptor_file": "p0.wrds"},
+            {"page_id": 3, "writer_id": "w0", "descriptor_file": "p0.wrds"},
+            {"page_id": "p0", "writer_id": "w0", "descriptor_file": ["p0.wrds"]},
+        ],
+    )
+    def test_malformed_manifest_page_exits_two(self, tmp_path, capsys, page):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"dataset": "d", "pages": [page], "split": "train"}))
+        code = entrypoint(["cluster", "--manifest", str(manifest), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "expected type" in capsys.readouterr().err
 
     def test_lock_exits_two(self, workspace, tmp_path):
         out = tmp_path / "out"

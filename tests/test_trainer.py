@@ -7,13 +7,17 @@ from helpers import (
     triplet_objective,
 )
 
+from wret import trainer
 from wret.encoder import Backbone, Codebook, Layer, encode_flat, init_backbone, init_codebook
 from wret.errors import ValidationError
 from wret.features import PseudoLabeledSet
+from wret.seeds import derive_seed
 from wret.trainer import (
     TrainConfig,
     TripletBatch,
     _epoch_batches,
+    _pool_retrieval_map,
+    _stratified_split,
     backward,
     learning_rate,
     mine_hard_triplets,
@@ -354,3 +358,65 @@ class TestTrain:
         bb, cb, report = train(labeled, data, cfg)
         assert cb.mode == "netvlad"
         assert len(report.losses) == 2
+
+    def test_starting_models_are_left_unchanged(self):
+        labeled, data = _two_blob_dataset()
+        backbone = init_backbone((8, 16, 8), seed=9)
+        codebook = init_codebook("netrvlad", 4, 8, seed=9)
+
+        def param_bytes():
+            arrays = [a for layer in backbone.layers for a in (layer.weight, layer.bias)]
+            arrays += [codebook.centers, codebook.weights, codebook.bias]
+            return [a.tobytes() for a in arrays]
+
+        before = param_bytes()
+        cfg = TrainConfig(
+            batch_size=8, per_class=4, epochs_max=2, patience=2,
+            n_clusters=4, seed=1, learning_rate=1e-2,
+        )
+        bb, cb, report = train(labeled, data, cfg, backbone=backbone, codebook=codebook)
+        assert sum(report.triplets) > 0  # Adam ran
+        assert param_bytes() == before
+        assert not np.array_equal(cb.centers, codebook.centers)
+
+    def test_snapshot_rescores_to_best_val_map(self):
+        labeled, data = _two_blob_dataset()
+        cfg = TrainConfig(
+            batch_size=8, per_class=4, epochs_max=6, warmup_epochs=1, patience=2,
+            n_clusters=4, backbone_dims=(8, 16, 8), seed=1, learning_rate=1e-2,
+        )
+        bb, cb, report = train(labeled, data, cfg)
+        # Later epochs score lower, so returning the working arrays would show.
+        assert report.best_epoch < report.stopped_epoch
+        assert report.val_maps[report.stopped_epoch] != report.best_val_map
+        split_rng = np.random.default_rng(derive_seed(cfg.seed, "train/split"))
+        _, val_idx = _stratified_split(labeled.labels, cfg.validation_fraction, split_rng)
+        pool = data[labeled.kept_indices][val_idx]
+        rescored = _pool_retrieval_map(encode_flat(bb, cb, pool), labeled.labels[val_idx])
+        assert rescored == report.best_val_map
+
+    def test_triplets_count_admitted_per_epoch(self, monkeypatch):
+        labeled, data = _two_blob_dataset()
+        cfg = TrainConfig(
+            batch_size=8, per_class=4, epochs_max=4, warmup_epochs=1, patience=4,
+            n_clusters=4, backbone_dims=(8, 16, 8), seed=2, learning_rate=1e-3,
+        )
+        per_epoch: list[int] = []
+        schedule, mine = trainer.learning_rate, trainer.mine_hard_triplets
+
+        def new_epoch(epoch, cfg):
+            per_epoch.append(0)
+            return schedule(epoch, cfg)
+
+        def counted(*args, **kwargs):
+            trips = mine(*args, **kwargs)
+            per_epoch[-1] += len(trips)
+            return trips
+
+        monkeypatch.setattr(trainer, "learning_rate", new_epoch)
+        monkeypatch.setattr(trainer, "mine_hard_triplets", counted)
+        _, _, report = train(labeled, data, cfg)
+        assert all(loss > 0.0 for loss in report.losses)
+        assert report.triplets == tuple(per_epoch)
+        assert len(report.triplets) == len(report.losses)
+        assert all(count > 0 for count in report.triplets)
