@@ -1,5 +1,12 @@
 """Command-line front end for the retrieval pipeline.
 
+The flags of each subcommand are generated from the fields of its config
+dataclass (`_COMMANDS`): --<field-name> with dashes for underscores, or
+the short spelling `_FLAG_NAMES` gives (--clusters, --writers, --pages,
+--descriptors, --prototypes, --strength, --noise). Tuple and list fields
+take a comma list, --pages an int or a comma list, and a bool field x is
+--x/--no-x; `report` adds the section flags `_SECTIONS` names.
+
 Every subcommand accepts --config pointing at a JSON object keyed by
 config field names such as n_clusters (not flag names such as
 --clusters), each value of its field's type; `report` nests one object
@@ -14,7 +21,7 @@ import argparse
 import sys
 import types
 import typing
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import TrainingError, ValidationError
 from .fileio import read_json
@@ -35,24 +42,58 @@ from .synth import SynthSpec
 from .trainer import TrainConfig
 
 
+# fields whose flag keeps a shorter spelling than --<field-name>
+_FLAG_NAMES = {
+    "n_clusters": "clusters",
+    "n_writers": "writers",
+    "pages_per_writer": "pages",
+    "descriptors_per_page": "descriptors",
+    "n_prototypes": "prototypes",
+    "writer_style_strength": "strength",
+    "noise_sigma": "noise",
+}
+
+
+@dataclass(frozen=True)
+class _Evaluate:
+    """Options of run_evaluate."""
+
+    score_isolated: bool = False
+    per_query: bool = False
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """The rerank grid run_sweep searches."""
+
+    gammas: list[float] = field(default_factory=lambda: [0.4])
+    layers_grid: list[int] = field(default_factory=lambda: [1])
+    ks: list[int] = field(default_factory=lambda: [2])
+    method: str = "sgr"
+
+
+@dataclass(frozen=True)
+class _Report:
+    """report's root seeds and one config object per stage section."""
+
+    seeds: list[int] = field(default_factory=lambda: [0])
+    cluster: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    encode: dict = field(default_factory=dict)
+
+
+# report's sections: the config each one builds and its fields that take flags
+_SECTIONS = {
+    "cluster": (ClusterConfig, ("n_clusters",)),
+    "train": (TrainConfig, ("epochs_max", "max_steps")),
+    "encode": (EncodeConfig, ("page_dim",)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; map those to code 1 instead
     def error(self, message):
         raise ValidationError(message)
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -91,302 +132,159 @@ def _coerce(value, annotation):
     return value if type(value) is annotation else _MISMATCH
 
 
-def _merge(fields: dict, defaults: dict, config: dict, cli: dict) -> dict:
-    """defaults < config file < explicitly provided flags; every config
-    value is checked against its annotation in `fields`."""
-    unknown = set(config) - set(defaults)
+def _config(cls, config: dict, args: argparse.Namespace, prefix: str = ""):
+    """A `cls` from its defaults < a config object < the flags given, which
+    `args` holds under `prefix` + the field name; every config value is
+    checked against its field's annotation."""
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
+    unknown = set(config) - set(names)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    out = dict(defaults)
+    out = {}
     for key, value in config.items():
-        out[key] = _coerce(value, fields[key])
+        out[key] = _coerce(value, hints[key])
         if out[key] is _MISMATCH:
-            kind = fields[key]
+            kind = hints[key]
             kind = kind.__name__ if isinstance(kind, type) else str(kind)
             raise ValidationError(f"config key {key!r} must be {kind}, got {value!r}")
-    out.update({k: v for k, v in cli.items() if v is not None})
-    return out
+    flags = {name: getattr(args, prefix + name, None) for name in names}
+    out.update({k: v for k, v in flags.items() if v is not None})
+    return cls(**out)
 
 
-def _config(cls, config: dict, cli: dict):
-    """A config dataclass from its defaults, a config object and flags."""
-    return cls(**_merge(typing.get_type_hints(cls), asdict(cls()), config, cli))
+def _flag_type(annotation):
+    """argparse `type` for a field: its scalar type, or a comma-list
+    parser when the field holds a tuple or list; one item alone fills the
+    scalar arm of a union, so `--pages 5` is an int."""
+    union = typing.get_origin(annotation) in (typing.Union, types.UnionType)
+    arms = typing.get_args(annotation) if union else (annotation,)
+    arms = [a for a in arms if a is not type(None)]
+    seq = next((a for a in arms if typing.get_origin(a) in (tuple, list)), None)
+    scalar = next((a for a in arms if a is not seq), None)
+    if seq is None:
+        return scalar
+    item = typing.get_args(seq)[0]
+
+    def parse(text: str):
+        tokens = [tok for tok in text.split(",") if tok.strip() != ""]
+        try:
+            if scalar is not None and len(tokens) == 1:
+                return scalar(tokens[0])
+            return typing.get_origin(seq)(item(tok) for tok in tokens)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma list of {item.__name__}, got {text!r}"
+            ) from None
+
+    return parse
+
+
+def _add_flags(parser: argparse.ArgumentParser, cls, names=None, prefix: str = "") -> None:
+    """One flag per field of `cls` (only those in `names`, when given),
+    stored under `prefix` + the field name. A dict field is a report
+    section: it adds the flags `_SECTIONS` names for it."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        kind = hints[f.name]
+        if kind is dict:
+            section_cls, section_names = _SECTIONS[f.name]
+            _add_flags(parser, section_cls, section_names, f"{f.name}.")
+            continue
+        if names is not None and f.name not in names:
+            continue
+        name = _FLAG_NAMES.get(f.name, f.name)
+        flag = "--" + name.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, dest=prefix + f.name, action=argparse.BooleanOptionalAction)
+        else:
+            parser.add_argument(
+                flag, dest=prefix + f.name, metavar=name.upper(), type=_flag_type(kind),
+                help=str(f.type),
+            )
+
+
+def _run_report(args: argparse.Namespace, cfg: _Report) -> dict:
+    return run_report(
+        args.manifest,
+        args.out,
+        seeds=cfg.seeds,
+        **{
+            f"{name}_cfg": _config(cls, getattr(cfg, name), args, f"{name}.")
+            for name, (cls, _) in _SECTIONS.items()
+        },
+    )
+
+
+class _Command(typing.NamedTuple):
+    help: str
+    paths: tuple[str, ...]  # required path flags
+    config: type  # the dataclass whose fields are the flags
+    run: typing.Callable  # (args, config) -> the dict `summary` is formatted with
+    summary: str
+
+
+_COMMANDS = {
+    "synth": _Command(
+        "generate a synthetic collection", ("out",), SynthSpec,
+        lambda args, spec: {"path": run_synth(spec, args.out)}, "wrote {path}",
+    ),
+    "cluster": _Command(
+        "preprocess descriptors and pseudo-label them", ("manifest", "out"), ClusterConfig,
+        lambda args, cfg: run_cluster(args.manifest, args.out, cfg),
+        "clustered {n_descriptors} descriptors: kept {n_kept}, rejected {n_rejected}",
+    ),
+    "train": _Command(
+        "train the encoder on pseudo-labels", ("labels", "out"), TrainConfig,
+        lambda args, cfg: run_train(args.labels, args.out, cfg),
+        "trained {steps} steps, best validation mAP {best_val_map:.4f} at epoch {best_epoch}",
+    ),
+    "encode": _Command(
+        "compute global page embeddings", ("manifest", "models", "out"), EncodeConfig,
+        lambda args, cfg: {"path": run_encode(args.manifest, args.models, args.out, cfg)},
+        "wrote {path}",
+    ),
+    "evaluate": _Command(
+        "leave-one-out retrieval metrics", ("embeddings", "out"), _Evaluate,
+        lambda args, cfg: run_evaluate(args.embeddings, args.out, **asdict(cfg)),
+        "mAP {map:.4f}  Top-1 {top1:.4f}",
+    ),
+    "rerank": _Command(
+        "graph reranking over an embedding dump", ("embeddings", "out"), RerankConfig,
+        lambda args, cfg: run_rerank(args.embeddings, args.out, cfg),
+        "{method}: mAP {before[map]:.4f} -> {after[map]:.4f}",
+    ),
+    "sweep": _Command(
+        "grid-search rerank parameters to CSV", ("embeddings", "out"), _Sweep,
+        lambda args, cfg: {"path": run_sweep(args.embeddings, args.out, **asdict(cfg))},
+        "wrote {path}",
+    ),
+    "report": _Command(
+        "multi-seed pipeline runs with mean and spread", ("manifest", "out"), _Report,
+        _run_report,
+        "mAP {map_mean:.4f} +- {map_spread:.4f}  Top-1 {top1_mean:.4f} +- {top1_spread:.4f}",
+    ),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="wret", description="writer-retrieval pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic collection")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--writers", type=int)
-    p.add_argument("--pages", help="pages per writer: an int or a comma list")
-    p.add_argument("--descriptors", type=int)
-    p.add_argument("--prototypes", type=int)
-    p.add_argument("--strength", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("cluster", help="preprocess descriptors and pseudo-label them")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--target-dim", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train", help="train the encoder on pseudo-labels")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--per-class", type=int)
-    p.add_argument("--epochs-max", type=int)
-    p.add_argument("--warmup-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--validation-fraction", type=float)
-    p.add_argument("--mining", choices=["hard", "semi"])
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--clusters", type=int, help="codebook size")
-    p.add_argument("--backbone-dims", help="comma list, e.g. 32,64,64")
-    p.add_argument("--mode", choices=["netrvlad", "netvlad"])
-    p.add_argument("--alpha-init", type=float)
-    p.add_argument("--val-pool-cap", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("encode", help="compute global page embeddings")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--models", required=True, help="directory with trained models")
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--page-dim", type=int)
-    p.add_argument("--power-alpha", type=float)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--page-pca", help="apply this prefit page-level PCA model")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("evaluate", help="leave-one-out retrieval metrics")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--score-isolated", action=argparse.BooleanOptionalAction)
-    p.add_argument("--per-query", action=argparse.BooleanOptionalAction)
-
-    p = sub.add_parser("rerank", help="graph reranking over an embedding dump")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--method", choices=["sgr", "krnn_qe", "hard_graph"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--k1", type=int)
-    p.add_argument("--weighting", choices=["similarity", "adjacency"])
-
-    p = sub.add_parser("sweep", help="grid-search rerank parameters to CSV")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config")
-    p.add_argument("--gammas", help="comma list of gamma values")
-    p.add_argument("--layers-grid", help="comma list of layer counts")
-    p.add_argument("--ks", help="comma list of neighborhood sizes")
-    p.add_argument("--method", choices=["sgr", "krnn_qe", "hard_graph"])
-
-    p = sub.add_parser("report", help="multi-seed pipeline runs with mean and spread")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", help="JSON with cluster/train/encode sections")
-    p.add_argument("--seeds", help="comma list of root seeds")
-    p.add_argument("--clusters", type=int, help="pseudo-label cluster count")
-    p.add_argument("--epochs-max", type=int)
-    p.add_argument("--max-steps", type=int)
-    p.add_argument("--page-dim", type=int)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for path in command.paths:
+            p.add_argument(f"--{path}", required=True)
+        p.add_argument("--config", help="JSON object keyed by config field names")
+        _add_flags(p, command.config)
     return parser
-
-
-def _cmd_synth(args) -> int:
-    defaults = {
-        "n_writers": 20,
-        "pages_per_writer": 5,
-        "descriptors_per_page": 200,
-        "n_prototypes": 16,
-        "writer_style_strength": 4.0,
-        "noise_sigma": 1.0,
-        "seed": 0,
-    }
-    pages = args.pages
-    if pages is not None:
-        parsed = _ints(pages)
-        pages = parsed[0] if len(parsed) == 1 else tuple(parsed)
-    cli = {
-        "n_writers": args.writers,
-        "pages_per_writer": pages,
-        "descriptors_per_page": args.descriptors,
-        "n_prototypes": args.prototypes,
-        "writer_style_strength": args.strength,
-        "noise_sigma": args.noise,
-        "seed": args.seed,
-    }
-    merged = _merge(typing.get_type_hints(SynthSpec), defaults, _load_config(args.config), cli)
-    manifest = run_synth(SynthSpec(**merged), args.out)
-    print(f"wrote {manifest}")
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    cli = {
-        "n_clusters": args.clusters,
-        "target_dim": args.target_dim,
-        "rho": args.rho,
-        "cap": args.cap,
-        "seed": args.seed,
-    }
-    cfg = _config(ClusterConfig, _load_config(args.config), cli)
-    report = run_cluster(args.manifest, args.out, cfg)
-    print(
-        f"clustered {report['n_descriptors']} descriptors: "
-        f"kept {report['n_kept']}, rejected {report['n_rejected']}"
-    )
-    return 0
-
-
-def _cmd_train(args) -> int:
-    dims = args.backbone_dims
-    cli = {
-        "margin": args.margin,
-        "learning_rate": args.learning_rate,
-        "batch_size": args.batch_size,
-        "per_class": args.per_class,
-        "epochs_max": args.epochs_max,
-        "warmup_epochs": args.warmup_epochs,
-        "patience": args.patience,
-        "validation_fraction": args.validation_fraction,
-        "mining": args.mining,
-        "max_steps": args.max_steps,
-        "n_clusters": args.clusters,
-        "backbone_dims": tuple(_ints(dims)) if dims is not None else None,
-        "mode": args.mode,
-        "alpha_init": args.alpha_init,
-        "val_pool_cap": args.val_pool_cap,
-        "seed": args.seed,
-    }
-    report = run_train(args.labels, args.out, _config(TrainConfig, _load_config(args.config), cli))
-    print(
-        f"trained {report['steps']} steps, best validation mAP "
-        f"{report['best_val_map']:.4f} at epoch {report['best_epoch']}"
-    )
-    return 0
-
-
-def _cmd_encode(args) -> int:
-    cli = {
-        "page_dim": args.page_dim,
-        "power_alpha": args.power_alpha,
-        "cap": args.cap,
-        "page_pca": args.page_pca,
-        "seed": args.seed,
-    }
-    cfg = _config(EncodeConfig, _load_config(args.config), cli)
-    path = run_encode(args.manifest, args.models, args.out, cfg)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    defaults = {"score_isolated": False, "per_query": False}
-    cli = {"score_isolated": args.score_isolated, "per_query": args.per_query}
-    fields = {"score_isolated": bool, "per_query": bool}
-    merged = _merge(fields, defaults, _load_config(args.config), cli)
-    report = run_evaluate(args.embeddings, args.out, **merged)
-    print(f"mAP {report['map']:.4f}  Top-1 {report['top1']:.4f}")
-    return 0
-
-
-def _cmd_rerank(args) -> int:
-    cli = {
-        "method": args.method,
-        "k": args.k,
-        "layers": args.layers,
-        "gamma": args.gamma,
-        "k1": args.k1,
-        "weighting": args.weighting,
-    }
-    cfg = _config(RerankConfig, _load_config(args.config), cli)
-    report = run_rerank(args.embeddings, args.out, cfg)
-    print(
-        f"{report['method']}: mAP {report['before']['map']:.4f} -> "
-        f"{report['after']['map']:.4f}"
-    )
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    defaults = {
-        "gammas": [0.4],
-        "layers_grid": [1],
-        "ks": [2],
-        "method": "sgr",
-    }
-    cli = {
-        "gammas": _floats(args.gammas) if args.gammas is not None else None,
-        "layers_grid": _ints(args.layers_grid) if args.layers_grid is not None else None,
-        "ks": _ints(args.ks) if args.ks is not None else None,
-        "method": args.method,
-    }
-    fields = {"gammas": list[float], "layers_grid": list[int], "ks": list[int], "method": str}
-    merged = _merge(fields, defaults, _load_config(args.config), cli)
-    path = run_sweep(args.embeddings, args.out, **merged)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    sections = {"cluster": ClusterConfig, "train": TrainConfig, "encode": EncodeConfig}
-    cli = {
-        "cluster": {"n_clusters": args.clusters},
-        "train": {"epochs_max": args.epochs_max, "max_steps": args.max_steps},
-        "encode": {"page_dim": args.page_dim},
-    }
-    merged = _merge(
-        {"seeds": list[int], **{name: dict for name in sections}},
-        {"seeds": [0], **{name: {} for name in sections}},
-        _load_config(args.config),
-        {"seeds": _ints(args.seeds) if args.seeds is not None else None},
-    )
-    report = run_report(
-        args.manifest,
-        args.out,
-        seeds=merged["seeds"],
-        **{f"{name}_cfg": _config(cls, merged[name], cli[name]) for name, cls in sections.items()},
-    )
-    print(
-        f"mAP {report['map_mean']:.4f} +- {report['map_spread']:.4f}  "
-        f"Top-1 {report['top1_mean']:.4f} +- {report['top1_spread']:.4f}"
-    )
-    return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "cluster": _cmd_cluster,
-    "train": _cmd_train,
-    "encode": _cmd_encode,
-    "evaluate": _cmd_evaluate,
-    "rerank": _cmd_rerank,
-    "sweep": _cmd_sweep,
-    "report": _cmd_report,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    command = _COMMANDS[args.command]
+    cfg = _config(command.config, _load_config(args.config), args)
+    print(command.summary.format_map(command.run(args, cfg)))
+    return 0
 
 
 def entrypoint(argv: list[str] | None = None) -> int:

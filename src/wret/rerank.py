@@ -3,6 +3,7 @@ two query-expansion baselines."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class RerankConfig:
             raise ValidationError(f"unknown rerank method {self.method!r}")
         if self.k < 1 or self.layers < 1:
             raise ValidationError("k and layers must be >= 1")
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValidationError("gamma must be finite and positive")
         if self.k1 < 1:
             raise ValidationError("k1 must be >= 1")
         if self.weighting not in ("similarity", "adjacency"):

@@ -259,10 +259,7 @@ def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) ->
     labeled, descriptors, _ = load_labels(labels_path)
     with output_lock(out_dir):
         backbone, codebook, result = train(labeled, descriptors, cfg)
-        cfg_dict = asdict(cfg)
-        if cfg_dict["backbone_dims"] is not None:
-            cfg_dict["backbone_dims"] = list(cfg_dict["backbone_dims"])
-        cfg_hash = _stage_hash("train", cfg_dict)
+        cfg_hash = _stage_hash("train", asdict(cfg))
         save_backbone(outputs[0], backbone, cfg.seed)
         save_codebook(outputs[1], codebook, cfg.seed)
         report = {
@@ -408,6 +405,12 @@ def run_sweep(
     """Grid-search rerank parameters; one CSV row per grid point."""
     if not gammas or not layers_grid or not ks:
         raise ValidationError("sweep grid must not be empty")
+    grid = [
+        RerankConfig(method=method, k=k, layers=layers, gamma=gamma)
+        for gamma in gammas
+        for layers in layers_grid
+        for k in ks
+    ]
     embeddings_path = _require(Path(embeddings_path), "encode")
     out_dir = Path(out_dir)
     out_csv = out_dir / "sweep.csv"
@@ -418,14 +421,11 @@ def run_sweep(
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["gamma", "layers", "k", "map", "top1"])
-        for gamma in gammas:
-            for layers in layers_grid:
-                for k in ks:
-                    cfg = RerankConfig(method=method, k=k, layers=layers, gamma=gamma)
-                    result = evaluate(rank_all(rerank(pages, cfg)), writers)
-                    writer.writerow(
-                        [repr(float(gamma)), layers, k, repr(result.map), repr(result.top1)]
-                    )
+        for cfg in grid:
+            result = evaluate(rank_all(rerank(pages, cfg)), writers)
+            writer.writerow(
+                [repr(float(cfg.gamma)), cfg.layers, cfg.k, repr(result.map), repr(result.top1)]
+            )
         out_csv.write_text(buf.getvalue(), encoding="utf-8")
     return out_csv
 
@@ -467,14 +467,7 @@ def run_report(
                 "cluster": asdict(cluster_cfg),
                 "encode": asdict(encode_cfg),
                 "seeds": list(seeds),
-                "train": {
-                    **asdict(train_cfg),
-                    "backbone_dims": (
-                        list(train_cfg.backbone_dims)
-                        if train_cfg.backbone_dims is not None
-                        else None
-                    ),
-                },
+                "train": asdict(train_cfg),
             },
         )
         report = {

@@ -25,9 +25,9 @@ DESCRIPTOR_DIM = 64
 class SynthSpec:
     """Recipe for one generated collection."""
 
-    n_writers: int
-    pages_per_writer: int | tuple[int, ...]
-    descriptors_per_page: int
+    n_writers: int = 20
+    pages_per_writer: int | tuple[int, ...] = 5
+    descriptors_per_page: int = 200
     n_prototypes: int = 16
     writer_style_strength: float = 4.0
     noise_sigma: float = 1.0

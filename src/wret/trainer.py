@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .encoder import (
+    MODES,
     Backbone,
     Codebook,
     backbone_forward,
@@ -62,6 +63,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.margin <= 0:
             raise ValidationError("margin must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError("learning_rate must be finite and positive")
         if not 0 < self.validation_fraction < 1:
             raise ValidationError("validation_fraction must lie in (0, 1)")
         if self.per_class < 2:
@@ -76,6 +79,11 @@ class TrainConfig:
             raise ValidationError("max_steps must be positive when set")
         if self.val_pool_cap < 1:
             raise ValidationError("val_pool_cap must be positive")
+        if self.mode not in MODES:
+            raise ValidationError(f"unknown encoder mode {self.mode!r}")
+        dims = self.backbone_dims
+        if dims is not None and (len(dims) < 2 or min(dims) < 1):
+            raise ValidationError("backbone_dims needs >= 2 entries, each >= 1")
 
 
 @dataclass(frozen=True)

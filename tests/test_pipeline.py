@@ -440,6 +440,26 @@ class TestStages:
                 workspace["run"] / name
             ).read_bytes()
 
+    def test_backbone_dims_config_hash_is_stable(self, workspace, tmp_path):
+        # backbone_dims is hashed as a JSON array; these are the hashes
+        # earlier versions wrote, so existing reports keep matching
+        short = dict(epochs_max=1, warmup_epochs=0, max_steps=2)
+        run_cluster(
+            workspace["manifest"], tmp_path, ClusterConfig(n_clusters=6, target_dim=32, seed=SEED)
+        )
+        train_cfg = _tiny_train_cfg(backbone_dims=(32, 48, 64), **short)
+        report = run_train(tmp_path / "labels.wrmd", tmp_path, train_cfg)
+        assert report["config_hash"] == "55e222c57ba9eb02862613956174bba4ccca9247ed0003461e5dbc0f8791e70e"
+        report = run_report(
+            workspace["manifest"],
+            tmp_path / "report",
+            seeds=[1],
+            cluster_cfg=ClusterConfig(n_clusters=6, target_dim=16),
+            train_cfg=_tiny_train_cfg(backbone_dims=(16, 24, 32), **short),
+            encode_cfg=EncodeConfig(page_dim=8),
+        )
+        assert report["config_hash"] == "7240e406788abf2a3cf2d53947f428886b33a8acc3b5000b8023359c9245ccad"
+
     def test_encode_output(self, workspace):
         pages, meta = read_embeddings(workspace["embeddings"])
         assert len(pages) == 12 and meta["dim"] == 8
@@ -671,6 +691,42 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "rr" / "rerank_report.json").read_text())
         assert report["params"]["gamma"] == 1.0 and isinstance(report["params"]["gamma"], float)
+
+    @pytest.mark.parametrize(
+        "command,flags,config,message",
+        [
+            ("train", [], {"mode": "bogus"}, "mode"),
+            ("train", ["--backbone-dims", "16,-1"], {}, "backbone_dims"),
+            ("train", ["--backbone-dims", ""], {}, "backbone_dims"),
+            ("train", ["--learning-rate", "-1"], {}, "learning_rate"),
+            ("train", ["--learning-rate", "nan"], {}, "learning_rate"),
+            ("rerank", ["--gamma", "nan"], {}, "gamma"),
+            ("sweep", [], {"method": "bogus"}, "method"),
+            ("sweep", ["--ks", "2,0"], {}, "k and layers"),
+        ],
+    )
+    def test_invalid_value_exits_one_before_writing(
+        self, workspace, tmp_path, capsys, command, flags, config, message
+    ):
+        if command == "train":
+            # sizes the tiny collection can train on, so only the bad value fails
+            config = {
+                "batch_size": 8, "per_class": 4, "epochs_max": 1, "warmup_epochs": 0,
+                "max_steps": 2, "n_clusters": 6, **config,
+            }
+            inputs = ["--labels", str(workspace["run"] / "labels.wrmd")]
+        else:
+            inputs = ["--embeddings", str(workspace["embeddings"])]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = entrypoint(
+            [command, *inputs, "--out", str(out), "--config", str(cfg_path), *flags]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_bad_flag_exits_one(self):
         assert entrypoint(["cluster", "--nope"]) == 1
