@@ -223,7 +223,8 @@ def _valid_array_entry(entry) -> bool:
     )
 
 
-def load_model(path: Path | str) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load_model(path: Path | str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a model file that must hold a `kind` model; returns (meta, arrays)."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -248,6 +249,8 @@ def load_model(path: Path | str) -> tuple[str, dict, dict[str, np.ndarray]]:
         and all(_valid_array_entry(entry) for entry in header["arrays"])
     ):
         raise ArtifactIOError(f"{path} has a malformed header")
+    if header["kind"] != kind:
+        raise ArtifactIOError(f"{path} holds a {header['kind']!r} model, expected a {kind} model")
     offset = 16 + header_len
     arrays = {}
     for entry in header["arrays"]:
@@ -262,7 +265,7 @@ def load_model(path: Path | str) -> tuple[str, dict, dict[str, np.ndarray]]:
         offset += nbytes
     if offset != len(raw):
         raise ArtifactIOError(f"{path} has trailing bytes")
-    return header["kind"], header["meta"], arrays
+    return header["meta"], arrays
 
 
 def save_backbone(path: Path | str, backbone: Backbone, seed: int) -> None:
@@ -279,9 +282,7 @@ def save_backbone(path: Path | str, backbone: Backbone, seed: int) -> None:
 
 
 def load_backbone(path: Path | str) -> Backbone:
-    kind, meta, arrays = load_model(path)
-    if kind != "backbone":
-        raise ArtifactIOError(f"{path} holds a {kind!r} model, expected a backbone")
+    meta, arrays = load_model(path, "backbone")
     layers = [
         Layer(
             weight=typed_entry(path, arrays, f"layer{i}.weight", np.ndarray),
@@ -303,9 +304,7 @@ def save_codebook(path: Path | str, codebook: Codebook, seed: int) -> None:
 
 
 def load_codebook(path: Path | str) -> Codebook:
-    kind, meta, arrays = load_model(path)
-    if kind != "codebook":
-        raise ArtifactIOError(f"{path} holds a {kind!r} model, expected a codebook")
+    meta, arrays = load_model(path, "codebook")
     return Codebook(
         centers=typed_entry(path, arrays, "centers", np.ndarray),
         weights=typed_entry(path, arrays, "weights", np.ndarray),
@@ -320,9 +319,7 @@ def save_pca(path: Path | str, model: PcaModel) -> None:
 
 
 def load_pca(path: Path | str) -> PcaModel:
-    kind, meta, arrays = load_model(path)
-    if kind != "pca":
-        raise ArtifactIOError(f"{path} holds a {kind!r} model, expected a pca")
+    meta, arrays = load_model(path, "pca")
     return PcaModel(
         mean=typed_entry(path, arrays, "mean", np.ndarray),
         basis=typed_entry(path, arrays, "basis", np.ndarray),
@@ -337,9 +334,7 @@ def save_cluster_model(path: Path | str, model: ClusterModel, seed: int) -> None
 
 
 def load_cluster_model(path: Path | str) -> ClusterModel:
-    kind, meta, arrays = load_model(path)
-    if kind != "kmeans":
-        raise ArtifactIOError(f"{path} holds a {kind!r} model, expected kmeans")
+    meta, arrays = load_model(path, "kmeans")
     return ClusterModel(
         centers=typed_entry(path, arrays, "centers", np.ndarray),
         inertia=float(typed_entry(path, meta, "inertia", (int, float))),

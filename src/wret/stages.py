@@ -1,9 +1,16 @@
 """Pipeline stages over file artifacts.
 
-Each stage reads documented artifact formats, holds an exclusive lock
-on its output directory, and embeds its config hash and seed in every
-report. Reports carry no timestamps: re-running a stage with identical
-inputs and config reproduces every output byte for byte.
+Each stage declares its input artifacts, with the stage that produces
+each, and its output file names once, in `_stage`: a missing input
+names its producer, no output may overwrite an input, and the stage
+body runs under an exclusive lock on its output directory. A stage that
+fails removes the output directory if it created it and the directory
+is still empty; a directory that existed before is always kept. Files a
+stage wrote before failing stay behind until writes are atomic.
+
+Every report embeds the stage's config hash and seed. Reports carry no
+timestamps: re-running a stage with identical inputs and config
+reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -53,19 +60,6 @@ from .synth import SynthSpec, synth_generate
 from .trainer import TrainConfig, train
 
 LOCK_NAME = ".wret.lock"
-
-# stage that produces each artifact, used in missing-file errors
-PRODUCERS = {
-    "manifest.json": "synth",
-    "pca.wrmd": "cluster",
-    "kmeans.wrmd": "cluster",
-    "labels.wrmd": "cluster",
-    "backbone.wrmd": "train",
-    "codebook.wrmd": "train",
-    "embeddings.json": "encode",
-    "embeddings.bin": "encode",
-    "reranked.json": "rerank",
-}
 
 
 @dataclass(frozen=True)
@@ -110,7 +104,12 @@ class EncodeConfig:
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """Reject concurrent invocations targeting the same output directory."""
+    """Reject concurrent invocations targeting the same output directory.
+
+    A directory this call creates is removed again on exit while it is
+    still empty, so a stage that fails before writing leaves nothing.
+    """
+    created = not out_dir.is_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_NAME
     try:
@@ -124,26 +123,31 @@ def output_lock(out_dir: Path):
         yield
     finally:
         lock.unlink(missing_ok=True)
+        if created:
+            with suppress(OSError):  # rmdir fails, keeping the directory, unless it is empty
+                out_dir.rmdir()
 
 
-def _require(path: Path, producer: str | None = None) -> Path:
-    path = Path(path)
-    if path.exists():
-        return path
-    stage = producer or PRODUCERS.get(path.name)
-    if stage:
-        raise ArtifactIOError(
-            f"missing artifact {path}; it is produced by the '{stage}' stage"
-        )
-    raise ArtifactIOError(f"missing artifact {path}")
+@contextmanager
+def _stage(out_dir: Path | str, inputs: list[tuple[Path | str, str]], outputs: list[str]):
+    """Check a stage's inputs, then hold the lock on its output directory.
 
-
-def _guard_cycle(inputs: list[Path], outputs: list[Path]) -> None:
-    """No stage may read its own output within one invocation."""
-    resolved_in = {Path(p).resolve() for p in inputs}
-    for out in outputs:
-        if Path(out).resolve() in resolved_in:
-            raise ValidationError(f"stage would overwrite its input {out}")
+    `inputs` pairs each input path with the stage that produces it; the
+    body gets the paths of the `outputs` file names inside `out_dir`.
+    """
+    out_dir = Path(out_dir)
+    for path, producer in inputs:
+        if not Path(path).exists():
+            raise ArtifactIOError(
+                f"missing artifact {path}; it is produced by the '{producer}' stage"
+            )
+    read = {Path(path).resolve() for path, _ in inputs}
+    paths = [out_dir / name for name in outputs]
+    for path in paths:
+        if path.resolve() in read:
+            raise ValidationError(f"stage would overwrite its input {path}")
+    with output_lock(out_dir):
+        yield paths
 
 
 def _stage_hash(stage: str, cfg: dict) -> str:
@@ -155,16 +159,12 @@ def _stage_hash(stage: str, cfg: dict) -> str:
 
 
 def run_synth(spec: SynthSpec, out_dir: Path | str) -> Path:
-    out_dir = Path(out_dir)
-    with output_lock(out_dir):
+    with _stage(out_dir, [], ["synth_report.json"]) as [report_path]:
         manifest_path = synth_generate(spec, out_dir)
-        cfg = asdict(spec)
-        if not isinstance(spec.pages_per_writer, int):
-            cfg["pages_per_writer"] = list(spec.page_counts())
         write_json(
-            out_dir / "synth_report.json",
+            report_path,
             {
-                "config_hash": _stage_hash("synth", cfg),
+                "config_hash": _stage_hash("synth", asdict(spec)),
                 "n_pages": len(load_manifest(manifest_path).pages),
                 "n_writers": spec.n_writers,
                 "seed": spec.seed,
@@ -175,17 +175,12 @@ def run_synth(spec: SynthSpec, out_dir: Path | str) -> Path:
 
 def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConfig) -> dict:
     """Hellinger + PCA + k-means pseudo-labels; persists models and labels."""
-    manifest_path = _require(Path(manifest_path), "synth")
-    out_dir = Path(out_dir)
-    outputs = [
-        out_dir / "pca.wrmd",
-        out_dir / "kmeans.wrmd",
-        out_dir / "labels.wrmd",
-        out_dir / "cluster_report.json",
-    ]
-    _guard_cycle([manifest_path], outputs)
-    manifest = load_manifest(manifest_path)
-    with output_lock(out_dir):
+    with _stage(
+        out_dir,
+        [(manifest_path, "synth")],
+        ["pca.wrmd", "kmeans.wrmd", "labels.wrmd", "cluster_report.json"],
+    ) as (pca_path, kmeans_path, labels_path, report_path):
+        manifest = load_manifest(manifest_path)
         loaded = load_page_descriptors(manifest, cap=cfg.cap)
         raw = np.vstack([data for _, data in loaded]).astype(np.float64)
         page_index = np.concatenate(
@@ -199,10 +194,10 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
         )
         labeled = assign_and_filter(kmeans, reduced, cfg.rho)
         cfg_hash = _stage_hash("cluster", asdict(cfg))
-        save_pca(outputs[0], pca)
-        save_cluster_model(outputs[1], kmeans, cfg.seed)
+        save_pca(pca_path, pca)
+        save_cluster_model(kmeans_path, kmeans, cfg.seed)
         save_model(
-            outputs[2],
+            labels_path,
             "labels",
             {
                 "config_hash": cfg_hash,
@@ -227,15 +222,13 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
             "n_rejected": int(len(labeled.rejected)),
             "seed": cfg.seed,
         }
-        write_json(outputs[3], report)
+        write_json(report_path, report)
     return report
 
 
 def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
     """Read a labels artifact back into trainer inputs."""
-    kind, meta, arrays = load_model(_require(Path(path), "cluster"))
-    if kind != "labels":
-        raise ArtifactIOError(f"{path} holds a {kind!r} model, expected labels")
+    meta, arrays = load_model(path, "labels")
     kept, labels, rejected, descriptors = (
         typed_entry(path, arrays, name, np.ndarray)
         for name in ("kept", "labels", "rejected", "descriptors")
@@ -248,20 +241,16 @@ def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
 
 def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) -> dict:
     """Triplet-train the encoder on pseudo-labels; persists model snapshots."""
-    labels_path = _require(Path(labels_path), "cluster")
-    out_dir = Path(out_dir)
-    outputs = [
-        out_dir / "backbone.wrmd",
-        out_dir / "codebook.wrmd",
-        out_dir / "train_report.json",
-    ]
-    _guard_cycle([labels_path], outputs)
-    labeled, descriptors, _ = load_labels(labels_path)
-    with output_lock(out_dir):
+    with _stage(
+        out_dir,
+        [(labels_path, "cluster")],
+        ["backbone.wrmd", "codebook.wrmd", "train_report.json"],
+    ) as (backbone_path, codebook_path, report_path):
+        labeled, descriptors, _ = load_labels(labels_path)
         backbone, codebook, result = train(labeled, descriptors, cfg)
         cfg_hash = _stage_hash("train", asdict(cfg))
-        save_backbone(outputs[0], backbone, cfg.seed)
-        save_codebook(outputs[1], codebook, cfg.seed)
+        save_backbone(backbone_path, backbone, cfg.seed)
+        save_codebook(codebook_path, codebook, cfg.seed)
         report = {
             "best_epoch": result.best_epoch,
             "best_val_map": result.best_val_map,
@@ -274,7 +263,7 @@ def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) ->
             "triplets": list(result.triplets),
             "val_maps": list(result.val_maps),
         }
-        write_json(outputs[2], report)
+        write_json(report_path, report)
     return report
 
 
@@ -285,29 +274,25 @@ def run_encode(
     cfg: EncodeConfig,
 ) -> Path:
     """Encode every page to a unit-norm global descriptor dump."""
-    manifest_path = _require(Path(manifest_path), "synth")
-    models_dir = Path(models_dir)
-    pca_path = _require(models_dir / "pca.wrmd", "cluster")
-    backbone_path = _require(models_dir / "backbone.wrmd", "train")
-    codebook_path = _require(models_dir / "codebook.wrmd", "train")
-    out_dir = Path(out_dir)
-    outputs = [
-        out_dir / "embeddings.json",
-        out_dir / "embeddings.bin",
-        out_dir / "page_pca.wrmd",
+    pca_path, backbone_path, codebook_path = (
+        Path(models_dir) / name for name in ("pca.wrmd", "backbone.wrmd", "codebook.wrmd")
+    )
+    inputs = [
+        (manifest_path, "synth"),
+        (pca_path, "cluster"),
+        (backbone_path, "train"),
+        (codebook_path, "train"),
     ]
-    inputs = [manifest_path, pca_path, backbone_path, codebook_path]
-    prefit = None
     if cfg.page_pca is not None:
-        prefit_path = _require(Path(cfg.page_pca), "encode")
-        inputs.append(prefit_path)
-        prefit = load_pca(prefit_path)
-    _guard_cycle(inputs, outputs)
-    manifest = load_manifest(manifest_path)
-    pca = load_pca(pca_path)
-    backbone = load_backbone(backbone_path)
-    codebook = load_codebook(codebook_path)
-    with output_lock(out_dir):
+        inputs.append((cfg.page_pca, "encode"))
+    with _stage(
+        out_dir, inputs, ["embeddings.json", "embeddings.bin", "page_pca.wrmd"]
+    ) as (embeddings_path, _, page_pca_path):
+        prefit = None if cfg.page_pca is None else load_pca(cfg.page_pca)
+        manifest = load_manifest(manifest_path)
+        pca = load_pca(pca_path)
+        backbone = load_backbone(backbone_path)
+        codebook = load_codebook(codebook_path)
         per_page = []
         page_ids = []
         writer_ids = []
@@ -322,9 +307,9 @@ def run_encode(
             per_page, page_ids, writer_ids, cfg.page_dim, cfg.power_alpha, pca=prefit
         )
         cfg_hash = _stage_hash("encode", asdict(cfg))
-        write_embeddings(outputs[0], pages, cfg_hash, cfg.seed)
-        save_pca(outputs[2], page_pca)
-    return outputs[0]
+        write_embeddings(embeddings_path, pages, cfg_hash, cfg.seed)
+        save_pca(page_pca_path, page_pca)
+    return embeddings_path
 
 
 def run_evaluate(
@@ -334,12 +319,12 @@ def run_evaluate(
     per_query: bool = False,
 ) -> dict:
     """Leave-one-out retrieval metrics over an embedding dump."""
-    embeddings_path = _require(Path(embeddings_path), "encode")
-    out_dir = Path(out_dir)
-    outputs = [out_dir / "eval_report.json", out_dir / "eval_per_query.csv"]
-    _guard_cycle([embeddings_path], outputs)
-    pages, sidecar = read_embeddings(embeddings_path)
-    with output_lock(out_dir):
+    with _stage(
+        out_dir,
+        [(embeddings_path, "encode")],
+        ["eval_report.json", "eval_per_query.csv"],
+    ) as (report_path, csv_path):
+        pages, sidecar = read_embeddings(embeddings_path)
         ranked = rank_all(pages)
         writers = {p.page_id: p.writer_id for p in pages}
         result = evaluate(ranked, writers, score_isolated_as_zero=score_isolated)
@@ -352,9 +337,9 @@ def run_evaluate(
             },
         )
         report["seed"] = sidecar.get("seed", 0)
-        write_json(outputs[0], report)
+        write_json(report_path, report)
         if per_query:
-            outputs[1].write_text(report_to_csv(result), encoding="utf-8")
+            csv_path.write_text(report_to_csv(result), encoding="utf-8")
     return report
 
 
@@ -362,16 +347,12 @@ def run_rerank(
     embeddings_path: Path | str, out_dir: Path | str, cfg: RerankConfig
 ) -> dict:
     """Refine embeddings on the similarity graph; reports before/after metrics."""
-    embeddings_path = _require(Path(embeddings_path), "encode")
-    out_dir = Path(out_dir)
-    outputs = [
-        out_dir / "reranked.json",
-        out_dir / "reranked.bin",
-        out_dir / "rerank_report.json",
-    ]
-    _guard_cycle([embeddings_path], outputs)
-    pages, sidecar = read_embeddings(embeddings_path)
-    with output_lock(out_dir):
+    with _stage(
+        out_dir,
+        [(embeddings_path, "encode")],
+        ["reranked.json", "reranked.bin", "rerank_report.json"],
+    ) as (reranked_path, _, report_path):
+        pages, sidecar = read_embeddings(embeddings_path)
         writers = {p.page_id: p.writer_id for p in pages}
         before = evaluate(rank_all(pages), writers)
         refined = rerank(pages, cfg)
@@ -381,7 +362,7 @@ def run_rerank(
             {"embeddings_hash": sidecar.get("config_hash", ""), **asdict(cfg)},
         )
         seed = sidecar.get("seed", 0)
-        write_embeddings(outputs[0], refined, cfg_hash, seed)
+        write_embeddings(reranked_path, refined, cfg_hash, seed)
         report = {
             "after": {"map": after.map, "top1": after.top1},
             "before": {"map": before.map, "top1": before.top1},
@@ -390,7 +371,7 @@ def run_rerank(
             "params": asdict(cfg),
             "seed": seed,
         }
-        write_json(outputs[2], report)
+        write_json(report_path, report)
     return report
 
 
@@ -411,13 +392,9 @@ def run_sweep(
         for layers in layers_grid
         for k in ks
     ]
-    embeddings_path = _require(Path(embeddings_path), "encode")
-    out_dir = Path(out_dir)
-    out_csv = out_dir / "sweep.csv"
-    _guard_cycle([embeddings_path], [out_csv])
-    pages, _ = read_embeddings(embeddings_path)
-    writers = {p.page_id: p.writer_id for p in pages}
-    with output_lock(out_dir):
+    with _stage(out_dir, [(embeddings_path, "encode")], ["sweep.csv"]) as [out_csv]:
+        pages, _ = read_embeddings(embeddings_path)
+        writers = {p.page_id: p.writer_id for p in pages}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["gamma", "layers", "k", "map", "top1"])
@@ -443,12 +420,10 @@ def run_report(
         raise ValidationError("report needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValidationError("report seeds must be distinct")
-    manifest_path = _require(Path(manifest_path), "synth")
-    out_dir = Path(out_dir)
-    with output_lock(out_dir):
+    with _stage(out_dir, [(manifest_path, "synth")], ["report.json"]) as [report_path]:
         per_seed = []
         for seed in seeds:
-            run_dir = out_dir / f"seed_{seed}"
+            run_dir = report_path.parent / f"seed_{seed}"
             ccfg = replace(cluster_cfg, seed=seed)
             tcfg = replace(train_cfg, seed=seed)
             ecfg = replace(encode_cfg, seed=seed)
@@ -479,5 +454,5 @@ def run_report(
             "top1_mean": float(np.mean(top1s)),
             "top1_spread": float(np.max(top1s) - np.min(top1s)),
         }
-        write_json(out_dir / "report.json", report)
+        write_json(report_path, report)
     return report

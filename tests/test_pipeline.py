@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from wret.fileio import (
     load_cluster_model,
     load_codebook,
     load_manifest,
+    load_model,
     load_page_descriptors,
     load_pca,
     read_descriptors,
@@ -179,7 +181,7 @@ class TestModelFiles:
     def test_backbone_dims_metadata_follows_layer_outputs(self, tmp_path):
         path = tmp_path / "bb.wrmd"
         save_backbone(path, init_backbone((32, 48, 64), seed=0), seed=0)
-        _, meta, _ = load_model_kind(path)
+        meta, _ = load_model(path, "backbone")
         assert meta["dims"] == [32, 48, 64]
         assert [layer.weight.shape for layer in load_backbone(path).layers] == [(48, 32), (64, 48)]
 
@@ -214,7 +216,7 @@ class TestModelFiles:
         save_model(path, "labels", {}, {"x": np.arange(4, dtype=np.int64)})
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ArtifactIOError, match="trailing"):
-            load_model_kind(path)
+            load_model(path, "labels")
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="dtype"):
@@ -256,14 +258,14 @@ def _model_file(tmp_path, header):
 )
 def test_malformed_model_header_raises_artifact_error(tmp_path, header):
     with pytest.raises(ArtifactIOError, match="malformed header"):
-        load_model_kind(_model_file(tmp_path, header))
+        load_model(_model_file(tmp_path, header), "labels")
 
 
 def test_oversized_model_shape_reads_as_truncated(tmp_path):
     # 2**62 * 4 elements overflow int64; the size check must still see them.
     header = {"arrays": [{**_GOOD_ENTRY, "shape": [2**62, 4]}], "kind": "labels", "meta": {}}
     with pytest.raises(ArtifactIOError, match="truncated"):
-        load_model_kind(_model_file(tmp_path, header))
+        load_model(_model_file(tmp_path, header), "labels")
 
 
 _LAYER = {"layer0.weight": np.ones((2, 2)), "layer0.bias": np.zeros(2)}
@@ -297,12 +299,6 @@ def test_model_without_needed_entry_raises_artifact_error(tmp_path, loader, kind
     save_model(path, kind, meta, {k: v for k, v in arrays.items() if v is not None})
     with pytest.raises(ArtifactIOError, match="expected type"):
         loader(path)
-
-
-def load_model_kind(path):
-    from wret.fileio import load_model
-
-    return load_model(path)
 
 
 class TestManifests:
@@ -460,6 +456,14 @@ class TestStages:
         )
         assert report["config_hash"] == "7240e406788abf2a3cf2d53947f428886b33a8acc3b5000b8023359c9245ccad"
 
+    def test_synth_config_hash_is_stable(self, tmp_path):
+        # per-writer page counts are hashed as a JSON array; the hash
+        # earlier versions wrote
+        spec = SynthSpec(n_writers=4, pages_per_writer=(3, 3, 4, 3), descriptors_per_page=40)
+        run_synth(spec, tmp_path)
+        report = json.loads((tmp_path / "synth_report.json").read_text())
+        assert report["config_hash"] == "6aa32d06d83f405c28b0fdf50b9071b4acafed5b4d9e76e00a0cbfb5ad90042c"
+
     def test_encode_output(self, workspace):
         pages, meta = read_embeddings(workspace["embeddings"])
         assert len(pages) == 12 and meta["dim"] == 8
@@ -561,12 +565,53 @@ class TestStages:
         with pytest.raises(ArtifactIOError, match="'cluster' stage"):
             run_train(tmp_path / "labels.wrmd", tmp_path / "out", _tiny_train_cfg())
 
-    def test_missing_model_names_train_stage(self, workspace, tmp_path):
+    @pytest.mark.parametrize(
+        "missing, producer",
+        [
+            ("manifest", "synth"),
+            ("pca.wrmd", "cluster"),
+            ("backbone.wrmd", "train"),
+            ("codebook.wrmd", "train"),
+            ("page_pca", "encode"),
+        ],
+        ids=["manifest", "pca", "backbone", "codebook", "page_pca"],
+    )
+    def test_missing_encode_input_names_producer(self, workspace, tmp_path, missing, producer):
         models = tmp_path / "models"
         models.mkdir()
-        save_pca(models / "pca.wrmd", load_pca(workspace["run"] / "pca.wrmd"))
-        with pytest.raises(ArtifactIOError, match="'train' stage"):
-            run_encode(workspace["manifest"], models, tmp_path / "out", EncodeConfig())
+        for name in ("pca.wrmd", "backbone.wrmd", "codebook.wrmd"):
+            if name != missing:
+                shutil.copy(workspace["run"] / name, models / name)
+        manifest = tmp_path / "manifest.json" if missing == "manifest" else workspace["manifest"]
+        page_pca = str(tmp_path / "page_pca.wrmd") if missing == "page_pca" else None
+        out = tmp_path / "out"
+        with pytest.raises(ArtifactIOError, match=f"'{producer}' stage"):
+            run_encode(manifest, models, out, EncodeConfig(page_dim=8, page_pca=page_pca))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "stage, message",
+        [
+            (
+                lambda ws, out: run_cluster(ws["manifest"], out, ClusterConfig(n_clusters=481)),
+                "n_clusters",
+            ),
+            (
+                lambda ws, out: run_encode(ws["manifest"], ws["run"], out, EncodeConfig(page_dim=12)),
+                "pages - 1",
+            ),
+        ],
+        ids=["cluster", "encode"],
+    )
+    def test_failed_stage_removes_the_output_directory_it_created(
+        self, workspace, tmp_path, stage, message
+    ):
+        # 480 descriptors and 12 pages: the config is valid, the data too small
+        out = tmp_path / "new" / "out"
+        with pytest.raises(ValidationError, match=message):
+            stage(workspace, out)
+        assert not out.exists()
+        assert (tmp_path / "new").is_dir()  # parents the stage created are kept
 
     def test_output_lock_rejects_concurrent(self, tmp_path):
         with output_lock(tmp_path):
@@ -577,6 +622,19 @@ class TestStages:
         with output_lock(tmp_path):
             pass
         assert not (tmp_path / ".wret.lock").exists()
+
+    def test_output_lock_removes_only_an_empty_directory_it_created(self, tmp_path):
+        fresh, existing, written = tmp_path / "fresh", tmp_path / "existing", tmp_path / "written"
+        existing.mkdir()
+        for out in (fresh, existing, written):
+            with pytest.raises(RuntimeError):
+                with output_lock(out):
+                    if out == written:
+                        (out / "partial.json").write_text("{}")
+                    raise RuntimeError("stage failed")
+        assert not fresh.exists()
+        assert existing.is_dir() and not any(existing.iterdir())
+        assert [p.name for p in written.iterdir()] == ["partial.json"]
 
 
 class TestCli:
@@ -608,8 +666,6 @@ class TestCli:
         assert len(load_manifest(tmp_path / "manifest.json").pages) == 9
 
     def test_config_file_with_flag_override(self, workspace, tmp_path):
-        from wret.fileio import load_model
-
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"rho": 0.5, "n_clusters": 6, "target_dim": 16}))
         code = entrypoint(
@@ -619,7 +675,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        _, meta, _ = load_model(tmp_path / "a" / "labels.wrmd")
+        meta, _ = load_model(tmp_path / "a" / "labels.wrmd", "labels")
         assert meta["rho"] == 0.5
         code = entrypoint(
             [
@@ -629,7 +685,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        _, meta, _ = load_model(tmp_path / "b" / "labels.wrmd")
+        meta, _ = load_model(tmp_path / "b" / "labels.wrmd", "labels")
         assert meta["rho"] == 0.8
 
     def test_unknown_config_key_exits_one(self, workspace, tmp_path):
@@ -703,6 +759,10 @@ class TestCli:
             ("rerank", ["--gamma", "nan"], {}, "gamma"),
             ("sweep", [], {"method": "bogus"}, "method"),
             ("sweep", ["--ks", "2,0"], {}, "k and layers"),
+            # valid values the tiny collection (12 pages, 6 classes) cannot serve
+            ("train", [], {"batch_size": 128}, "insufficient classes"),
+            ("rerank", ["--k", "50"], {}, "k + 1 pages"),
+            ("sweep", ["--ks", "50"], {}, "k + 1 pages"),
         ],
     )
     def test_invalid_value_exits_one_before_writing(
