@@ -16,6 +16,8 @@ from .errors import ValidationError
 
 KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 300
+# Rows per distance block in k-means: bounds the (rows, k) temporary.
+NEAREST_CHUNK = 1024
 
 
 def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -116,23 +118,51 @@ def pca_transform(model: PcaModel, d: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class KmeansRun:
+    """Deterministic facts of one k-means fit."""
+
+    iterations: int     # Lloyd iterations run
+    converged: bool     # the movement tolerance, not the iteration cap, stopped it
+    empty_reseeds: int  # empty clusters re-seeded, summed over iterations
+
+
+@dataclass(frozen=True)
 class ClusterModel:
     centers: np.ndarray  # (k, d)
     inertia: float       # sum of squared distances at convergence
+    run: KmeansRun | None = None  # None for a model read back from disk
 
     @property
     def n_clusters(self) -> int:
         return self.centers.shape[0]
 
 
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, clipped at zero."""
-    sq = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ centers.T)
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    return np.maximum(sq, 0.0)
+def _squared_distances(
+    x: np.ndarray, xsq: np.ndarray, centers: np.ndarray, csq: np.ndarray
+) -> np.ndarray:
+    """(n, k) squared Euclidean distances ``xsq - 2 x.c + csq``, clipped at
+    zero; ``xsq`` and ``csq`` are the squared row norms of x and centers."""
+    sq = x @ centers.T
+    sq *= -2.0
+    sq += xsq[:, None]
+    sq += csq
+    return np.maximum(sq, 0.0, out=sq)
+
+
+def _nearest(
+    x: np.ndarray, xsq: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest center of every row (ties to the lower index) and its squared
+    distance, computed ``NEAREST_CHUNK`` rows at a time."""
+    csq = np.sum(centers * centers, axis=1)
+    assign = np.empty(len(x), dtype=np.intp)
+    dmin = np.empty(len(x))
+    for lo in range(0, len(x), NEAREST_CHUNK):
+        hi = min(lo + NEAREST_CHUNK, len(x))
+        sq = _squared_distances(x[lo:hi], xsq[lo:hi], centers, csq)
+        np.argmin(sq, axis=1, out=assign[lo:hi])
+        dmin[lo:hi] = sq[np.arange(hi - lo), assign[lo:hi]]
+    return assign, dmin
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,8 +196,10 @@ def fit_kmeans(
     """Lloyd iterations from k-means++ seeding.
 
     Stops when the largest per-center movement falls below ``KMEANS_TOL`` or
-    after ``KMEANS_MAX_ITER`` iterations. Deterministic for a given seed.
-    With ``debug`` the per-iteration inertia is asserted non-increasing.
+    after ``KMEANS_MAX_ITER`` iterations. Every cluster left empty by an
+    assignment is re-seeded at the worst-served point. Deterministic for a
+    given seed; the returned model's ``run`` counts what happened. With
+    ``debug`` the per-iteration inertia is asserted non-increasing.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -180,34 +212,41 @@ def fit_kmeans(
         )
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(x, n_clusters, rng)
+    xsq = np.sum(x * x, axis=1)
+    # Per-dimension columns, so each center sum is one weighted bincount
+    # adding member rows in index order, as a masked mean does.
+    columns = x.T.copy()
     prev_inertia = np.inf
-    inertia = 0.0
-    for _ in range(KMEANS_MAX_ITER):
-        sq = _squared_distances(x, centers)
-        assign = np.argmin(sq, axis=1)
-        inertia = float(sq[np.arange(x.shape[0]), assign].sum())
+    iterations = reseeds = 0
+    converged = False
+    while iterations < KMEANS_MAX_ITER and not converged:
+        iterations += 1
+        assign, dmin = _nearest(x, xsq, centers)
         if debug:
+            inertia = float(dmin.sum())
             assert inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia), (
                 f"inertia increased: {prev_inertia} -> {inertia}"
             )
-        prev_inertia = inertia
-        new_centers = centers.copy()
-        for k in range(n_clusters):
-            members = assign == k
-            if members.any():
-                new_centers[k] = x[members].mean(axis=0)
-            else:
-                # Re-seed an empty cluster at the worst-served point.
-                worst = int(np.argmax(sq[np.arange(x.shape[0]), assign]))
-                new_centers[k] = x[worst]
+            prev_inertia = inertia
+        counts = np.bincount(assign, minlength=n_clusters)
+        sums = np.stack(
+            [np.bincount(assign, weights=col, minlength=n_clusters) for col in columns], axis=1
+        )
+        empty = counts == 0
+        new_centers = sums / np.maximum(counts, 1)[:, None]
+        if empty.any():
+            # Re-seed every empty cluster at the worst-served point.
+            new_centers[empty] = x[np.argmax(dmin)]
+            reseeds += int(empty.sum())
         movement = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
         centers = new_centers
-        if movement < KMEANS_TOL:
-            break
-    sq = _squared_distances(x, centers)
-    assign = np.argmin(sq, axis=1)
-    inertia = float(sq[np.arange(x.shape[0]), assign].sum())
-    return ClusterModel(centers=centers, inertia=inertia)
+        converged = movement < KMEANS_TOL
+    _, dmin = _nearest(x, xsq, centers)
+    return ClusterModel(
+        centers=centers,
+        inertia=float(dmin.sum()),
+        run=KmeansRun(iterations=iterations, converged=converged, empty_reseeds=reseeds),
+    )
 
 
 @dataclass(frozen=True)
@@ -242,13 +281,17 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
         raise ValidationError(
             f"descriptor dimension {batch.shape[1]} does not match centers"
         )
-    sq = _squared_distances(batch, model.centers)
-    # Stable argsort resolves distance ties toward the lower center index.
-    order = np.argsort(sq, axis=1, kind="stable")
-    nearest = order[:, 0]
-    second = order[:, 1]
+    centers = model.centers
+    sq = _squared_distances(
+        batch, np.sum(batch * batch, axis=1), centers, np.sum(centers * centers, axis=1)
+    )
+    # argmin resolves distance ties toward the lower center index; masking
+    # the nearest center leaves the second nearest under the same rule.
     rows = np.arange(len(batch))
+    nearest = np.argmin(sq, axis=1)
     d1 = np.sqrt(sq[rows, nearest])
+    sq[rows, nearest] = np.inf
+    second = np.argmin(sq, axis=1)
     d2 = np.sqrt(sq[rows, second])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))

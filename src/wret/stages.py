@@ -216,7 +216,10 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
         )
         report = {
             "config_hash": cfg_hash,
+            "converged": kmeans.run.converged,
+            "empty_reseeds": kmeans.run.empty_reseeds,
             "inertia": float(kmeans.inertia),
+            "iterations": kmeans.run.iterations,
             "n_descriptors": int(len(raw)),
             "n_kept": int(len(labeled.items)),
             "n_rejected": int(len(labeled.rejected)),

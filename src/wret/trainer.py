@@ -178,22 +178,21 @@ def mine_hard_triplets(
     if mining not in MININGS:
         raise ValidationError(f"unknown mining rule {mining!r}")
     labels = np.asarray(labels)
+    if len(labels) == 0:
+        return ()
     dist = _pairwise_distances(np.asarray(encodings, dtype=np.float64))
-    triplets = []
-    for a in range(len(labels)):
-        same = labels == labels[a]
-        pos = same.copy()
-        pos[a] = False
-        if not pos.any() or same.all():
-            continue
-        p = int(np.argmax(np.where(pos, dist[a], -np.inf)))
-        neg = int(np.argmin(np.where(~same, dist[a], np.inf)))
-        d_ap = dist[a, p]
-        d_an = dist[a, neg]
-        admit = d_an < d_ap - m if mining == "hard" else d_an > d_ap - m
-        if admit:
-            triplets.append((a, p, neg))
-    return tuple(triplets)
+    same = labels[:, None] == labels[None, :]
+    pos = same.copy()
+    np.fill_diagonal(pos, False)
+    anchors = np.arange(len(labels))
+    p = np.argmax(np.where(pos, dist, -np.inf), axis=1)
+    neg = np.argmin(np.where(same, np.inf, dist), axis=1)
+    d_ap = dist[anchors, p]
+    d_an = dist[anchors, neg]
+    admit = d_an < d_ap - m if mining == "hard" else d_an > d_ap - m
+    # An anchor needs a positive besides itself and at least one negative.
+    admit &= pos.any(axis=1) & ~same.all(axis=1)
+    return tuple((int(a), int(p[a]), int(neg[a])) for a in np.flatnonzero(admit))
 
 
 def _check_finite(grads: Gradients) -> None:

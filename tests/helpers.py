@@ -1,10 +1,13 @@
-"""Shared test machinery: an independent triplet-loss objective and a
-central finite-difference harness for checking analytic gradients."""
+"""Shared test machinery: an independent triplet-loss objective, a central
+finite-difference harness for checking analytic gradients, and plain-loop
+oracles that the vectorized k-means, assignment and mining must match
+bitwise."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from wret import features
 from wret.encoder import Backbone, Codebook, Layer, backbone_forward, encode_flat
 
 FD_STEP = 1e-5
@@ -160,3 +163,93 @@ def max_relative_fd_error(
             rel = abs(fd - an) / max(abs(fd), abs(an), REL_GUARD)
             worst = max(worst, rel)
     return worst
+
+
+def squared_distances_oracle(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared Euclidean distances, clipped at zero."""
+    sq = (
+        np.sum(x * x, axis=1)[:, None]
+        - 2.0 * (x @ centers.T)
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    return np.maximum(sq, 0.0)
+
+
+def kmeans_oracle(
+    data: np.ndarray, n_clusters: int, seed: int
+) -> tuple[np.ndarray, float, int, bool, int]:
+    """Lloyd iterations on the full distance matrix with one masked mean per
+    center. Returns centers, inertia, iterations, converged, empty reseeds."""
+    x = np.asarray(data, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centers = features._kmeans_pp_init(x, n_clusters, rng)
+    iterations = reseeds = 0
+    converged = False
+    for _ in range(features.KMEANS_MAX_ITER):
+        iterations += 1
+        sq = squared_distances_oracle(x, centers)
+        assign = np.argmin(sq, axis=1)
+        new_centers = centers.copy()
+        for k in range(n_clusters):
+            members = assign == k
+            if members.any():
+                new_centers[k] = x[members].mean(axis=0)
+            else:
+                # Re-seed an empty cluster at the worst-served point.
+                worst = int(np.argmax(sq[np.arange(x.shape[0]), assign]))
+                new_centers[k] = x[worst]
+                reseeds += 1
+        movement = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        centers = new_centers
+        if movement < features.KMEANS_TOL:
+            converged = True
+            break
+    sq = squared_distances_oracle(x, centers)
+    assign = np.argmin(sq, axis=1)
+    inertia = float(sq[np.arange(x.shape[0]), assign].sum())
+    return centers, inertia, iterations, converged, reseeds
+
+
+def assign_and_filter_oracle(
+    centers: np.ndarray, data: np.ndarray, rho: float
+) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(kept (index, label) pairs, rejected indices) via a stable sort of
+    each row's distances."""
+    sq = squared_distances_oracle(data, centers)
+    order = np.argsort(sq, axis=1, kind="stable")
+    nearest = order[:, 0]
+    second = order[:, 1]
+    rows = np.arange(len(data))
+    d1 = np.sqrt(sq[rows, nearest])
+    d2 = np.sqrt(sq[rows, second])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))
+    kept = ratio <= rho
+    items = tuple((int(i), int(nearest[i])) for i in rows[kept])
+    rejected = tuple(int(i) for i in rows[~kept])
+    return items, rejected
+
+
+def mine_oracle(
+    encodings: np.ndarray, labels: np.ndarray, m: float, mining: str
+) -> tuple[tuple[int, int, int], ...]:
+    """Batch-hard candidates, one anchor at a time."""
+    labels = np.asarray(labels)
+    f = np.asarray(encodings, dtype=np.float64)
+    sq = np.sum(f**2, axis=1)
+    dist = np.sqrt(np.clip(sq[:, None] + sq[None, :] - 2.0 * f @ f.T, 0.0, None))
+    triplets = []
+    for a in range(len(labels)):
+        same = labels == labels[a]
+        pos = same.copy()
+        pos[a] = False
+        if not pos.any() or same.all():
+            continue
+        p = int(np.argmax(np.where(pos, dist[a], -np.inf)))
+        neg = int(np.argmin(np.where(~same, dist[a], np.inf)))
+        d_ap = dist[a, p]
+        d_an = dist[a, neg]
+        admit = d_an < d_ap - m if mining == "hard" else d_an > d_ap - m
+        if admit:
+            triplets.append((a, p, neg))
+    return tuple(triplets)

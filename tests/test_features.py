@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from helpers import assign_and_filter_oracle, kmeans_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wret import features
 from wret.errors import ValidationError
 from wret.features import (
+    NEAREST_CHUNK,
     ClusterModel,
+    KmeansRun,
     PcaModel,
     assign_and_filter,
     fit_kmeans,
@@ -209,6 +213,56 @@ class TestFitKmeans:
             fit_kmeans(np.zeros((2, 3)), n_clusters=3, seed=0)
 
 
+def _mixture(seed: int, n: int, d: int = 3, modes: int = 6) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    means = rng.normal(scale=4.0, size=(modes, d))
+    return means[rng.integers(modes, size=n)] + rng.normal(size=(n, d))
+
+
+class TestFitKmeansMatchesPlainLloyd:
+    """The chunked, bincount-based Lloyd step against the plain loop over
+    the full distance matrix: bitwise centers, inertia and labels."""
+
+    @staticmethod
+    def _assert_bitwise(x: np.ndarray, k: int, seed: int) -> ClusterModel:
+        model = fit_kmeans(x, n_clusters=k, seed=seed, debug=True)
+        centers, inertia, iterations, converged, reseeds = kmeans_oracle(x, k, seed)
+        assert model.centers.tobytes() == centers.tobytes()
+        assert model.inertia == inertia
+        assert model.run == KmeansRun(iterations, converged, reseeds)
+        for rho in (0.6, 0.9, 1.0):
+            got = assign_and_filter(model, x, rho)
+            assert (got.items, got.rejected) == assign_and_filter_oracle(centers, x, rho)
+        return model
+
+    @pytest.mark.parametrize(
+        "n, k, seed",
+        [(300, 7, 1), (NEAREST_CHUNK, 5, 4), (2 * NEAREST_CHUNK + 37, 12, 2)],
+    )
+    def test_mixture(self, n, k, seed):
+        model = self._assert_bitwise(_mixture(seed, n), k, seed)
+        assert model.run.converged and model.run.empty_reseeds == 0
+
+    def test_empty_clusters_are_reseeded_and_counted(self):
+        # Three distinct points, five clusters: k-means++ runs out of
+        # distinct points and seeds two duplicates, which lose every
+        # distance tie to a lower index and stay empty.
+        corners = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
+        x = np.repeat(corners, [700, 690, 700], axis=0)[::-1]
+        model = self._assert_bitwise(x, 5, 0)
+        assert model.run.empty_reseeds > 0
+
+    def test_center_that_serves_nobody_moves_to_the_worst_served_point(self, monkeypatch):
+        def far_start(x, k, rng):
+            centers = x[:k].copy()
+            centers[-1] = 1e3  # far from every point: empty in the first iteration
+            return centers
+
+        monkeypatch.setattr(features, "_kmeans_pp_init", far_start)
+        model = self._assert_bitwise(_mixture(3, 2 * NEAREST_CHUNK + 37), 6, 3)
+        assert model.run.empty_reseeds > 0
+
+
 class TestAssignAndFilter:
     def _line_model(self) -> ClusterModel:
         return ClusterModel(centers=np.array([[0.0], [10.0]]), inertia=0.0)
@@ -245,6 +299,14 @@ class TestAssignAndFilter:
         pair = ClusterModel(centers=np.array([[0.0], [2.0]]), inertia=0.0)
         mid = assign_and_filter(pair, np.array([[1.0]]), rho=1.0)
         assert mid.items == ((0, 0),)  # ratio == rho is kept, lower index wins the tie
+
+    def test_equidistant_centers_keep_lowest_index(self):
+        # Three centers at squared distance exactly 25 from (1, 2), one at 100.
+        centers = np.array([[7.0, 10.0], [6.0, 2.0], [4.0, 6.0], [5.0, 5.0]])
+        model = ClusterModel(centers=centers, inertia=0.0)
+        point = np.array([[1.0, 2.0]])
+        assert assign_and_filter(model, point, rho=1.0).items == ((0, 1),)
+        assert assign_and_filter(model, point, rho=0.99).rejected == (0,)
 
     def test_partition_for_all_rho(self):
         rng = np.random.default_rng(12)

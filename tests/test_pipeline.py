@@ -9,7 +9,7 @@ from wret.aggregation import PageEmbedding
 from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
-from wret.features import fit_pca
+from wret.features import KmeansRun, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
     PageRecord,
@@ -23,6 +23,7 @@ from wret.fileio import (
     load_pca,
     read_descriptors,
     read_embeddings,
+    read_json,
     save_backbone,
     save_codebook,
     save_manifest,
@@ -32,6 +33,7 @@ from wret.fileio import (
     write_embeddings,
 )
 from wret.rerank import RerankConfig
+from wret.seeds import derive_seed
 from wret.stages import (
     ClusterConfig,
     EncodeConfig,
@@ -411,6 +413,13 @@ class TestStages:
         kept = labeled.kept_indices
         assert len(kept) + len(labeled.rejected) == 480
         assert np.all(labeled.labels >= 0) and np.all(labeled.labels < 6)
+
+    def test_cluster_report_counts_the_kmeans_run(self, workspace):
+        report = read_json(workspace["run"] / "cluster_report.json")
+        descriptors = load_labels(workspace["run"] / "labels.wrmd")[1]
+        fit = fit_kmeans(descriptors, 6, seed=derive_seed(SEED, "cluster/kmeans"))
+        counted = (report["iterations"], report["converged"], report["empty_reseeds"])
+        assert KmeansRun(*counted) == fit.run
 
     def test_cluster_deterministic(self, workspace, tmp_path):
         run_cluster(workspace["manifest"], tmp_path, workspace["ccfg"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     max_relative_fd_error,
+    mine_oracle,
     random_gradcheck_config,
     rebuild_with,
     triplet_objective,
@@ -84,6 +85,29 @@ class TestMining:
         anchors = [a for a, _, _ in trips]
         assert anchors == sorted(anchors)
         assert len(trips) == 12
+
+    @pytest.mark.parametrize("mining", ["hard", "semi"])
+    def test_matches_per_anchor_loop(self, mining):
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n = int(rng.integers(1, 24))
+            # Rounded encodings make distance ties common.
+            enc = np.round(rng.normal(size=(n, 3)), int(rng.integers(0, 2)))
+            labels = rng.integers(int(rng.integers(1, 6)), size=n)
+            m = float(rng.choice([0.1, 0.5, 1.5]))
+            got = mine_hard_triplets(enc, labels, m, mining)
+            assert got == mine_oracle(enc, labels, m, mining), trial
+
+    @pytest.mark.parametrize("mining", ["hard", "semi"])
+    def test_singletons_and_one_class_match_per_anchor_loop(self, mining):
+        rng = np.random.default_rng(6)
+        enc = np.round(rng.normal(size=(10, 2)), 1)
+        mixed = np.array([0, 0, 1, 2, 2, 3, 4, 4, 4, 5])
+        for labels in (np.arange(10), np.zeros(10, dtype=int), mixed):
+            for m in (0.05, 5.0):
+                got = mine_hard_triplets(enc, labels, m, mining)
+                assert got == mine_oracle(enc, labels, m, mining)
+        assert mine_hard_triplets(enc[:0], np.arange(0), 0.1, mining) == ()
 
 
 def _tiny_models(mode: str = "netrvlad") -> tuple[Backbone, Codebook]:
