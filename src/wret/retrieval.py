@@ -69,15 +69,36 @@ def rank_rows(
     """Each row's candidate columns (an (n, m) index matrix) reordered by
     descending score, ties by ascending tie_rank of the column. By default
     the candidates are every column but the row's own: the (n, n - 1)
-    leave-one-out ranking."""
+    leave-one-out ranking.
+
+    One unstable sort per row gives the unique order wherever the sorted
+    keys strictly increase; only rows with an exact tie (signed zeros
+    included), a NaN or a -inf score are sorted again by (score, tie_rank).
+    """
     if candidates is None:
-        n = len(scores)
-        cols = np.arange(n - 1)
-        candidates = cols + (cols >= np.arange(n)[:, None])
-    order = np.lexsort(
-        (tie_rank[candidates], -np.take_along_axis(scores, candidates, axis=1)), axis=1
-    )
-    return np.take_along_axis(candidates, order, axis=1)
+        # The row's own column sorts last behind +inf and is dropped.
+        keys = -scores
+        np.fill_diagonal(keys, np.inf)
+    else:
+        keys = -np.take_along_axis(scores, candidates, axis=1)
+    n, m = keys.shape
+    order = np.argsort(keys, axis=1)
+    # A flat gather: take_along_axis is slower at this size.
+    ranked = keys.ravel()[order + m * np.arange(n)[:, None]]
+    redo = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
+    if candidates is None:
+        order = order[:, :-1].copy()  # contiguous, for the callers' gathers
+        cols = np.arange(order.shape[1])
+        sub = cols + (cols >= redo[:, None])
+        sub_keys = np.take_along_axis(keys[redo], sub, axis=1)
+    else:
+        order = np.take_along_axis(candidates, order, axis=1)
+        sub = candidates[redo]
+        sub_keys = keys[redo]
+    if len(redo):
+        tied = np.lexsort((tie_rank[sub], sub_keys), axis=1)
+        order[redo] = np.take_along_axis(sub, tied, axis=1)
+    return order
 
 
 def average_precisions(hits: np.ndarray) -> np.ndarray:

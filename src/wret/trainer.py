@@ -161,7 +161,7 @@ def triplet_loss(d_ap: float, d_an: float, m: float) -> float:
 
 def _pairwise_distances(f: np.ndarray) -> np.ndarray:
     sq = np.sum(f**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * f @ f.T
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)
     return np.sqrt(np.clip(d2, 0.0, None))
 
 

@@ -1,7 +1,7 @@
 """Shared test machinery: an independent triplet-loss objective, a central
 finite-difference harness for checking analytic gradients, and plain-loop
-oracles that the vectorized k-means, assignment and mining must match
-bitwise."""
+oracles that the vectorized k-means, assignment, mining and ranking must
+match bitwise."""
 
 from __future__ import annotations
 
@@ -253,3 +253,19 @@ def mine_oracle(
         if admit:
             triplets.append((a, p, neg))
     return tuple(triplets)
+
+
+def rank_rows_oracle(
+    scores: np.ndarray, tie_rank: np.ndarray, candidates: np.ndarray | None = None
+) -> np.ndarray:
+    """retrieval.rank_rows as one two-key lexsort of every row: descending
+    score, ties by ascending tie_rank, the row's own column left out by
+    default."""
+    if candidates is None:
+        n = len(scores)
+        cols = np.arange(n - 1)
+        candidates = cols + (cols >= np.arange(n)[:, None])
+    order = np.lexsort(
+        (tie_rank[candidates], -np.take_along_axis(scores, candidates, axis=1)), axis=1
+    )
+    return np.take_along_axis(candidates, order, axis=1)

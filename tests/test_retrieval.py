@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import rank_rows_oracle
 
 from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
@@ -9,6 +10,7 @@ from wret.retrieval import (
     average_precisions,
     evaluate,
     rank_all,
+    rank_rows,
     report_to_csv,
     report_to_json,
 )
@@ -102,6 +104,75 @@ class TestRankAll:
     def test_single_page_rejected(self):
         with pytest.raises(ValidationError):
             rank_all(_pages(np.ones((1, 3))))
+
+
+def _ranking_input(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, n) scores and per-column tie ranks of one kind of ranking input."""
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(n, n))
+    tie_rank = rng.permutation(n)
+    if kind == "rounded":  # exact ties fill most rows
+        scores = np.round(scores)
+    elif kind == "partial_ties":  # every other row ties on two entries
+        for r in range(0, n, 2):
+            i, j = rng.choice(n, size=2, replace=False)
+            scores[r, j] = scores[r, i]
+    elif kind == "signed_zero":  # 0.0 next to -0.0
+        scores[rng.random((n, n)) < 0.3] = 0.0
+        scores[rng.random((n, n)) < 0.3] = -0.0
+    elif kind == "nonfinite":  # the diagonal must be ignored whatever it holds
+        for value in (np.inf, -np.inf, np.nan):
+            scores[rng.random((n, n)) < 0.05] = value
+        scores[0, 1], scores[1, 0], scores[-1, 0] = np.inf, -np.inf, np.nan
+        np.fill_diagonal(scores, np.nan)
+    elif kind == "duplicate_tie_rank":  # equal tie ranks keep column order
+        scores = np.round(scores, 1)
+        tie_rank = rng.integers(0, 3, size=n)
+    return scores, tie_rank
+
+
+RANKING_KINDS = (
+    "distinct", "rounded", "partial_ties", "signed_zero", "nonfinite", "duplicate_tie_rank"
+)
+
+
+class TestRankRowsMatchesLexsort:
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("kind", RANKING_KINDS)
+    def test_leave_one_out(self, kind, n):
+        scores, tie_rank = _ranking_input(kind, n, seed=n)
+        got = rank_rows(scores, tie_rank)
+        want = rank_rows_oracle(scores, tie_rank)
+        assert got.shape == want.shape == (n, n - 1)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("kind", RANKING_KINDS)
+    def test_explicit_candidates(self, kind, n):
+        # As _propagate passes them: each row's k best under other scores,
+        # reordered by these.
+        scores, tie_rank = _ranking_input(kind, n, seed=n + 1)
+        other = np.random.default_rng(n).normal(size=(n, n))
+        candidates = rank_rows_oracle(other, tie_rank)[:, : min(n - 1, 5)]
+        got = rank_rows(scores, tie_rank, candidates=candidates)
+        want = rank_rows_oracle(scores, tie_rank, candidates=candidates)
+        assert got.shape == want.shape == candidates.shape
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_only_rows_with_ties_take_the_two_key_sort(self, monkeypatch):
+        class TwoKeySort(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise TwoKeySort
+
+        distinct = _pages(np.random.default_rng(8).normal(size=(50, 8)))
+        # p001 and p002 are exactly equally similar to p000.
+        tied = _pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
+        monkeypatch.setattr(np, "lexsort", refuse)
+        rank_all(distinct)
+        with pytest.raises(TwoKeySort):
+            rank_all(tied)
 
 
 class TestAveragePrecision:
