@@ -26,11 +26,11 @@ class PageEmbedding:
             raise ValidationError(f"page {self.page_id}: embedding must be a finite vector")
 
 
-def pool_page(encodings: np.ndarray, patch_ids: np.ndarray | None = None) -> np.ndarray:
-    """l2-normalize each flattened patch encoding, then sum.
+def pool_page(encodings: np.ndarray) -> np.ndarray:
+    """l2-normalize each flattened patch encoding, then sum in row order.
 
-    Summation runs in ascending patch-id order (positional when patch_ids
-    is omitted) so the result is bitwise permutation-invariant.
+    The sum runs one row at a time: np.sum's pairwise summation would
+    change the last bits of every page embedding.
     """
     encodings = np.asarray(encodings, dtype=np.float64)
     if encodings.ndim != 2 or encodings.shape[0] == 0:
@@ -40,16 +40,9 @@ def pool_page(encodings: np.ndarray, patch_ids: np.ndarray | None = None) -> np.
     if len(zero):
         raise ValidationError(f"patch {int(zero[0])} has an all-zero encoding")
     unit = encodings / norms[:, None]
-    if patch_ids is None:
-        order = np.arange(len(unit))
-    else:
-        patch_ids = np.asarray(patch_ids)
-        if patch_ids.shape != (len(unit),):
-            raise ValidationError("patch_ids must parallel the encodings")
-        order = np.argsort(patch_ids, kind="stable")
     total = np.zeros(unit.shape[1])
-    for i in order:
-        total += unit[i]
+    for row in unit:
+        total += row
     return total
 
 
@@ -73,7 +66,8 @@ def whiten_pages(
     """Whiten pooled page vectors and l2-normalize each result.
 
     By default the whitening PCA is fit on the given collection; passing a
-    prefit model applies it instead (the training-collection variant).
+    prefit model applies it instead (the training-collection variant),
+    which must then project to target_dim.
     """
     raw = np.asarray(raw_vectors, dtype=np.float64)
     if raw.ndim != 2:
@@ -88,6 +82,10 @@ def whiten_pages(
                 f"= {min(n - 1, raw.shape[1])}"
             )
         pca = fit_pca(raw, target_dim=target_dim, whiten=True)
+    elif pca.d_out != target_dim:
+        raise ValidationError(
+            f"prefit page PCA projects to {pca.d_out} dims, expected target_dim {target_dim}"
+        )
     transformed = pca_transform(pca, raw)
     norms = np.linalg.norm(transformed, axis=1)
     if np.any(norms == 0.0):

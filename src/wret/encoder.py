@@ -172,14 +172,6 @@ def encode_patches(
     return v, {"znorm": znorm, "xhat": rows, "alpha": alpha, "resid": resid, "gnorm": gnorm}
 
 
-def encode_patch(cb: Codebook, x: np.ndarray) -> np.ndarray:
-    """Encode one embedding to its (n_clusters x dim) matrix."""
-    rows, single = _as_rows(x, cb.dim, "encode_patch")
-    if not single:
-        raise ValidationError("encode_patch takes a single vector; use encode_patches")
-    return encode_patches(cb, rows)[0]
-
-
 def encode_flat(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
     """Descriptors through backbone and codebook to flattened encodings."""
     return flatten_encoding(encode_patches(cb, backbone_forward(b, xs)))

@@ -1,12 +1,11 @@
 """Binary artifact formats and JSON manifests.
 
-Three little-endian binary containers share one family look:
+Two little-endian binary containers:
 
-* descriptor files: magic "WRDS", u32 version, u32 dim, u64 count,
-  then count x dim float32 values.
-* embedding dumps: magic "WREM", u32 version, u32 dim, u64 count,
-  then count x dim float64 values, with a JSON sidecar listing the
-  pages row by row.
+* matrix files: a 4-byte magic, u32 version, u32 dim, u64 count, then
+  count x dim row-major values. The magic fixes the value type:
+  "WRDS" descriptor files hold float32, "WREM" embedding blobs hold
+  float64 and come with a JSON sidecar listing the pages row by row.
 * model files: magic "WRMD", u32 version, u64 header length, a
   canonical JSON header describing named arrays, then the raw blobs
   in header order.
@@ -35,6 +34,7 @@ MAGIC_DESCRIPTORS = b"WRDS"
 MAGIC_EMBEDDINGS = b"WREM"
 MAGIC_MODEL = b"WRMD"
 FORMAT_VERSION = 1
+MATRIX_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 
 SPLITS = ("train", "test")
 
@@ -57,12 +57,17 @@ def write_json(path: Path | str, obj) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        raise ArtifactIOError(f"missing file {path}") from None
+
+
 def read_json(path: Path | str):
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ArtifactIOError(f"missing file {path}") from None
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError:
         raise ArtifactIOError(f"{path} is not UTF-8 text") from None
     try:
@@ -81,7 +86,30 @@ def typed_entry(path: Path | str, table, key: str, kind: type | tuple[type, ...]
 
 
 # --------------------------------------------------------------------------
-# Descriptor files
+# Matrix files: descriptor files and embedding blobs
+
+
+def _write_matrix(path: Path, magic: bytes, matrix: np.ndarray, dtype: str) -> None:
+    count, dim = matrix.shape
+    header = MATRIX_HEADER.pack(magic, FORMAT_VERSION, dim, count)
+    path.write_bytes(header + matrix.astype(dtype).tobytes(order="C"))
+
+
+def _read_matrix(path: Path, magic: bytes, dtype: str, what: str) -> np.ndarray:
+    """The (count, dim) matrix of a matrix file, in native byte order."""
+    raw = _read_bytes(path)
+    if len(raw) < MATRIX_HEADER.size or raw[:4] != magic:
+        raise ArtifactIOError(f"{path} is not {what}")
+    _, version, dim, count = MATRIX_HEADER.unpack_from(raw)
+    if version != FORMAT_VERSION:
+        raise ArtifactIOError(f"{path}: unsupported version {version}")
+    if dim == 0:
+        raise ArtifactIOError(f"{path} has rows of dimension 0")
+    dtype = np.dtype(dtype)
+    if len(raw) != MATRIX_HEADER.size + count * dim * dtype.itemsize:
+        raise ArtifactIOError(f"{path} is truncated or padded")
+    data = np.frombuffer(raw, dtype=dtype, count=count * dim, offset=MATRIX_HEADER.size)
+    return data.reshape(count, dim).astype(dtype.newbyteorder("="))
 
 
 def write_descriptors(path: Path | str, data: np.ndarray) -> None:
@@ -91,27 +119,11 @@ def write_descriptors(path: Path | str, data: np.ndarray) -> None:
         raise ValidationError("descriptor data must be a (count, dim) matrix")
     if not np.all(np.isfinite(data)):
         raise ValidationError("descriptor data must be finite")
-    count, dim = data.shape
-    header = MAGIC_DESCRIPTORS + struct.pack("<IIQ", FORMAT_VERSION, dim, count)
-    Path(path).write_bytes(header + data.astype("<f4").tobytes(order="C"))
+    _write_matrix(Path(path), MAGIC_DESCRIPTORS, data, "<f4")
 
 
 def read_descriptors(path: Path | str) -> np.ndarray:
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ArtifactIOError(f"missing file {path}") from None
-    if len(raw) < 20 or raw[:4] != MAGIC_DESCRIPTORS:
-        raise ArtifactIOError(f"{path} is not a descriptor file")
-    version, dim, count = struct.unpack("<IIQ", raw[4:20])
-    if version != FORMAT_VERSION:
-        raise ArtifactIOError(f"{path}: unsupported version {version}")
-    expected = 20 + count * dim * 4
-    if len(raw) != expected:
-        raise ArtifactIOError(f"{path} is truncated or padded")
-    data = np.frombuffer(raw, dtype="<f4", count=count * dim, offset=20)
-    return data.reshape(count, dim).astype(np.float32)
+    return _read_matrix(Path(path), MAGIC_DESCRIPTORS, "<f4", "a descriptor file")
 
 
 # --------------------------------------------------------------------------
@@ -132,10 +144,8 @@ def write_embeddings(
     if len(dims) != 1:
         raise ValidationError(f"embeddings have mixed dimensions {sorted(dims)}")
     dim = dims.pop()
-    matrix = np.array([p.vector for p in pages], dtype="<f8")
     blob_path = json_path.with_suffix(".bin")
-    header = MAGIC_EMBEDDINGS + struct.pack("<IIQ", FORMAT_VERSION, dim, len(pages))
-    blob_path.write_bytes(header + matrix.tobytes(order="C"))
+    _write_matrix(blob_path, MAGIC_EMBEDDINGS, np.array([p.vector for p in pages]), "<f8")
     sidecar = {
         "blob": blob_path.name,
         "config_hash": cfg_hash,
@@ -159,24 +169,11 @@ def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
         (typed_entry(json_path, rec, "page_id", str), typed_entry(json_path, rec, "writer_id", str))
         for rec in typed_entry(json_path, sidecar, "pages", list)
     ]
-    try:
-        raw = blob_path.read_bytes()
-    except FileNotFoundError:
-        raise ArtifactIOError(f"missing file {blob_path}") from None
-    if len(raw) < 20 or raw[:4] != MAGIC_EMBEDDINGS:
-        raise ArtifactIOError(f"{blob_path} is not an embedding blob")
-    version, dim, count = struct.unpack("<IIQ", raw[4:20])
-    if version != FORMAT_VERSION:
-        raise ArtifactIOError(f"{blob_path}: unsupported version {version}")
-    if dim != sidecar_dim or count != sidecar_count:
+    matrix = _read_matrix(blob_path, MAGIC_EMBEDDINGS, "<f8", "an embedding blob")
+    if matrix.shape != (sidecar_count, sidecar_dim):
         raise ArtifactIOError(f"{blob_path} disagrees with its sidecar")
-    if count != len(ids):
+    if sidecar_count != len(ids):
         raise ArtifactIOError(f"{json_path} page list does not match count")
-    expected = 20 + count * dim * 8
-    if len(raw) != expected:
-        raise ArtifactIOError(f"{blob_path} is truncated or padded")
-    matrix = np.frombuffer(raw, dtype="<f8", count=count * dim, offset=20)
-    matrix = matrix.reshape(count, dim).astype(np.float64)
     pages = [
         PageEmbedding(page_id=page_id, writer_id=writer_id, vector=matrix[i])
         for i, (page_id, writer_id) in enumerate(ids)
@@ -226,10 +223,7 @@ def _valid_array_entry(entry) -> bool:
 def load_model(path: Path | str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a model file that must hold a `kind` model; returns (meta, arrays)."""
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise ArtifactIOError(f"missing file {path}") from None
+    raw = _read_bytes(path)
     if len(raw) < 16 or raw[:4] != MAGIC_MODEL:
         raise ArtifactIOError(f"{path} is not a model file")
     version, header_len = struct.unpack("<IQ", raw[4:16])
@@ -320,11 +314,13 @@ def save_pca(path: Path | str, model: PcaModel) -> None:
 
 def load_pca(path: Path | str) -> PcaModel:
     meta, arrays = load_model(path, "pca")
+    mean, basis, scale = (
+        typed_entry(path, arrays, name, np.ndarray) for name in ("mean", "basis", "scale")
+    )
+    if not (mean.ndim == scale.ndim == 1 and basis.shape == (len(scale), len(mean))):
+        raise ArtifactIOError(f"{path} has a basis that does not match its mean and scale")
     return PcaModel(
-        mean=typed_entry(path, arrays, "mean", np.ndarray),
-        basis=typed_entry(path, arrays, "basis", np.ndarray),
-        scale=typed_entry(path, arrays, "scale", np.ndarray),
-        whiten=typed_entry(path, meta, "whiten", bool),
+        mean=mean, basis=basis, scale=scale, whiten=typed_entry(path, meta, "whiten", bool)
     )
 
 

@@ -22,7 +22,6 @@ class SimilarityGraph:
 
     similarity: np.ndarray  # (n, n), s_ij = x_i . x_j
     adjacency: np.ndarray  # (n, n), exp(-(1 - s_ij)^2 / gamma)
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -34,9 +33,6 @@ class RerankConfig:
     layers: int = 1
     gamma: float = 0.4
     k1: int = 4
-    # Propagation weight for sgr: raw similarity s_ij by default; the
-    # decayed adjacency A_ij is available for ablation.
-    weighting: str = "similarity"
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -47,8 +43,6 @@ class RerankConfig:
             raise ValidationError("gamma must be finite and positive")
         if self.k1 < 1:
             raise ValidationError("k1 must be >= 1")
-        if self.weighting not in ("similarity", "adjacency"):
-            raise ValidationError(f"unknown weighting {self.weighting!r}")
 
 
 def _unit_matrix(pages: list[PageEmbedding]) -> np.ndarray:
@@ -76,7 +70,7 @@ def build_similarity_graph(pages: list[PageEmbedding], gamma: float) -> Similari
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
     adjacency = np.exp(-((1.0 - sims) ** 2) / gamma)
-    return SimilarityGraph(similarity=sims, adjacency=adjacency, gamma=gamma)
+    return SimilarityGraph(similarity=sims, adjacency=adjacency)
 
 
 def _propagate(
@@ -118,15 +112,15 @@ def _with_vectors(pages: list[PageEmbedding], vectors: np.ndarray) -> list[PageE
 
 def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     """Similarity-graph reranking: adjacency rows become vertex features,
-    then k-NN-weighted aggregation runs for cfg.layers rounds."""
+    then aggregation over the k nearest neighbors, weighted by similarity,
+    runs for cfg.layers rounds."""
     if cfg.method != "sgr":
         raise ValidationError("config method must be sgr")
     if len(pages) < cfg.k + 1:
         raise ValidationError("need at least k + 1 pages")
     graph = build_similarity_graph(pages, cfg.gamma)
     neighbors = rank_rows(graph.similarity, np.arange(len(pages)))[:, : cfg.k]
-    weights = graph.similarity if cfg.weighting == "similarity" else graph.adjacency
-    refined = _propagate(graph.adjacency.copy(), neighbors, weights, cfg.layers)
+    refined = _propagate(graph.adjacency.copy(), neighbors, graph.similarity, cfg.layers)
     return _with_vectors(pages, refined)
 
 

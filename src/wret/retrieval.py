@@ -20,18 +20,16 @@ class RankedList:
 
     query: str
     gallery: tuple[str, ...]
-    scores: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class Ranking(Sequence):
     """Leave-one-out ranking of a whole collection: row q of `order` holds
-    the gallery indices for query page_ids[q], best first, and `scores`
-    their similarities. Each item is that query's RankedList."""
+    the gallery indices for query page_ids[q], best first. Each item is
+    that query's RankedList."""
 
     page_ids: tuple[str, ...]
     order: np.ndarray  # (n, n - 1) gallery indices
-    scores: np.ndarray  # (n, n - 1) similarities, non-increasing per row
 
     def __len__(self) -> int:
         return len(self.page_ids)
@@ -41,7 +39,6 @@ class Ranking(Sequence):
         return RankedList(
             query=self.page_ids[q],
             gallery=tuple(self.page_ids[j] for j in self.order[q]),
-            scores=tuple(self.scores[q].tolist()),
         )
 
 
@@ -126,10 +123,7 @@ def rank_all(pages: list[PageEmbedding]) -> Ranking:
     unit = vectors / norms[:, None]
     sims = unit @ unit.T
     id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
-    order = rank_rows(sims, id_rank)
-    return Ranking(
-        page_ids=tuple(ids), order=order, scores=np.take_along_axis(sims, order, axis=1)
-    )
+    return Ranking(page_ids=tuple(ids), order=rank_rows(sims, id_rank))
 
 
 def evaluate(

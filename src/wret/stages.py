@@ -236,6 +236,14 @@ def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
         typed_entry(path, arrays, name, np.ndarray)
         for name in ("kept", "labels", "rejected", "descriptors")
     )
+    if not (
+        descriptors.ndim == 2
+        and kept.ndim == labels.ndim == rejected.ndim == 1
+        and len(kept) == len(labels)
+        and all(a.dtype.kind == "i" for a in (kept, labels, rejected))
+        and all(np.all((a >= 0) & (a < len(descriptors))) for a in (kept, rejected))
+    ):
+        raise ArtifactIOError(f"{path} has label arrays that do not index its descriptors")
     labeled = PseudoLabeledSet(
         items=tuple(zip(kept.tolist(), labels.tolist())), rejected=tuple(rejected.tolist())
     )

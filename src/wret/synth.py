@@ -59,7 +59,7 @@ class SynthSpec:
         return counts
 
 
-def synth_generate(spec: SynthSpec, out_dir: Path | str, split: str = "test") -> Path:
+def synth_generate(spec: SynthSpec, out_dir: Path | str) -> Path:
     """Write descriptor files plus a manifest; returns the manifest path.
 
     Draw order is fixed (prototypes, then style offsets, then per-page
@@ -92,7 +92,7 @@ def synth_generate(spec: SynthSpec, out_dir: Path | str, split: str = "test") ->
                 PageRecord(page_id=page_id, writer_id=writer_id, descriptor_file=rel)
             )
     manifest_path = out_dir / "manifest.json"
-    save_manifest(manifest_path, dataset=f"synthetic-{spec.seed}", split=split, pages=records)
+    save_manifest(manifest_path, dataset=f"synthetic-{spec.seed}", split="test", pages=records)
     return manifest_path
 
 

@@ -152,13 +152,6 @@ class Gradients:
         return blocks
 
 
-def triplet_loss(d_ap: float, d_an: float, m: float) -> float:
-    """Margin loss max(0, d_ap - d_an + m) on two Euclidean distances."""
-    if d_ap < 0 or d_an < 0:
-        raise ValidationError("distances must be nonnegative")
-    return max(0.0, d_ap - d_an + m)
-
-
 def _pairwise_distances(f: np.ndarray) -> np.ndarray:
     sq = np.sum(f**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)

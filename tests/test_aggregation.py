@@ -40,15 +40,6 @@ class TestPoolPage:
         scaled[2] *= 37.5
         np.testing.assert_allclose(pool_page(scaled), pool_page(e), atol=1e-12)
 
-    def test_permutation_invariant_with_patch_ids(self):
-        rng = np.random.default_rng(1)
-        e = rng.normal(size=(6, 4))
-        ids = np.array([10, 3, 7, 1, 9, 4])
-        base = pool_page(e, ids)
-        perm = rng.permutation(6)
-        again = pool_page(e[perm], ids[perm])
-        assert np.array_equal(base, again)  # bitwise, fixed summation order
-
 
 class TestPowerNormalize:
     def test_alpha_one_is_plain_l2(self):

@@ -39,7 +39,6 @@ CLI_SURFACE = {
     "rerank": [
         "store --config", "store --embeddings required", "store --gamma", "store --k",
         "store --k1", "store --layers", "store --method", "store --out required",
-        "store --weighting",
     ],
     "sweep": [
         "store --config", "store --embeddings required", "store --gammas", "store --ks",

@@ -7,7 +7,6 @@ from wret.encoder import (
     Codebook,
     Layer,
     backbone_forward,
-    encode_patch,
     encode_patches,
     encode_vlad_hard,
     flatten_encoding,
@@ -154,7 +153,7 @@ class TestEncodePatch:
             mode="netrvlad",
         )
         x = np.array([2.0, 1.0])
-        np.testing.assert_allclose(encode_patch(cb, x), [[1.5, 1.5]], atol=1e-12)
+        np.testing.assert_allclose(encode_patches(cb, x)[0], [[1.5, 1.5]], atol=1e-12)
 
     def test_one_hot_assignment_at_center(self):
         # Distinct centers with a huge logit gap: row at own center ~ 0, others ~ 0.
@@ -166,7 +165,7 @@ class TestEncodePatch:
             bias=-tau * np.sum(centers**2, axis=1),
             mode="netrvlad",
         )
-        v = encode_patch(cb, centers[0])
+        v = encode_patches(cb, centers[0])[0]
         assert np.max(np.abs(v)) < 1e-9
 
     def test_netrvlad_hand_oracle(self):
@@ -174,7 +173,7 @@ class TestEncodePatch:
         x = np.array([0.5, 2.0])
         alpha = soft_assign(cb, x)
         expected = np.array([alpha[0] * (x - cb.centers[0]), alpha[1] * (x - cb.centers[1])])
-        np.testing.assert_allclose(encode_patch(cb, x), expected, atol=1e-9)
+        np.testing.assert_allclose(encode_patches(cb, x)[0], expected, atol=1e-9)
 
     def test_netrvlad_no_hidden_normalization(self):
         cb = Codebook(
@@ -184,8 +183,8 @@ class TestEncodePatch:
             mode="netrvlad",
         )
         x = np.array([2.0, 3.0])
-        v1 = encode_patch(cb, x)
-        v2 = encode_patch(cb, 2 * x)
+        v1 = encode_patches(cb, x)[0]
+        v2 = encode_patches(cb, 2 * x)[0]
         # Zero weights: alpha is constant 1/2, so rows are plain scaled residuals.
         np.testing.assert_allclose(v2, 0.5 * (2 * x[None, :] - cb.centers), atol=1e-12)
         np.testing.assert_allclose(v2 - v1, np.tile(0.5 * x, (2, 1)), atol=1e-12)
@@ -193,7 +192,7 @@ class TestEncodePatch:
     def test_netvlad_prenorm_and_intranorm(self):
         cb = _simple_codebook(mode="netvlad")
         x = np.array([3.0, 4.0])
-        v = encode_patch(cb, x)
+        v = encode_patches(cb, x)[0]
         xhat = x / 5.0
         alpha = soft_assign(cb, xhat)
         for k in range(2):
@@ -203,7 +202,7 @@ class TestEncodePatch:
 
     def test_netvlad_rejects_zero_vector(self):
         with pytest.raises(ValidationError):
-            encode_patch(_simple_codebook(mode="netvlad"), np.zeros(2))
+            encode_patches(_simple_codebook(mode="netvlad"), np.zeros(2))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -212,7 +211,7 @@ class TestEncodePatch:
             cb = _simple_codebook(mode)
             stack = encode_patches(cb, xs)
             for i in range(6):
-                np.testing.assert_array_equal(stack[i], encode_patch(cb, xs[i]))
+                np.testing.assert_array_equal(stack[i], encode_patches(cb, xs[i])[0])
             # The cached variant runs the same forward pass.
             np.testing.assert_array_equal(encode_patches(cb, xs, return_cache=True)[0], stack)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import struct
 
@@ -128,6 +129,13 @@ class TestDescriptorFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArtifactIOError, match="missing"):
             read_descriptors(tmp_path / "absent.wrds")
+
+    @pytest.mark.parametrize("count", [0, 5, 2**63])
+    def test_rejects_zero_dim_header(self, tmp_path, count):
+        path = tmp_path / "d.wrds"
+        path.write_bytes(b"WRDS" + struct.pack("<IIQ", 1, 0, count))
+        with pytest.raises(ArtifactIOError, match="dimension 0"):
+            read_descriptors(path)
 
 
 class TestEmbeddingDumps:
@@ -301,6 +309,62 @@ def test_model_without_needed_entry_raises_artifact_error(tmp_path, loader, kind
     save_model(path, kind, meta, {k: v for k, v in arrays.items() if v is not None})
     with pytest.raises(ArtifactIOError, match="expected type"):
         loader(path)
+
+
+_KEPT = {**_LABELS, "kept": np.array([0, 1], dtype=np.int64)}
+
+
+@pytest.mark.parametrize(
+    "loader, kind, arrays",
+    [
+        (load_pca, "pca", {**_PCA, "basis": np.eye(3)}),
+        (load_pca, "pca", {**_PCA, "basis": np.ones((2, 3))}),
+        (load_pca, "pca", {**_PCA, "mean": np.zeros((1, 2))}),
+        (load_labels, "labels", {**_KEPT, "kept": np.array([0, 2], dtype=np.int64)}),
+        (load_labels, "labels", {**_KEPT, "kept": np.array([-1, 0], dtype=np.int64)}),
+        (load_labels, "labels", {**_KEPT, "kept": np.array([0.0, 1.0])}),
+        (load_labels, "labels", {**_KEPT, "labels": np.zeros(1, dtype=np.int64)}),
+        (load_labels, "labels", {**_KEPT, "labels": np.zeros((2, 1), dtype=np.int64)}),
+        (load_labels, "labels", {**_KEPT, "rejected": np.array([5], dtype=np.int64)}),
+        (load_labels, "labels", {**_KEPT, "descriptors": np.ones(2)}),
+    ],
+    ids=[
+        "pca-basis-rows", "pca-basis-cols", "pca-mean-2d", "kept-out-of-range",
+        "kept-negative", "kept-float", "labels-short", "labels-2d", "rejected-out-of-range",
+        "descriptors-1d",
+    ],
+)
+def test_model_with_inconsistent_arrays_raises_artifact_error(tmp_path, loader, kind, arrays):
+    path = tmp_path / "m.wrmd"
+    save_model(path, kind, {"whiten": True}, arrays)  # load_labels ignores meta
+    with pytest.raises(ArtifactIOError, match=re.escape(str(path))):
+        loader(path)
+
+
+def _tiny_binary_file(tmp_path, fmt):
+    """One tiny file of a binary format and the call that reads it."""
+    if fmt == "wrds":
+        path = tmp_path / "d.wrds"
+        write_descriptors(path, np.arange(6, dtype=np.float32).reshape(2, 3))
+        return path, lambda: read_descriptors(path)
+    if fmt == "bin":
+        pages = [PageEmbedding(f"p{i}", "w", np.array([1.0, float(i)])) for i in range(2)]
+        write_embeddings(tmp_path / "e.json", pages, "h", seed=0)
+        return tmp_path / "e.bin", lambda: read_embeddings(tmp_path / "e.json")
+    path = tmp_path / "pca.wrmd"
+    save_pca(path, fit_pca(np.random.default_rng(0).normal(size=(5, 3)), 2))
+    return path, lambda: load_pca(path)
+
+
+@pytest.mark.parametrize("fmt", ["wrds", "bin", "wrmd"])
+def test_every_strict_prefix_raises_artifact_error(tmp_path, fmt):
+    path, read = _tiny_binary_file(tmp_path, fmt)
+    raw = path.read_bytes()
+    read()  # the whole file reads
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ArtifactIOError):
+            read()
 
 
 class TestManifests:
@@ -795,6 +859,46 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_page_pca_of_other_dim_exits_one_before_writing(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = entrypoint(
+            [
+                "encode", "--manifest", str(workspace["manifest"]),
+                "--models", str(workspace["run"]), "--out", str(out), "--page-dim", "6",
+                "--page-pca", str(workspace["run"] / "page_pca.wrmd"),  # an 8-d model
+            ]
+        )
+        assert code == 1
+        assert "target_dim 6" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, artifact, arrays",
+        [
+            ("train", "labels.wrmd", lambda a: {**a, "kept": a["kept"] + len(a["descriptors"])}),
+            ("train", "labels.wrmd", lambda a: {**a, "labels": a["labels"][:-1]}),
+            ("encode", "pca.wrmd", lambda a: {**a, "basis": a["basis"][:, 1:]}),
+        ],
+        ids=["kept-out-of-range", "labels-short", "pca-basis"],
+    )
+    def test_inconsistent_model_exits_two(
+        self, workspace, tmp_path, capsys, command, artifact, arrays
+    ):
+        models = tmp_path / "models"
+        shutil.copytree(workspace["run"], models)
+        kind = {"labels.wrmd": "labels", "pca.wrmd": "pca"}[artifact]
+        meta, loaded = load_model(models / artifact, kind)
+        save_model(models / artifact, kind, meta, arrays(loaded))
+        inputs = {
+            "train": ["--labels", str(models / "labels.wrmd")],
+            "encode": ["--manifest", str(workspace["manifest"]), "--models", str(models)],
+        }[command]
+        out = tmp_path / "out"
+        assert entrypoint([command, *inputs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(models / artifact) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_bad_flag_exits_one(self):

@@ -159,17 +159,6 @@ class TestSgr:
         with pytest.raises(ValidationError):
             sgr(_ring_pages(3), RerankConfig(method="sgr", k=3, layers=1, gamma=0.4))
 
-    def test_adjacency_weighting_differs(self):
-        pages = _ring_pages(6, seed=4)
-        sim = sgr(pages, RerankConfig(method="sgr", k=2, layers=1, gamma=0.4))
-        adj = sgr(
-            pages,
-            RerankConfig(method="sgr", k=2, layers=1, gamma=0.4, weighting="adjacency"),
-        )
-        assert any(
-            not np.allclose(a.vector, b.vector, atol=1e-12) for a, b in zip(sim, adj)
-        )
-
 
 class TestKrnnQe:
     def test_empty_reciprocal_set_unchanged(self):

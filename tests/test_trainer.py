@@ -23,23 +23,7 @@ from wret.trainer import (
     learning_rate,
     mine_hard_triplets,
     train,
-    triplet_loss,
 )
-
-
-class TestTripletLoss:
-    def test_clamped_to_zero(self):
-        assert triplet_loss(0.2, 0.5, 0.1) == 0.0
-
-    def test_equal_distances_give_margin(self):
-        assert triplet_loss(0.7, 0.7, 0.1) == pytest.approx(0.1)
-
-    def test_scalar_oracle(self):
-        assert triplet_loss(0.9, 0.1, 0.1) == pytest.approx(0.9)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValidationError):
-            triplet_loss(-0.1, 0.5, 0.1)
 
 
 class TestMining:
