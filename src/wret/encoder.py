@@ -143,6 +143,24 @@ def soft_assign(cb: Codebook, x: np.ndarray) -> np.ndarray:
     return alpha[0] if single else alpha
 
 
+def _prenormalize(cb: Codebook, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """netvlad l2-normalizes each input row (and returns the norms);
+    netrvlad uses the rows as they are."""
+    if cb.mode != "netvlad":
+        return rows, None
+    znorm = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(znorm == 0.0):
+        raise ValidationError("netvlad prenormalization rejects zero embeddings")
+    return rows / znorm, znorm
+
+
+def _intranormalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """l2-normalize v along its last axis, and return the norms; zero
+    rows stay zero rather than dividing by zero."""
+    gnorm = np.linalg.norm(v, axis=-1, keepdims=True)
+    return np.where(gnorm > 0.0, v / np.where(gnorm > 0.0, gnorm, 1.0), v), gnorm
+
+
 def encode_patches(
     cb: Codebook, xs: np.ndarray, return_cache: bool = False
 ) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray | None]]:
@@ -154,22 +172,68 @@ def encode_patches(
     (norms of the weighted residual rows before intranormalization);
     znorm and gnorm are None in netrvlad mode."""
     rows, _ = _as_rows(xs, cb.dim, "encode_patches")
-    znorm = gnorm = None
-    if cb.mode == "netvlad":
-        znorm = np.linalg.norm(rows, axis=1, keepdims=True)
-        if np.any(znorm == 0.0):
-            raise ValidationError("netvlad prenormalization rejects zero embeddings")
-        rows = rows / znorm
+    rows, znorm = _prenormalize(cb, rows)
+    gnorm = None
     alpha = soft_assign(cb, rows)
     resid = rows[:, None, :] - cb.centers[None, :, :]
     v = alpha[:, :, None] * resid
     if cb.mode == "netvlad":
-        gnorm = np.linalg.norm(v, axis=2, keepdims=True)
-        # Zero residual rows stay zero rather than dividing by zero.
-        v = np.where(gnorm > 0.0, v / np.where(gnorm > 0.0, gnorm, 1.0), v)
+        v, gnorm = _intranormalize(v)
     if not return_cache:
         return v
     return v, {"znorm": znorm, "xhat": rows, "alpha": alpha, "resid": resid, "gnorm": gnorm}
+
+
+# pool_patches takes a (patch, cluster) pair's encoding row from the
+# expanded squared distance unless the expansion has cancelled (the
+# distance is at most CANCEL_RATIO of |x|^2 + |c|^2) or the row's squared
+# norm is below TINY_SQNORM, where squaring its entries underflows; such
+# pairs are formed from the difference, as encode_patches forms them.
+CANCEL_RATIO = 0.1
+TINY_SQNORM = 1e-280
+
+
+def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
+    """Sum of a page's l2-normalized flat patch encodings, (n_clusters * dim,).
+
+    Equals pool_page(flatten_encoding(encode_patches(cb, xs))) up to
+    rounding without forming the (n, n_clusters, dim) stack: the rows
+    a_ik (x_i - c_k), or their intranormalized netvlad form, are weighted
+    residuals, so the sum over patches is W^T X - colsum(W) c per cluster,
+    one matmul. Pairs whose squared distance cancels or whose row's squared
+    norm underflows are formed exactly as encode_patches forms them and
+    added on their own.
+    """
+    rows, _ = _as_rows(xs, cb.dim, "pool_patches")
+    if rows.shape[0] == 0:
+        raise ValidationError("pool_patches needs at least one patch")
+    rows, _ = _prenormalize(cb, rows)
+    alpha = soft_assign(cb, rows)
+    scale = np.sum(rows**2, axis=1)[:, None] + np.sum(cb.centers**2, axis=1)[None, :]
+    sq = np.maximum(scale - 2.0 * (rows @ cb.centers.T), 0.0)
+    sqnorm = alpha**2 * sq  # squared norm of each row a_ik (x_i - c_k)
+    fast = (sq > CANCEL_RATIO * scale) & (sqnorm >= TINY_SQNORM)
+    exact = (alpha > 0.0) & ~fast
+    if cb.mode == "netvlad":
+        # Intranormalized rows (x_i - c_k) / |x_i - c_k| have unit norm.
+        coef = np.where(fast, 1.0 / np.sqrt(np.where(fast, sq, 1.0)), 0.0)
+        sqnorm = fast.astype(np.float64)
+    else:
+        coef = np.where(fast, alpha, 0.0)
+        sqnorm = np.where(fast, sqnorm, 0.0)
+    i, k = np.nonzero(exact)
+    v = alpha[i, k, None] * (rows[i] - cb.centers[k])
+    if cb.mode == "netvlad":
+        v, _ = _intranormalize(v)
+    sqnorm[i, k] = np.sum(v**2, axis=1)
+    norms = np.sqrt(sqnorm.sum(axis=1))
+    zero = np.flatnonzero(norms == 0.0)
+    if len(zero):
+        raise ValidationError(f"patch {int(zero[0])} has an all-zero encoding")
+    w = coef / norms[:, None]
+    pooled = w.T @ rows - w.sum(axis=0)[:, None] * cb.centers
+    np.add.at(pooled, k, v / norms[i, None])
+    return pooled.reshape(-1)
 
 
 def encode_flat(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,6 +84,16 @@ def typed_entry(path: Path | str, table, key: str, kind: type | tuple[type, ...]
     if not isinstance(value, kind):
         raise ArtifactIOError(f"{path} has no '{key}' entry of the expected type")
     return value
+
+
+@contextmanager
+def _model_checks(path: Path | str):
+    """A model's own consistency checks, failing as an ArtifactIOError that
+    names the file at path: its arrays came from disk, not from the user."""
+    try:
+        yield
+    except ValidationError as err:
+        raise ArtifactIOError(f"{path}: {err}") from None
 
 
 # --------------------------------------------------------------------------
@@ -277,15 +288,16 @@ def save_backbone(path: Path | str, backbone: Backbone, seed: int) -> None:
 
 def load_backbone(path: Path | str) -> Backbone:
     meta, arrays = load_model(path, "backbone")
-    layers = [
-        Layer(
-            weight=typed_entry(path, arrays, f"layer{i}.weight", np.ndarray),
-            bias=typed_entry(path, arrays, f"layer{i}.bias", np.ndarray),
-            activation=act,
-        )
-        for i, act in enumerate(typed_entry(path, meta, "activations", list))
-    ]
-    return Backbone(layers=tuple(layers))
+    with _model_checks(path):
+        layers = [
+            Layer(
+                weight=typed_entry(path, arrays, f"layer{i}.weight", np.ndarray),
+                bias=typed_entry(path, arrays, f"layer{i}.bias", np.ndarray),
+                activation=act,
+            )
+            for i, act in enumerate(typed_entry(path, meta, "activations", list))
+        ]
+        return Backbone(layers=tuple(layers))
 
 
 def save_codebook(path: Path | str, codebook: Codebook, seed: int) -> None:
@@ -299,12 +311,13 @@ def save_codebook(path: Path | str, codebook: Codebook, seed: int) -> None:
 
 def load_codebook(path: Path | str) -> Codebook:
     meta, arrays = load_model(path, "codebook")
-    return Codebook(
-        centers=typed_entry(path, arrays, "centers", np.ndarray),
-        weights=typed_entry(path, arrays, "weights", np.ndarray),
-        bias=typed_entry(path, arrays, "bias", np.ndarray),
-        mode=typed_entry(path, meta, "mode", str),
-    )
+    with _model_checks(path):
+        return Codebook(
+            centers=typed_entry(path, arrays, "centers", np.ndarray),
+            weights=typed_entry(path, arrays, "weights", np.ndarray),
+            bias=typed_entry(path, arrays, "bias", np.ndarray),
+            mode=typed_entry(path, meta, "mode", str),
+        )
 
 
 def save_pca(path: Path | str, model: PcaModel) -> None:

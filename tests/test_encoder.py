@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from wret.aggregation import pool_page
 from wret.encoder import (
     MODES,
     Backbone,
@@ -12,6 +15,7 @@ from wret.encoder import (
     flatten_encoding,
     init_backbone,
     init_codebook,
+    pool_patches,
     soft_assign,
 )
 from wret.errors import ValidationError
@@ -214,6 +218,115 @@ class TestEncodePatch:
                 np.testing.assert_array_equal(stack[i], encode_patches(cb, xs[i])[0])
             # The cached variant runs the same forward pass.
             np.testing.assert_array_equal(encode_patches(cb, xs, return_cache=True)[0], stack)
+
+
+def _pool_oracle(cb: Codebook, xs: np.ndarray) -> np.ndarray:
+    """The generic composition pool_patches stands in for."""
+    return pool_page(flatten_encoding(encode_patches(cb, xs)))
+
+
+def _assert_pools_alike(cb: Codebook, xs: np.ndarray) -> bool:
+    """pool_patches matches the oracle to 1e-12 of the oracle's largest
+    entry, or raises the oracle's ValidationError; True if it compared."""
+    try:
+        ref = _pool_oracle(cb, xs)
+    except ValidationError as err:
+        with pytest.raises(ValidationError, match=re.escape(str(err))):
+            pool_patches(cb, xs)
+        return False
+    got = pool_patches(cb, xs)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    return True
+
+
+def _random_page(rng, mode: str, placed: str, k: int | None = None, n: int | None = None):
+    """A random codebook and page at a scale from 1e-3 to 1e3. `placed`
+    puts the first patches on a center ("equal"), within 1e-9 of one
+    ("near") or at a distance from 1e-8 to 1 from one ("close"), relative
+    to the scale."""
+    k = int(rng.integers(1, 9)) if k is None else k
+    n = int(rng.integers(1, 41)) if n is None else n
+    dim = int(rng.integers(2, 33))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    centers = rng.normal(size=(k, dim))
+    if mode == "netvlad":
+        # netvlad compares the unit-norm inputs with the centers
+        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+        weights = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-1.0, 1.0)
+    else:
+        centers *= scale
+        weights = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-1.0, 1.0) / scale
+    cb = Codebook(centers=centers, weights=weights, bias=rng.normal(size=k), mode=mode)
+    xs = rng.normal(size=(n, dim)) * scale
+    m = int(rng.integers(1, n + 1))
+    if placed != "none":
+        on = centers[rng.integers(0, k, size=m)]
+        if mode == "netvlad":
+            on = on * scale  # prenormalization brings it back onto the center
+        if placed != "equal":
+            offset = rng.normal(size=on.shape)
+            offset /= np.linalg.norm(offset, axis=1, keepdims=True)
+            size = 1e-9 if placed == "near" else 10.0 ** rng.uniform(-8.0, 0.0, size=(m, 1))
+            on = on + offset * size * scale
+        xs[:m] = on
+    return cb, xs
+
+
+PLACED = ("none", "equal", "near", "close")
+
+
+class TestPoolPatches:
+    @pytest.mark.parametrize("placed", PLACED)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_stack_oracle(self, mode, placed):
+        rng = np.random.default_rng([MODES.index(mode), PLACED.index(placed)])
+        shapes = [(1, 1), (1, None), (None, 1)] + [(None, None)] * 97
+        compared = sum(
+            _assert_pools_alike(*_random_page(rng, mode, placed, k, n)) for k, n in shapes
+        )
+        assert compared >= 80
+
+    def test_netvlad_rows_whose_norm_underflows_match_the_stack(self):
+        # Sharp assignments put some a_ik below 1e-162: the squared entries
+        # of a_ik (x_i - c_k) underflow, so encode_patches leaves that row
+        # unnormalized and near zero instead of scaling it to unit norm.
+        rng = np.random.default_rng(5)
+        underflowing = 0
+        for _ in range(40):
+            centers = rng.normal(size=(6, 8))
+            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+            tau = 10.0 ** rng.uniform(2.5, 3.5)
+            cb = Codebook(
+                centers=centers, weights=2 * tau * centers, bias=-tau * np.ones(6), mode="netvlad"
+            )
+            xs = rng.normal(size=(20, 8))
+            alpha = encode_patches(cb, xs, return_cache=True)[1]["alpha"]
+            underflowing += int(np.sum((alpha > 0.0) & (alpha < 1e-162)))
+            _assert_pools_alike(cb, xs)
+        assert underflowing > 0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_patch_on_its_only_center_is_an_all_zero_encoding(self, mode):
+        cb = Codebook(
+            centers=np.array([[0.6, 0.8]]), weights=np.ones((1, 2)), bias=np.zeros(1), mode=mode
+        )
+        xs = np.array([[0.3, -0.2], [0.6, 0.8]])
+        with pytest.raises(ValidationError, match="patch 1 has an all-zero encoding"):
+            pool_patches(cb, xs)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_row_order_does_not_matter(self, mode):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            cb, xs = _random_page(rng, mode, "none")
+            pooled = pool_patches(cb, xs)
+            shuffled = pool_patches(cb, xs[rng.permutation(len(xs))])
+            assert np.max(np.abs(shuffled - pooled)) <= 1e-12 * np.max(np.abs(pooled))
+
+    def test_empty_page_rejected(self):
+        with pytest.raises(ValidationError, match="at least one patch"):
+            pool_patches(_simple_codebook(), np.zeros((0, 2)))
 
 
 class TestHardVlad:

@@ -327,16 +327,25 @@ _KEPT = {**_LABELS, "kept": np.array([0, 1], dtype=np.int64)}
         (load_labels, "labels", {**_KEPT, "labels": np.zeros((2, 1), dtype=np.int64)}),
         (load_labels, "labels", {**_KEPT, "rejected": np.array([5], dtype=np.int64)}),
         (load_labels, "labels", {**_KEPT, "descriptors": np.ones(2)}),
+        (load_codebook, "codebook", {**_CODEBOOK, "centers": np.ones((2, 3))}),
+        (load_backbone, "backbone", {**_LAYER, "layer0.bias": np.zeros(3)}),
+        (
+            load_backbone, "backbone",
+            {**_LAYER, "layer1.weight": np.ones((2, 3)), "layer1.bias": np.zeros(2)},
+        ),
     ],
     ids=[
         "pca-basis-rows", "pca-basis-cols", "pca-mean-2d", "kept-out-of-range",
         "kept-negative", "kept-float", "labels-short", "labels-2d", "rejected-out-of-range",
-        "descriptors-1d",
+        "descriptors-1d", "codebook-weights", "backbone-bias", "backbone-chain",
     ],
 )
 def test_model_with_inconsistent_arrays_raises_artifact_error(tmp_path, loader, kind, arrays):
     path = tmp_path / "m.wrmd"
-    save_model(path, kind, {"whiten": True}, arrays)  # load_labels ignores meta
+    # each loader reads only its own meta keys; load_labels reads none
+    layers = sum(name.endswith(".weight") for name in arrays)
+    meta = {"activations": ["relu"] * layers, "mode": "netrvlad", "whiten": True}
+    save_model(path, kind, meta, arrays)
     with pytest.raises(ArtifactIOError, match=re.escape(str(path))):
         loader(path)
 
@@ -555,6 +564,17 @@ class TestStages:
         assert (tmp_path / "embeddings.json").read_text() == (
             workspace["run"] / "embeddings.json"
         ).read_text()
+
+    def test_encode_never_builds_the_patch_stack(self, workspace, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("encode built an (n, K, D) patch stack")
+
+        monkeypatch.setattr("wret.stages.encode_patches", refuse)
+        monkeypatch.setattr("wret.encoder.encode_patches", refuse)
+        out = run_encode(workspace["manifest"], workspace["run"], tmp_path, workspace["ecfg"])
+        assert out.with_suffix(".bin").read_bytes() == (
+            workspace["embeddings"].with_suffix(".bin").read_bytes()
+        )
 
     def test_encode_with_prefit_page_pca(self, workspace, tmp_path):
         cfg = EncodeConfig(page_dim=8, page_pca=str(workspace["run"] / "page_pca.wrmd"))
@@ -874,21 +894,49 @@ class TestCli:
         assert "target_dim 6" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_page_without_descriptors_exits_one_naming_it(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["manifest"].parent, data)
+        manifest = load_manifest(data / "manifest.json")
+        empty = manifest.pages[4]
+        dim = read_descriptors(manifest.descriptor_path(empty)).shape[1]
+        write_descriptors(manifest.descriptor_path(empty), np.zeros((0, dim)))
+        out = tmp_path / "out"
+        code = entrypoint(
+            [
+                "encode", "--manifest", str(data / "manifest.json"),
+                "--models", str(workspace["run"]), "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"page {empty.page_id} has no descriptors" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, artifact, arrays",
         [
             ("train", "labels.wrmd", lambda a: {**a, "kept": a["kept"] + len(a["descriptors"])}),
             ("train", "labels.wrmd", lambda a: {**a, "labels": a["labels"][:-1]}),
             ("encode", "pca.wrmd", lambda a: {**a, "basis": a["basis"][:, 1:]}),
+            ("encode", "codebook.wrmd", lambda a: {**a, "weights": a["weights"][:, 1:]}),
+            (
+                "encode", "backbone.wrmd",
+                lambda a: {**a, "layer0.bias": np.append(a["layer0.bias"], 0.0)},
+            ),
+            ("encode", "backbone.wrmd", lambda a: {**a, "layer1.weight": a["layer1.weight"][:, 1:]}),
         ],
-        ids=["kept-out-of-range", "labels-short", "pca-basis"],
+        ids=[
+            "kept-out-of-range", "labels-short", "pca-basis", "codebook-weights",
+            "backbone-bias", "backbone-chain",
+        ],
     )
     def test_inconsistent_model_exits_two(
         self, workspace, tmp_path, capsys, command, artifact, arrays
     ):
         models = tmp_path / "models"
         shutil.copytree(workspace["run"], models)
-        kind = {"labels.wrmd": "labels", "pca.wrmd": "pca"}[artifact]
+        kind = artifact.removesuffix(".wrmd")
         meta, loaded = load_model(models / artifact, kind)
         save_model(models / artifact, kind, meta, arrays(loaded))
         inputs = {
