@@ -126,21 +126,29 @@ def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
 
 def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
     """Reciprocal-kNN query expansion: average each embedding with the
-    neighbors that also list it back, then l2-normalize."""
-    if len(pages) < 2:
+    neighbors that also list it back, then l2-normalize.
+
+    Each group (self included) is summed from zeros in ascending index
+    order, so pages with the same group get bitwise-equal vectors and
+    the ranking's page-id tie rule orders them."""
+    n = len(pages)
+    if n < 2:
         raise ValidationError("need at least 2 pages")
     if k < 1:
         raise ValidationError("k must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
-    neighbors = rank_rows(sims, np.arange(len(pages)))[:, :k]
+    neighbors = rank_rows(sims, np.arange(n))[:, :k]
     member = _membership(neighbors)
     # reciprocal[i, c]: vertex i is among the neighbors of its c-th neighbor
     reciprocal = np.take_along_axis(member.T, neighbors, axis=1)
-    acc = unit.copy()
-    for c in range(neighbors.shape[1]):
-        np.add(acc, unit[neighbors[:, c]], out=acc, where=reciprocal[:, c, None])
-    acc /= (reciprocal.sum(axis=1) + 1)[:, None]
+    # non-members point at an appended zero row and sort last
+    groups = np.sort(np.column_stack([np.arange(n), np.where(reciprocal, neighbors, n)]), axis=1)
+    padded = np.vstack([unit, np.zeros(unit.shape[1])])
+    acc = np.zeros_like(unit)
+    for c in range(groups.shape[1]):
+        acc += padded[groups[:, c]]
+    acc /= (groups < n).sum(axis=1)[:, None]
     norms = np.linalg.norm(acc, axis=1)
     out = acc / np.where(norms > 0.0, norms, 1.0)[:, None]
     return _with_vectors(pages, out)

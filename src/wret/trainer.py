@@ -31,15 +31,12 @@ from .seeds import derive_seed
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-MININGS = ("hard", "semi")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one training run.
 
-    mining "hard" admits a mined candidate only when d_an < d_ap - m (loss
-    above twice the margin); "semi" admits the complement, d_an > d_ap - m.
     max_steps caps the number of processed batches across all epochs.
     """
 
@@ -52,7 +49,6 @@ class TrainConfig:
     patience: int = 5
     validation_fraction: float = 0.1
     seed: int = 0
-    mining: str = "hard"
     max_steps: int | None = None
     n_clusters: int = 16
     backbone_dims: tuple[int, ...] | None = None
@@ -73,8 +69,6 @@ class TrainConfig:
             raise ValidationError("batch_size must cover at least two classes")
         if self.epochs_max < 1 or self.warmup_epochs < 0 or self.patience < 1:
             raise ValidationError("epoch counts out of range")
-        if self.mining not in MININGS:
-            raise ValidationError(f"unknown mining rule {self.mining!r}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValidationError("max_steps must be positive when set")
         if self.val_pool_cap < 1:
@@ -103,13 +97,15 @@ class TripletBatch:
             raise ValidationError("margin must be positive")
         if self.inputs.shape[0] != n or self.encodings.shape[0] != n:
             raise ValidationError("batch arrays disagree on item count")
-        for a, p, neg in self.triplets:
-            if not (0 <= a < n and 0 <= p < n and 0 <= neg < n):
-                raise ValidationError("triplet index out of range")
-            if self.labels[p] != self.labels[a]:
-                raise ValidationError("positive must share the anchor label")
-            if self.labels[neg] == self.labels[a]:
-                raise ValidationError("negative must differ from the anchor label")
+        t = np.asarray(self.triplets, dtype=np.intp).reshape(len(self.triplets), 3)
+        # explicit, since numpy would wrap a negative index
+        if np.any((t < 0) | (t >= n)):
+            raise ValidationError("triplet index out of range")
+        a, p, neg = t.T
+        if np.any(self.labels[p] != self.labels[a]):
+            raise ValidationError("positive must share the anchor label")
+        if np.any(self.labels[neg] == self.labels[a]):
+            raise ValidationError("negative must differ from the anchor label")
 
 
 @dataclass(frozen=True)
@@ -131,25 +127,28 @@ class TrainReport:
     steps: int
 
 
+def _parameters(backbone: Backbone, codebook: Codebook) -> list[tuple[str, np.ndarray]]:
+    """Every trainable array under its block name, in the one block order
+    that Gradients, backward and Adam share."""
+    blocks = []
+    for i, layer in enumerate(backbone.layers):
+        blocks.append((f"backbone.layer{i}.weight", layer.weight))
+        blocks.append((f"backbone.layer{i}.bias", layer.bias))
+    blocks.append(("codebook.centers", codebook.centers))
+    blocks.append(("codebook.weights", codebook.weights))
+    blocks.append(("codebook.bias", codebook.bias))
+    return blocks
+
+
 @dataclass(frozen=True)
 class Gradients:
-    """Loss gradients for every trainable block, in parameter layout."""
+    """Loss gradients for every trainable block, named and ordered as
+    _parameters lists the parameters."""
 
-    layer_weights: tuple[np.ndarray, ...]
-    layer_biases: tuple[np.ndarray, ...]
-    centers: np.ndarray
-    weights: np.ndarray
-    bias: np.ndarray
+    blocks: tuple[tuple[str, np.ndarray], ...]
 
     def named_blocks(self) -> list[tuple[str, np.ndarray]]:
-        blocks = []
-        for i, (w, b) in enumerate(zip(self.layer_weights, self.layer_biases)):
-            blocks.append((f"backbone.layer{i}.weight", w))
-            blocks.append((f"backbone.layer{i}.bias", b))
-        blocks.append(("codebook.centers", self.centers))
-        blocks.append(("codebook.weights", self.weights))
-        blocks.append(("codebook.bias", self.bias))
-        return blocks
+        return list(self.blocks)
 
 
 def _pairwise_distances(f: np.ndarray) -> np.ndarray:
@@ -159,17 +158,14 @@ def _pairwise_distances(f: np.ndarray) -> np.ndarray:
 
 
 def mine_hard_triplets(
-    encodings: np.ndarray, labels: np.ndarray, m: float, mining: str = "hard"
+    encodings: np.ndarray, labels: np.ndarray, m: float
 ) -> tuple[tuple[int, int, int], ...]:
     """Batch-hard candidates filtered by the admission rule.
 
     Per anchor: hardest positive (max distance, same label) and hardest
     negative (min distance, other label), ties to the lowest index. The
-    candidate is emitted iff d_an < d_ap - m ("hard") or its complement
-    d_an > d_ap - m ("semi"). Anchors ascend.
+    candidate is emitted iff d_an < d_ap - m. Anchors ascend.
     """
-    if mining not in MININGS:
-        raise ValidationError(f"unknown mining rule {mining!r}")
     labels = np.asarray(labels)
     if len(labels) == 0:
         return ()
@@ -182,7 +178,7 @@ def mine_hard_triplets(
     neg = np.argmin(np.where(same, np.inf, dist), axis=1)
     d_ap = dist[anchors, p]
     d_an = dist[anchors, neg]
-    admit = d_an < d_ap - m if mining == "hard" else d_an > d_ap - m
+    admit = d_an < d_ap - m
     # An anchor needs a positive besides itself and at least one negative.
     admit &= pos.any(axis=1) & ~same.all(axis=1)
     return tuple((int(a), int(p[a]), int(neg[a])) for a in np.flatnonzero(admit))
@@ -199,8 +195,11 @@ def backward(
 ) -> tuple[float, Gradients]:
     """Mean triplet loss and its exact gradients for every parameter block.
 
-    Clamped triplets (loss 0, boundary included) contribute zero gradient;
-    the same subgradient-0 convention applies at zero distances.
+    Each active triplet (loss > 0) weights its pairs: C[a, p] += 1 / (T d_ap)
+    and C[a, n] -= 1 / (T d_an) over all T triplets, so the encodings'
+    gradient is the Laplacian of W = C + C^T applied to them. Clamped
+    triplets (loss 0, boundary included) contribute zero gradient; the
+    same subgradient-0 convention applies at zero distances.
     """
     if not batch.triplets:
         raise ValidationError("backward requires a nonempty triplet list")
@@ -209,22 +208,19 @@ def backward(
     flat = flatten_encoding(v)
     n, n_clusters = fwd["alpha"].shape
     count = len(batch.triplets)
-    dflat = np.zeros_like(flat)
-    total = 0.0
-    for a, p, neg in batch.triplets:
-        diff_ap = flat[a] - flat[p]
-        diff_an = flat[a] - flat[neg]
-        d_ap = float(np.linalg.norm(diff_ap))
-        d_an = float(np.linalg.norm(diff_an))
-        loss = d_ap - d_an + batch.margin
-        if loss <= 0.0:
-            continue
-        total += loss
-        u_ap = diff_ap / d_ap if d_ap > 0.0 else np.zeros_like(diff_ap)
-        u_an = diff_an / d_an if d_an > 0.0 else np.zeros_like(diff_an)
-        dflat[a] += (u_ap - u_an) / count
-        dflat[p] -= u_ap / count
-        dflat[neg] += u_an / count
+    a, p, neg = np.asarray(batch.triplets, dtype=np.intp).T
+    d_ap = np.linalg.norm(flat[a] - flat[p], axis=1)
+    d_an = np.linalg.norm(flat[a] - flat[neg], axis=1)
+    loss = d_ap - d_an + batch.margin
+    active = loss > 0.0
+    scale = np.where(active, 1.0 / count, 0.0)
+    inv_ap = np.divide(scale, d_ap, out=np.zeros(count), where=d_ap > 0.0)
+    inv_an = np.divide(scale, d_an, out=np.zeros(count), where=d_an > 0.0)
+    pair_weights = np.zeros((n, n))
+    np.add.at(pair_weights, (a, p), inv_ap)
+    np.add.at(pair_weights, (a, neg), -inv_an)
+    w = pair_weights + pair_weights.T
+    dflat = w.sum(axis=1)[:, None] * flat - w @ flat
 
     dv = dflat.reshape(n, n_clusters, -1)
     if codebook.mode == "netvlad":
@@ -250,22 +246,16 @@ def backward(
         dh = (dxhat - dot * xhat) / znorm
     else:
         dh = dxhat
-    layer_w_grads: list[np.ndarray] = []
-    layer_b_grads: list[np.ndarray] = []
-    for layer, (h_in, pre) in zip(reversed(backbone.layers), reversed(layer_cache)):
+    by_name = {"codebook.centers": dcenters, "codebook.weights": dweights, "codebook.bias": dbias}
+    for i in reversed(range(len(backbone.layers))):
+        layer, (h_in, pre) = backbone.layers[i], layer_cache[i]
         da = dh * (pre > 0.0) if layer.activation == "relu" else dh
-        layer_w_grads.append(da.T @ h_in)
-        layer_b_grads.append(da.sum(axis=0))
+        by_name[f"backbone.layer{i}.weight"] = da.T @ h_in
+        by_name[f"backbone.layer{i}.bias"] = da.sum(axis=0)
         dh = da @ layer.weight
-    grads = Gradients(
-        layer_weights=tuple(reversed(layer_w_grads)),
-        layer_biases=tuple(reversed(layer_b_grads)),
-        centers=dcenters,
-        weights=dweights,
-        bias=dbias,
-    )
+    grads = Gradients(tuple((name, by_name[name]) for name, _ in _parameters(backbone, codebook)))
     _check_finite(grads)
-    return total / count, grads
+    return float(loss[active].sum()) / count, grads
 
 
 def learning_rate(epoch: int, cfg: TrainConfig) -> float:
@@ -300,13 +290,10 @@ def _copy_models(backbone: Backbone, codebook: Codebook) -> tuple[Backbone, Code
 
 
 class _Adam:
-    """Adam updating the models' parameter arrays in place, fixed constants.
-
-    The arrays are listed in Gradients.named_blocks() order."""
+    """Adam updating the models' parameter arrays in place, fixed constants."""
 
     def __init__(self, backbone: Backbone, codebook: Codebook):
-        self.params = [a for layer in backbone.layers for a in (layer.weight, layer.bias)]
-        self.params += [codebook.centers, codebook.weights, codebook.bias]
+        self.params = [arr for _, arr in _parameters(backbone, codebook)]
         self.m = [np.zeros_like(a) for a in self.params]
         self.v = [np.zeros_like(a) for a in self.params]
         self.t = 0
@@ -470,7 +457,7 @@ def train(
             x = data[batch_idx]
             lab = labels[batch_idx]
             flat = encode_flat(backbone, codebook, x)
-            trips = mine_hard_triplets(flat, lab, cfg.margin, cfg.mining)
+            trips = mine_hard_triplets(flat, lab, cfg.margin)
             admitted += len(trips)
             if not trips:
                 # Nothing admitted: zero gradient, so skip the Adam step to

@@ -1,14 +1,23 @@
 """Shared test machinery: an independent triplet-loss objective, a central
 finite-difference harness for checking analytic gradients, and plain-loop
 oracles that the vectorized k-means, assignment, mining and ranking must
-match bitwise."""
+match bitwise and the pair-weight triplet gradient must match to rounding."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from wret import features
-from wret.encoder import Backbone, Codebook, Layer, backbone_forward, encode_flat
+from wret.encoder import (
+    Backbone,
+    Codebook,
+    Layer,
+    backbone_forward,
+    encode_flat,
+    encode_patches,
+    flatten_encoding,
+)
+from wret.trainer import TripletBatch
 
 FD_STEP = 1e-5
 # Relative error denominator floor; below this scale finite differences
@@ -231,7 +240,7 @@ def assign_and_filter_oracle(
 
 
 def mine_oracle(
-    encodings: np.ndarray, labels: np.ndarray, m: float, mining: str
+    encodings: np.ndarray, labels: np.ndarray, m: float
 ) -> tuple[tuple[int, int, int], ...]:
     """Batch-hard candidates, one anchor at a time."""
     labels = np.asarray(labels)
@@ -249,10 +258,68 @@ def mine_oracle(
         neg = int(np.argmin(np.where(~same, dist[a], np.inf)))
         d_ap = dist[a, p]
         d_an = dist[a, neg]
-        admit = d_an < d_ap - m if mining == "hard" else d_an > d_ap - m
-        if admit:
+        if d_an < d_ap - m:
             triplets.append((a, p, neg))
     return tuple(triplets)
+
+
+def backward_oracle(
+    batch: TripletBatch, backbone: Backbone, codebook: Codebook
+) -> tuple[float, dict[str, np.ndarray]]:
+    """trainer.backward with the encodings' gradient summed one triplet at
+    a time; returns the mean loss and the gradient of every named block."""
+    z, layer_cache = backbone_forward(backbone, batch.inputs, return_cache=True)
+    v, fwd = encode_patches(codebook, z, return_cache=True)
+    flat = flatten_encoding(v)
+    n, n_clusters = fwd["alpha"].shape
+    count = len(batch.triplets)
+    dflat = np.zeros_like(flat)
+    total = 0.0
+    for a, p, neg in batch.triplets:
+        diff_ap = flat[a] - flat[p]
+        diff_an = flat[a] - flat[neg]
+        d_ap = float(np.linalg.norm(diff_ap))
+        d_an = float(np.linalg.norm(diff_an))
+        loss = d_ap - d_an + batch.margin
+        if loss <= 0.0:
+            continue
+        total += loss
+        u_ap = diff_ap / d_ap if d_ap > 0.0 else np.zeros_like(diff_ap)
+        u_an = diff_an / d_an if d_an > 0.0 else np.zeros_like(diff_an)
+        dflat[a] += (u_ap - u_an) / count
+        dflat[p] -= u_ap / count
+        dflat[neg] += u_an / count
+
+    dv = dflat.reshape(n, n_clusters, -1)
+    if codebook.mode == "netvlad":
+        gnorm = fwd["gnorm"]
+        dot = np.sum(dv * v, axis=2, keepdims=True)
+        safe = np.where(gnorm > 0.0, gnorm, 1.0)
+        dg = np.where(gnorm > 0.0, (dv - dot * v) / safe, 0.0)
+    else:
+        dg = dv
+    alpha, resid = fwd["alpha"], fwd["resid"]
+    dalpha = np.sum(dg * resid, axis=2)
+    grads = {"codebook.centers": -np.einsum("nk,nkd->kd", alpha, dg)}
+    dxhat = np.einsum("nk,nkd->nd", alpha, dg)
+    srow = np.sum(dalpha * alpha, axis=1, keepdims=True)
+    dlogits = alpha * (dalpha - srow)
+    grads["codebook.weights"] = dlogits.T @ fwd["xhat"]
+    grads["codebook.bias"] = dlogits.sum(axis=0)
+    dxhat = dxhat + dlogits @ codebook.weights
+    if codebook.mode == "netvlad":
+        xhat, znorm = fwd["xhat"], fwd["znorm"]
+        dot = np.sum(dxhat * xhat, axis=1, keepdims=True)
+        dh = (dxhat - dot * xhat) / znorm
+    else:
+        dh = dxhat
+    for i in reversed(range(len(backbone.layers))):
+        layer, (h_in, pre) = backbone.layers[i], layer_cache[i]
+        da = dh * (pre > 0.0) if layer.activation == "relu" else dh
+        grads[f"backbone.layer{i}.weight"] = da.T @ h_in
+        grads[f"backbone.layer{i}.bias"] = da.sum(axis=0)
+        dh = da @ layer.weight
+    return total / count, grads
 
 
 def rank_rows_oracle(

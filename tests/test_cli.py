@@ -3,6 +3,7 @@ config a stage receives."""
 
 import argparse
 import inspect
+import json
 
 import pytest
 
@@ -22,10 +23,9 @@ CLI_SURFACE = {
     "train": [
         "store --alpha-init", "store --backbone-dims", "store --batch-size", "store --clusters",
         "store --config", "store --epochs-max", "store --labels required",
-        "store --learning-rate", "store --margin", "store --max-steps", "store --mining",
-        "store --mode", "store --out required", "store --patience", "store --per-class",
-        "store --seed", "store --val-pool-cap", "store --validation-fraction",
-        "store --warmup-epochs",
+        "store --learning-rate", "store --margin", "store --max-steps", "store --mode",
+        "store --out required", "store --patience", "store --per-class", "store --seed",
+        "store --val-pool-cap", "store --validation-fraction", "store --warmup-epochs",
     ],
     "encode": [
         "store --cap", "store --config", "store --manifest required",
@@ -108,3 +108,20 @@ def test_flag_reaches_config(monkeypatch, argv, stage, reach, expected):
         cli.main(argv)
     # repr tells 5 from 5.0, a tuple from a list and a str from a Path
     assert repr(reach(seen)) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        (["train", "--labels", "labels.wrmd"], {"mining": "hard"}),
+        (["report", "--manifest", "manifest.json"], {"train": {"mining": "semi"}}),
+    ],
+)
+def test_removed_mining_key_is_unknown(tmp_path, capsys, command, config):
+    # training has one admission rule, so "mining" is no longer a config field
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.entrypoint([*command, "--out", str(out), "--config", str(cfg_path)]) == 1
+    assert "unknown config keys: ['mining']" in capsys.readouterr().err
+    assert not out.exists()

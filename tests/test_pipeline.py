@@ -519,15 +519,17 @@ class TestStages:
             ).read_bytes()
 
     def test_backbone_dims_config_hash_is_stable(self, workspace, tmp_path):
-        # backbone_dims is hashed as a JSON array; these are the hashes
-        # earlier versions wrote, so existing reports keep matching
+        # backbone_dims is hashed as a JSON array, so a tuple and a list
+        # hash alike. The pins changed once, when TrainConfig lost its
+        # "mining" field (was 55e222c5... and 7240e406...); the pins are the
+        # old configs' hashes with that key left out
         short = dict(epochs_max=1, warmup_epochs=0, max_steps=2)
         run_cluster(
             workspace["manifest"], tmp_path, ClusterConfig(n_clusters=6, target_dim=32, seed=SEED)
         )
         train_cfg = _tiny_train_cfg(backbone_dims=(32, 48, 64), **short)
         report = run_train(tmp_path / "labels.wrmd", tmp_path, train_cfg)
-        assert report["config_hash"] == "55e222c57ba9eb02862613956174bba4ccca9247ed0003461e5dbc0f8791e70e"
+        assert report["config_hash"] == "c430b454c0afa024087e39b8ab47e15b144e3eaa74a3d685d0854f9ed3ecc029"
         report = run_report(
             workspace["manifest"],
             tmp_path / "report",
@@ -536,7 +538,7 @@ class TestStages:
             train_cfg=_tiny_train_cfg(backbone_dims=(16, 24, 32), **short),
             encode_cfg=EncodeConfig(page_dim=8),
         )
-        assert report["config_hash"] == "7240e406788abf2a3cf2d53947f428886b33a8acc3b5000b8023359c9245ccad"
+        assert report["config_hash"] == "6217f5535b0a16c731d7157260e0009b37889e000b8b7482ffb9d46de613cb02"
 
     def test_synth_config_hash_is_stable(self, tmp_path):
         # per-writer page counts are hashed as a JSON array; the hash

@@ -194,6 +194,22 @@ class TestKrnnQe:
             acc /= np.linalg.norm(acc)
             np.testing.assert_allclose(out[i].vector, acc, atol=1e-12)
 
+    def test_mutual_group_sums_in_one_order(self):
+        # p000-p002 are each other's 2 nearest neighbours, far from the rest:
+        # one group, so one bitwise vector, and the page-id rule orders ties
+        rng = np.random.default_rng(11)
+        tight = np.array([1.0, 0, 0, 0, 0, 0]) + 0.05 * rng.normal(size=(3, 6))
+        rest = rng.normal(size=(6, 6)) + np.array([0, 0, 0, 0, 0, -4.0])
+        pages = _unit_pages(np.vstack([tight, rest]))
+        out = krnn_qe(pages, k=2)
+        assert out[0].vector.tobytes() == out[1].vector.tobytes() == out[2].vector.tobytes()
+        base = {rl.query: rl.gallery for rl in rank_all(out)}
+        assert base["p000"][:2] == ("p001", "p002") and base["p002"][:2] == ("p000", "p001")
+        for seed in range(5):
+            perm = np.random.default_rng(seed).permutation(len(pages))
+            shuffled = krnn_qe([pages[i] for i in perm], k=2)
+            assert {rl.query: rl.gallery for rl in rank_all(shuffled)} == base
+
     def test_single_page_rejected(self):
         with pytest.raises(ValidationError):
             krnn_qe(_ring_pages(1), k=1)

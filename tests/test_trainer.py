@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from helpers import (
+    backward_oracle,
     max_relative_fd_error,
     mine_oracle,
+    named_param_arrays,
     random_gradcheck_config,
     rebuild_with,
     triplet_objective,
@@ -43,16 +45,6 @@ class TestMining:
         enc = np.array([[0.0], [1.0], [2.0]])
         assert mine_hard_triplets(enc, np.array([0, 0, 0]), 0.1) == ()
 
-    def test_semi_mode_is_complement(self):
-        enc = np.array([[0.0], [1.0], [0.5]])
-        labels = np.array([0, 0, 1])
-        hard = mine_hard_triplets(enc, labels, 0.1, "hard")
-        semi = mine_hard_triplets(enc, labels, 0.1, "semi")
-        assert hard != () and semi == ()
-        far = np.array([[0.0], [0.2], [5.0]])
-        assert mine_hard_triplets(far, labels, 0.1, "hard") == ()
-        assert mine_hard_triplets(far, labels, 0.1, "semi") == ((0, 1, 2), (1, 0, 2))
-
     def test_ties_pick_lowest_index(self):
         # Two positives at equal distance from the anchor, two equal negatives.
         enc = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.1], [0.0, -0.1]])
@@ -65,13 +57,13 @@ class TestMining:
         rng = np.random.default_rng(0)
         enc = rng.normal(size=(12, 4))
         labels = np.repeat([0, 1, 2], 4)
-        trips = mine_hard_triplets(enc, labels, 5.0, "semi")  # huge margin admits all
+        # a margin this negative admits every anchor: d_an < d_ap + 100
+        trips = mine_hard_triplets(enc, labels, -100.0)
         anchors = [a for a, _, _ in trips]
         assert anchors == sorted(anchors)
         assert len(trips) == 12
 
-    @pytest.mark.parametrize("mining", ["hard", "semi"])
-    def test_matches_per_anchor_loop(self, mining):
+    def test_matches_per_anchor_loop(self):
         rng = np.random.default_rng(5)
         for trial in range(200):
             n = int(rng.integers(1, 24))
@@ -79,23 +71,22 @@ class TestMining:
             enc = np.round(rng.normal(size=(n, 3)), int(rng.integers(0, 2)))
             labels = rng.integers(int(rng.integers(1, 6)), size=n)
             m = float(rng.choice([0.1, 0.5, 1.5]))
-            got = mine_hard_triplets(enc, labels, m, mining)
-            assert got == mine_oracle(enc, labels, m, mining), trial
+            got = mine_hard_triplets(enc, labels, m)
+            assert got == mine_oracle(enc, labels, m), trial
 
-    @pytest.mark.parametrize("mining", ["hard", "semi"])
-    def test_singletons_and_one_class_match_per_anchor_loop(self, mining):
+    def test_singletons_and_one_class_match_per_anchor_loop(self):
         rng = np.random.default_rng(6)
         enc = np.round(rng.normal(size=(10, 2)), 1)
         mixed = np.array([0, 0, 1, 2, 2, 3, 4, 4, 4, 5])
         for labels in (np.arange(10), np.zeros(10, dtype=int), mixed):
             for m in (0.05, 5.0):
-                got = mine_hard_triplets(enc, labels, m, mining)
-                assert got == mine_oracle(enc, labels, m, mining)
-        assert mine_hard_triplets(enc[:0], np.arange(0), 0.1, mining) == ()
+                got = mine_hard_triplets(enc, labels, m)
+                assert got == mine_oracle(enc, labels, m)
+        assert mine_hard_triplets(enc[:0], np.arange(0), 0.1) == ()
 
 
-def _tiny_models(mode: str = "netrvlad") -> tuple[Backbone, Codebook]:
-    rng = np.random.default_rng(42)
+def _tiny_models(mode: str = "netrvlad", seed: int = 42) -> tuple[Backbone, Codebook]:
+    rng = np.random.default_rng(seed)
     backbone = Backbone(
         layers=(
             Layer(weight=rng.normal(size=(4, 3)), bias=rng.normal(size=4), activation="relu"),
@@ -109,6 +100,41 @@ def _tiny_models(mode: str = "netrvlad") -> tuple[Backbone, Codebook]:
         mode=mode,
     )
     return backbone, codebook
+
+
+def _linear_models() -> tuple[Backbone, Codebook]:
+    """Identity backbone and one zero-weight cluster at the origin: the
+    encoding of an input is the input itself, so distances are exact."""
+    bb = Backbone(layers=(Layer(weight=np.eye(3), bias=np.zeros(3), activation="identity"),))
+    cb = Codebook(
+        centers=np.zeros((1, 3)), weights=np.zeros((1, 3)), bias=np.zeros(1), mode="netrvlad"
+    )
+    return bb, cb
+
+
+def _batch(bb, cb, inputs, labels, triplets, margin) -> TripletBatch:
+    return TripletBatch(
+        inputs=inputs, encodings=encode_flat(bb, cb, inputs), labels=np.asarray(labels),
+        triplets=tuple(triplets), margin=margin,
+    )
+
+
+def _assert_matches_oracle(batch, bb, cb) -> float:
+    """backward agrees with the per-triplet oracle, block by block in the
+    parameter order: the loss to 1e-12 relative, every gradient entry to
+    1e-12 of the gradient's largest entry. (Some blocks, e.g. a softmax
+    bias, cancel to roundoff, so a bound relative to their own size would
+    compare summation orders, not gradients.) Returns the loss."""
+    loss, grads = backward(batch, bb, cb)
+    want_loss, want = backward_oracle(batch, bb, cb)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    got = grads.named_blocks()
+    assert [name for name, _ in got] == [name for name, _ in named_param_arrays(bb, cb)]
+    scale = max(np.max(np.abs(arr)) for arr in want.values())
+    for name, arr in got:
+        assert arr.shape == want[name].shape, name
+        assert np.max(np.abs(arr - want[name])) <= 1e-12 * scale, name
+    return loss
 
 
 class TestBackward:
@@ -163,7 +189,7 @@ class TestBackward:
             triplets=(),
             margin=0.1,
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="nonempty triplet list"):
             backward(batch, bb, cb)
 
     def test_invalid_triplet_labels_rejected(self):
@@ -201,6 +227,75 @@ class TestBackward:
             checked += 1
         assert checked == 8
 
+    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
+    def test_matches_per_triplet_oracle(self, mode):
+        # random triplet lists: duplicates, clamped and active triplets,
+        # positives equal to their anchor, and T = 1
+        rng = np.random.default_rng(8)
+        active_seen = clamped_seen = 0
+        for trial in range(40):
+            bb, cb = _tiny_models(mode, seed=trial)
+            n = int(rng.integers(4, 10))
+            labels = np.concatenate([[0, 0, 1], rng.integers(3, size=n - 3)])
+            inputs = rng.normal(size=(n, 3))
+            triplets = []
+            for _ in range(int(rng.integers(1, 12))):
+                a = int(rng.integers(n))
+                p = int(rng.choice(np.flatnonzero(labels == labels[a])))
+                neg = int(rng.choice(np.flatnonzero(labels != labels[a])))
+                triplets.append((a, p, neg))
+            margin = float(rng.choice([0.05, 0.5, 3.0]))
+            batch = _batch(bb, cb, inputs, labels, triplets, margin)
+            _assert_matches_oracle(batch, bb, cb)
+            flat = batch.encodings
+            for a, p, neg in triplets:
+                loss = np.linalg.norm(flat[a] - flat[p]) - np.linalg.norm(flat[a] - flat[neg])
+                active_seen += loss + margin > 0.0
+                clamped_seen += loss + margin <= 0.0
+        assert active_seen and clamped_seen
+
+    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
+    def test_single_triplet_matches_oracle(self, mode):
+        bb, cb = _tiny_models(mode)
+        inputs = np.random.default_rng(3).normal(size=(3, 3))
+        batch = _batch(bb, cb, inputs, [0, 0, 1], [(0, 1, 2)], margin=10.0)
+        assert _assert_matches_oracle(batch, bb, cb) > 0.0
+
+    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
+    def test_duplicate_triplets_match_oracle(self, mode):
+        bb, cb = _tiny_models(mode)
+        inputs = np.random.default_rng(4).normal(size=(4, 3))
+        triplets = [(0, 1, 2), (0, 1, 2), (1, 0, 3), (0, 1, 2)]
+        batch = _batch(bb, cb, inputs, [0, 0, 1, 1], triplets, margin=10.0)
+        _assert_matches_oracle(batch, bb, cb)
+
+    def test_exactly_zero_loss_is_clamped_and_counted(self):
+        # d_ap = 5 and d_an = 5.5 exactly, so (0, 1, 2) has loss 0.0 at
+        # margin 0.5; (1, 0, 3) has d_ap 5, d_an 0.5 and stays active
+        bb, cb = _linear_models()
+        inputs = np.array([[0.0, 0, 0], [3.0, 4, 0], [5.5, 0, 0], [3.0, 4.5, 0]])
+        labels = [0, 0, 1, 1]
+        both = _batch(bb, cb, inputs, labels, [(0, 1, 2), (1, 0, 3)], margin=0.5)
+        flat = both.encodings
+        assert np.linalg.norm(flat[0] - flat[1]) - np.linalg.norm(flat[0] - flat[2]) + 0.5 == 0.0
+        loss = _assert_matches_oracle(both, bb, cb)
+        # the clamped triplet adds nothing but still counts in T
+        alone = _batch(bb, cb, inputs, labels, [(1, 0, 3)], margin=0.5)
+        loss_alone, g_alone = backward(alone, bb, cb)
+        assert loss == loss_alone / 2 == 2.5
+        _, g_both = backward(both, bb, cb)
+        for (_, got), (_, one) in zip(g_both.named_blocks(), g_alone.named_blocks()):
+            np.testing.assert_allclose(got, one / 2, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
+    def test_zero_anchor_positive_distance_matches_oracle(self, mode):
+        bb, cb = _tiny_models(mode)
+        inputs = np.random.default_rng(6).normal(size=(4, 3))
+        inputs[1] = inputs[0]
+        batch = _batch(bb, cb, inputs, [0, 0, 1, 1], [(0, 1, 2), (2, 3, 1)], margin=10.0)
+        assert np.all(batch.encodings[0] == batch.encodings[1])
+        _assert_matches_oracle(batch, bb, cb)
+
     def test_rebuild_helper_perturbs_one_entry(self):
         bb, cb = _tiny_models()
         bb2, cb2 = rebuild_with(bb, cb, "codebook.centers", 3, 0.25)
@@ -208,6 +303,37 @@ class TestBackward:
         assert delta.flat[3] == pytest.approx(0.25)
         assert np.count_nonzero(delta) == 1
         assert np.array_equal(bb2.layers[0].weight, bb.layers[0].weight)
+
+
+class TestTripletBatch:
+    @staticmethod
+    def _make(triplets) -> TripletBatch:
+        return TripletBatch(
+            inputs=np.zeros((3, 3)), encodings=np.zeros((3, 6)), labels=np.array([0, 0, 1]),
+            triplets=triplets, margin=0.1,
+        )
+
+    @pytest.mark.parametrize(
+        "triplets,message",
+        [
+            # numpy would wrap -1 to index 2, a valid negative
+            (((0, 1, -1),), "triplet index out of range"),
+            (((-1, 0, 2),), "triplet index out of range"),
+            (((0, 1, 2), (0, 3, 2)), "triplet index out of range"),
+            (((0, 1, 2), (0, 2, 2)), "positive must share the anchor label"),
+            (((0, 1, 2), (1, 0, 0)), "negative must differ from the anchor label"),
+        ],
+    )
+    def test_invalid_triplets_rejected(self, triplets, message):
+        with pytest.raises(ValidationError, match=message):
+            self._make(triplets)
+
+    def test_valid_triplets_accepted(self):
+        batch = self._make(((0, 1, 2), (1, 0, 2), (1, 1, 2)))
+        assert len(batch.triplets) == 3
+
+    def test_empty_triplets_construct(self):
+        assert self._make(()).triplets == ()
 
 
 class TestLearningRate:
