@@ -119,8 +119,8 @@ def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     if len(pages) < cfg.k + 1:
         raise ValidationError("need at least k + 1 pages")
     graph = build_similarity_graph(pages, cfg.gamma)
-    neighbors = rank_rows(graph.similarity, np.arange(len(pages)))[:, : cfg.k]
-    refined = _propagate(graph.adjacency.copy(), neighbors, graph.similarity, cfg.layers)
+    neighbors = rank_rows(graph.similarity, np.arange(len(pages)), k=cfg.k)
+    refined = _propagate(graph.adjacency, neighbors, graph.similarity, cfg.layers)
     return _with_vectors(pages, refined)
 
 
@@ -138,7 +138,7 @@ def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
         raise ValidationError("k must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
-    neighbors = rank_rows(sims, np.arange(n))[:, :k]
+    neighbors = rank_rows(sims, np.arange(n), k=k)
     member = _membership(neighbors)
     # reciprocal[i, c]: vertex i is among the neighbors of its c-th neighbor
     reciprocal = np.take_along_axis(member.T, neighbors, axis=1)
@@ -167,12 +167,12 @@ def hard_graph_rerank(
         raise ValidationError("layers must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
-    order = rank_rows(sims, np.arange(n))
-    fwd = _membership(order[:, :k1])
+    order = rank_rows(sims, np.arange(n), k=k1)
+    fwd = _membership(order)
     adjacency = np.where(fwd & fwd.T, 1.0, np.where(fwd | fwd.T, 0.5, 0.0))
     np.fill_diagonal(adjacency, 1.0)
     neighbors = order[:, :k2]
-    refined = _propagate(adjacency.copy(), neighbors, adjacency, layers)
+    refined = _propagate(adjacency, neighbors, adjacency, layers)
     return _with_vectors(pages, refined)
 
 

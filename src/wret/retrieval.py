@@ -7,6 +7,7 @@ import csv
 import io
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,12 +25,20 @@ class RankedList:
 
 @dataclass(frozen=True)
 class Ranking(Sequence):
-    """Leave-one-out ranking of a whole collection: row q of `order` holds
-    the gallery indices for query page_ids[q], best first. Each item is
-    that query's RankedList."""
+    """Leave-one-out ranking of a whole collection. `sims` holds the cosine
+    similarities with the diagonal at -inf, so a page never counts as a
+    candidate for itself. Row q of `order` holds the gallery indices for
+    query page_ids[q], best first; it is sorted on first use. Each item
+    is that query's RankedList."""
 
     page_ids: tuple[str, ...]
-    order: np.ndarray  # (n, n - 1) gallery indices
+    sims: np.ndarray  # (n, n)
+    tie_rank: np.ndarray  # (n,) position of each page in page_id order
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """(n, n - 1) gallery indices, best first."""
+        return rank_rows(self.sims, self.tie_rank)
 
     def __len__(self) -> int:
         return len(self.page_ids)
@@ -60,33 +69,70 @@ class RetrievalReport:
     query_count: int
 
 
+def _leave_one_out(rows: np.ndarray, n: int) -> np.ndarray:
+    """Every column but the row's own, for each of `rows`: (len(rows), n - 1)."""
+    cols = np.arange(n - 1)
+    return cols + (cols >= rows[:, None])
+
+
+def true_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's True columns in ascending order, left-aligned in an
+    (n, max(1, most per row)) matrix padded with 0, and the per-row count."""
+    # Row-major, so ascending within a row; np.nonzero is slower on 2-D.
+    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
+    counts = np.bincount(rows, minlength=len(mask))
+    out = np.zeros((len(mask), max(1, int(counts.max(initial=0)))), dtype=np.intp)
+    out[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
+    return out, counts
+
+
 def rank_rows(
-    scores: np.ndarray, tie_rank: np.ndarray, candidates: np.ndarray | None = None
+    scores: np.ndarray,
+    tie_rank: np.ndarray,
+    candidates: np.ndarray | None = None,
+    k: int | None = None,
 ) -> np.ndarray:
     """Each row's candidate columns (an (n, m) index matrix) reordered by
     descending score, ties by ascending tie_rank of the column. By default
     the candidates are every column but the row's own: the (n, n - 1)
-    leave-one-out ranking.
+    leave-one-out ranking. With k (>= 1) only each row's first k columns
+    are returned.
 
     One unstable sort per row gives the unique order wherever the sorted
     keys strictly increase; only rows with an exact tie (signed zeros
     included), a NaN or a -inf score are sorted again by (score, tie_rank).
+    A leave-one-out top k below n - 1 partitions each row at its (k+1)-th
+    key and orders the k columns in front as explicit candidates. Rows
+    whose k-th and (k+1)-th keys are not strictly apart (a tie, a NaN, or
+    a -inf score next to the row's own column) are ranked in full.
     """
+    n = len(scores)
     if candidates is None:
         # The row's own column sorts last behind +inf and is dropped.
         keys = -scores
         np.fill_diagonal(keys, np.inf)
+        if k is not None and k < n - 1:
+            part = np.argpartition(keys, k, axis=1)
+            # Ascending columns, so equal (score, tie_rank) keep column order.
+            top = np.sort(part[:, :k], axis=1)
+            kth = np.take_along_axis(keys, top, axis=1).max(axis=1)
+            apart = kth < np.take_along_axis(keys, part[:, k : k + 1], axis=1)[:, 0]
+            order = rank_rows(scores, tie_rank, candidates=top)
+            redo = np.flatnonzero(~apart)
+            if len(redo):
+                full = rank_rows(scores[redo], tie_rank, candidates=_leave_one_out(redo, n))
+                order[redo] = full[:, :k]
+            return order
     else:
         keys = -np.take_along_axis(scores, candidates, axis=1)
-    n, m = keys.shape
+    m = keys.shape[1]
     order = np.argsort(keys, axis=1)
     # A flat gather: take_along_axis is slower at this size.
     ranked = keys.ravel()[order + m * np.arange(n)[:, None]]
     redo = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
     if candidates is None:
         order = order[:, :-1].copy()  # contiguous, for the callers' gathers
-        cols = np.arange(order.shape[1])
-        sub = cols + (cols >= redo[:, None])
+        sub = _leave_one_out(redo, n)
         sub_keys = np.take_along_axis(keys[redo], sub, axis=1)
     else:
         order = np.take_along_axis(candidates, order, axis=1)
@@ -95,22 +141,23 @@ def rank_rows(
     if len(redo):
         tied = np.lexsort((tie_rank[sub], sub_keys), axis=1)
         order[redo] = np.take_along_axis(sub, tied, axis=1)
-    return order
+    return order if k is None else order[:, :k]
 
 
-def average_precisions(hits: np.ndarray) -> np.ndarray:
-    """AP of every row of a boolean relevance matrix ranked left to right:
-    the mean of hits_so_far/position over the relevant positions, summed
-    in rank order. A row without hits scores 0.0."""
-    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
-    summed = np.cumsum(np.where(hits, precision, 0.0), axis=1)[:, -1]
-    total = hits.sum(axis=1)
-    return np.where(total > 0, summed / np.maximum(total, 1), 0.0)
+def average_precisions(ranks: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """AP of every row from the 1-based ranks of its relevant items, in
+    ascending order from the left; entries past the row's count are
+    ignored. AP is the mean of m / rank_m over the m-th relevant item,
+    summed in rank order. A row without relevant items scores 0.0."""
+    summed = np.zeros(len(ranks))
+    for m in range(ranks.shape[1]):
+        summed += np.where(m < counts, (m + 1) / ranks[:, m], 0.0)
+    return np.where(counts > 0, summed / np.maximum(counts, 1), 0.0)
 
 
 def rank_all(pages: list[PageEmbedding]) -> Ranking:
-    """Each page queries all the others; exhaustive cosine ranking with
-    ties broken by ascending page_id."""
+    """Each page queries all the others: exhaustive cosine similarities,
+    ranked with ties broken by ascending page_id."""
     if len(pages) < 2:
         raise ValidationError("ranking needs at least 2 pages")
     ids = [p.page_id for p in pages]
@@ -122,8 +169,10 @@ def rank_all(pages: list[PageEmbedding]) -> Ranking:
         raise ValidationError("zero embedding cannot be ranked")
     unit = vectors / norms[:, None]
     sims = unit @ unit.T
-    id_rank = np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
-    return Ranking(page_ids=tuple(ids), order=rank_rows(sims, id_rank))
+    np.fill_diagonal(sims, -np.inf)
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return Ranking(page_ids=tuple(ids), sims=sims, tie_rank=id_rank)
 
 
 def evaluate(
@@ -131,22 +180,45 @@ def evaluate(
     writers: dict[str, str],
     score_isolated_as_zero: bool = False,
 ) -> RetrievalReport:
-    """Score a ranking against writer identities."""
+    """Score a ranking against writer identities.
+
+    A relevant page's rank is one plus the number of gallery pages scored
+    strictly higher. Rows where a relevant score equals any other score
+    in the row (or is NaN) take their ranks from the full ranking of
+    that row instead, which breaks the tie by page id."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
             raise ValidationError(f"page {page} has no writer identity")
     _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
-    hits = labels[ranking.order] == labels[:, None]
-    ap = average_precisions(hits)
-    isolated = ~hits.any(axis=1)
-    first = np.where(isolated, 0, np.argmax(hits, axis=1) + 1)
+    n = len(ids)
+    same = labels[:, None] == labels
+    np.fill_diagonal(same, False)
+    relevant, counts = true_columns(same)
+    width = relevant.shape[1]
+    sims, rows = ranking.sims, np.arange(n)
+    ranks = np.empty((n, width), dtype=np.intp)
+    tied = np.zeros(n, dtype=bool)
+    for c in range(width):
+        s = sims[rows, relevant[:, c]][:, None]
+        ranks[:, c] = np.count_nonzero(sims > s, axis=1) + 1
+        tied |= (np.count_nonzero(sims == s, axis=1) != 1) & (c < counts)
+    redo = np.flatnonzero(tied)
+    if len(redo):
+        order = rank_rows(sims[redo], ranking.tie_rank, candidates=_leave_one_out(redo, n))
+        hit_cols, _ = true_columns(labels[order] == labels[redo, None])
+        ranks[redo, : hit_cols.shape[1]] = hit_cols + 1
+    ranks[np.arange(width) >= counts[:, None]] = n  # padding sorts last
+    ranks.sort(axis=1)
+    ap = average_precisions(ranks, counts)
+    isolated = counts == 0
+    first = np.where(isolated, 0, ranks[:, 0])
     scored = np.flatnonzero(~isolated | score_isolated_as_zero)
     return RetrievalReport(
         map=float(np.mean(ap[scored])) if len(scored) else 0.0,
-        top1=float(np.mean(hits[scored, 0])) if len(scored) else 0.0,
+        top1=float(np.mean(first[scored] == 1)) if len(scored) else 0.0,
         per_query_ap={ids[q]: float(ap[q]) for q in scored},
-        per_query_top1={ids[q]: bool(hits[q, 0]) for q in scored},
+        per_query_top1={ids[q]: bool(first[q] == 1) for q in scored},
         first_relevant_rank={ids[q]: int(first[q]) for q in scored},
         isolated_queries=tuple(ids[q] for q in np.flatnonzero(isolated)),
         query_count=len(ids),

@@ -382,10 +382,25 @@ def run_rerank(
             "config_hash": cfg_hash,
             "method": cfg.method,
             "params": asdict(cfg),
+            "per_query": _ap_changes(before.per_query_ap, after.per_query_ap),
             "seed": seed,
         }
         write_json(report_path, report)
     return report
+
+
+def _ap_changes(before: dict[str, float], after: dict[str, float]) -> dict:
+    """How many scored queries' AP rose, fell or stayed exactly equal, and
+    the largest fall (lowest page id on ties; None when none fell)."""
+    deltas = {q: after[q] - before[q] for q in sorted(before)}
+    worst = min(deltas, key=deltas.__getitem__, default=None)
+    worsened = sum(d < 0.0 for d in deltas.values())
+    return {
+        "improved": sum(d > 0.0 for d in deltas.values()),
+        "worsened": worsened,
+        "unchanged": sum(d == 0.0 for d in deltas.values()),
+        "largest_drop": {"query": worst, "delta": deltas[worst]} if worsened else None,
+    }
 
 
 def run_sweep(

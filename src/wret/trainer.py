@@ -25,7 +25,7 @@ from .encoder import (
 )
 from .errors import TrainingError, ValidationError
 from .features import PseudoLabeledSet
-from .retrieval import average_precisions, rank_rows
+from .retrieval import average_precisions, rank_rows, true_columns
 from .seeds import derive_seed
 
 ADAM_BETA1 = 0.9
@@ -360,8 +360,8 @@ def _pool_retrieval_map(vectors: np.ndarray, labels: np.ndarray) -> float:
     norms = np.linalg.norm(vectors, axis=1, keepdims=True)
     unit = vectors / np.where(norms > 0.0, norms, 1.0)
     order = rank_rows(unit @ unit.T, np.arange(n))
-    hits = labels[order] == labels[:, None]
-    aps = average_precisions(hits)[hits.any(axis=1)]
+    hit_cols, counts = true_columns(labels[order] == labels[:, None])
+    aps = average_precisions(hit_cols + 1, counts)[counts > 0]
     return float(np.mean(aps)) if len(aps) else 0.0
 
 

@@ -1,7 +1,8 @@
 """Shared test machinery: an independent triplet-loss objective, a central
 finite-difference harness for checking analytic gradients, and plain-loop
-oracles that the vectorized k-means, assignment, mining and ranking must
-match bitwise and the pair-weight triplet gradient must match to rounding."""
+oracles that the vectorized k-means, assignment, mining, ranking and
+retrieval scoring must match bitwise and the pair-weight triplet gradient
+must match to rounding."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from wret.encoder import (
     encode_patches,
     flatten_encoding,
 )
+from wret.retrieval import Ranking, RetrievalReport, rank_rows
 from wret.trainer import TripletBatch
 
 FD_STEP = 1e-5
@@ -336,3 +338,48 @@ def rank_rows_oracle(
         (tie_rank[candidates], -np.take_along_axis(scores, candidates, axis=1)), axis=1
     )
     return np.take_along_axis(candidates, order, axis=1)
+
+
+def average_precisions_oracle(hits: np.ndarray) -> np.ndarray:
+    """AP of every row of a boolean relevance matrix ranked left to right:
+    the mean of hits_so_far/position over the relevant positions, summed
+    in rank order. A row without hits scores 0.0."""
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    summed = np.cumsum(np.where(hits, precision, 0.0), axis=1)[:, -1]
+    total = hits.sum(axis=1)
+    return np.where(total > 0, summed / np.maximum(total, 1), 0.0)
+
+
+def evaluate_oracle(
+    ranking: Ranking, writers: dict[str, str], score_isolated_as_zero: bool = False
+) -> RetrievalReport:
+    """retrieval.evaluate over the full ranking's (n, n - 1) hits matrix."""
+    ids = ranking.page_ids
+    _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
+    hits = labels[ranking.order] == labels[:, None]
+    ap = average_precisions_oracle(hits)
+    isolated = ~hits.any(axis=1)
+    first = np.where(isolated, 0, np.argmax(hits, axis=1) + 1)
+    scored = np.flatnonzero(~isolated | score_isolated_as_zero)
+    return RetrievalReport(
+        map=float(np.mean(ap[scored])) if len(scored) else 0.0,
+        top1=float(np.mean(hits[scored, 0])) if len(scored) else 0.0,
+        per_query_ap={ids[q]: float(ap[q]) for q in scored},
+        per_query_top1={ids[q]: bool(hits[q, 0]) for q in scored},
+        first_relevant_rank={ids[q]: int(first[q]) for q in scored},
+        isolated_queries=tuple(ids[q] for q in np.flatnonzero(isolated)),
+        query_count=len(ids),
+    )
+
+
+def pool_retrieval_map_oracle(vectors: np.ndarray, labels: np.ndarray) -> float:
+    """trainer._pool_retrieval_map over the full ranking's hits matrix."""
+    n = len(labels)
+    if n < 2:
+        return 0.0
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    unit = vectors / np.where(norms > 0.0, norms, 1.0)
+    order = rank_rows(unit @ unit.T, np.arange(n))
+    hits = labels[order] == labels[:, None]
+    aps = average_precisions_oracle(hits)[hits.any(axis=1)]
+    return float(np.mean(aps)) if len(aps) else 0.0

@@ -38,6 +38,7 @@ from wret.seeds import derive_seed
 from wret.stages import (
     ClusterConfig,
     EncodeConfig,
+    _ap_changes,
     load_labels,
     output_lock,
     run_cluster,
@@ -614,6 +615,35 @@ class TestStages:
         pages, meta = read_embeddings(tmp_path / "reranked.json")
         assert len(pages) == 12
         assert meta["config_hash"] == report["config_hash"]
+
+    @pytest.mark.parametrize("method", ["sgr", "krnn_qe", "hard_graph"])
+    def test_rerank_report_counts_per_query_changes(self, workspace, tmp_path, method):
+        cfg = RerankConfig(method=method, k=2, layers=1, gamma=0.4)
+        report = run_rerank(workspace["embeddings"], tmp_path / "a", cfg)
+        run_rerank(workspace["embeddings"], tmp_path / "b", cfg)
+        block = report["per_query"]
+        assert set(block) == {"improved", "worsened", "unchanged", "largest_drop"}
+        scored = run_evaluate(workspace["embeddings"], tmp_path / "eval")["per_query"]
+        assert block["improved"] + block["worsened"] + block["unchanged"] == len(scored)
+        if block["worsened"]:
+            assert set(block["largest_drop"]) == {"query", "delta"}
+            assert block["largest_drop"]["delta"] < 0.0
+        else:
+            assert block["largest_drop"] is None
+        assert (tmp_path / "a" / "rerank_report.json").read_bytes() == (
+            tmp_path / "b" / "rerank_report.json"
+        ).read_bytes()
+
+    def test_largest_drop_ties_go_to_the_lowest_page_id(self):
+        before = {"p2": 0.5, "p0": 1.0, "p1": 0.75, "p3": 0.5}
+        after = {"p2": 0.25, "p0": 1.0, "p1": 0.5, "p3": 1.0}
+        assert _ap_changes(before, after) == {
+            "improved": 1,
+            "worsened": 2,
+            "unchanged": 1,
+            "largest_drop": {"query": "p1", "delta": -0.25},
+        }
+        assert _ap_changes(before, before)["largest_drop"] is None
 
     def test_rerank_rejects_reading_own_output(self, workspace, tmp_path):
         cfg = RerankConfig(method="sgr", k=2, layers=1, gamma=0.4)

@@ -194,6 +194,20 @@ class TestKrnnQe:
             acc /= np.linalg.norm(acc)
             np.testing.assert_allclose(out[i].vector, acc, atol=1e-12)
 
+    @pytest.mark.parametrize("extra", [0, 1, 4])
+    def test_k_past_the_gallery_takes_every_page(self, extra):
+        # Every page lists all the others, so every group is the whole
+        # collection, summed in ascending index order.
+        pages = _ring_pages(6, seed=3)
+        out = krnn_qe(pages, k=len(pages) - 1 + extra)
+        acc = np.zeros(5)
+        for p in pages:
+            acc += p.vector
+        acc /= len(pages)
+        acc /= np.linalg.norm(acc)
+        for p in out:
+            assert p.vector.tobytes() == acc.tobytes()
+
     def test_mutual_group_sums_in_one_order(self):
         # p000-p002 are each other's 2 nearest neighbours, far from the rest:
         # one group, so one bitwise vector, and the page-id rule orders ties

@@ -1,19 +1,25 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
-from helpers import rank_rows_oracle
+from helpers import evaluate_oracle, pool_retrieval_map_oracle, rank_rows_oracle
 
+from wret import retrieval
 from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
+from wret.rerank import RerankConfig, hard_graph_rerank, krnn_qe, sgr
 from wret.retrieval import (
+    Ranking,
     average_precisions,
     evaluate,
     rank_all,
     rank_rows,
     report_to_csv,
     report_to_json,
+    true_columns,
 )
+from wret.trainer import _pool_retrieval_map
 
 
 def _pages(vectors: np.ndarray, writers: list[str] | None = None) -> list[PageEmbedding]:
@@ -168,29 +174,107 @@ class TestRankRowsMatchesLexsort:
         # p001 and p002 are exactly equally similar to p000.
         tied = _pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
         monkeypatch.setattr(np, "lexsort", refuse)
-        rank_all(distinct)
+        rank_all(distinct).order
         with pytest.raises(TwoKeySort):
-            rank_all(tied)
+            rank_all(tied).order
+
+
+def _boundary_tied(n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct scores, except that in every other row the (k+1)-th best
+    off-diagonal score exactly equals the k-th."""
+    scores, tie_rank = _ranking_input("distinct", n, seed)
+    order = rank_rows_oracle(scores, tie_rank)
+    for r in range(0, n, 2):
+        scores[r, order[r, k]] = scores[r, order[r, k - 1]]
+    return scores, tie_rank
+
+
+class TestRankRowsTopK:
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("kind", RANKING_KINDS)
+    def test_matches_the_full_ranking_prefix(self, kind, n):
+        scores, tie_rank = _ranking_input(kind, n, seed=n + 2)
+        full = rank_rows_oracle(scores, tie_rank)
+        for k in sorted({1, 2, 4, n - 2, n - 1, n + 3} - {0}):
+            got = rank_rows(scores, tie_rank, k=k)
+            want = full[:, :k]
+            assert got.shape == want.shape == (n, min(k, n - 1))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [5, 100, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tie_at_the_boundary(self, k, n):
+        scores, tie_rank = _boundary_tied(n, k, seed=n + k)
+        got = rank_rows(scores, tie_rank, k=k)
+        want = rank_rows_oracle(scores, tie_rank)[:, :k]
+        assert got.tobytes() == want.tobytes()
+
+
+def _unit(pages: list[PageEmbedding]) -> list[PageEmbedding]:
+    return [
+        PageEmbedding(p.page_id, p.writer_id, p.vector / np.linalg.norm(p.vector))
+        for p in pages
+    ]
+
+
+class TestNoFullSortWithoutTies:
+    def test_tie_free_pages_reach_no_full_sort(self, monkeypatch):
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Refused
+
+        real = retrieval.rank_rows
+
+        def no_full_sort(scores, tie_rank, candidates=None, k=None):
+            if candidates is None and (k is None or k >= len(scores) - 1):
+                raise Refused
+            return real(scores, tie_rank, candidates, k)
+
+        rng = np.random.default_rng(8)
+        distinct = _unit(_pages(rng.normal(size=(50, 8)), [f"w{i % 7}" for i in range(50)]))
+        tied = _pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
+        monkeypatch.setattr(np, "lexsort", refuse)
+        monkeypatch.setattr(retrieval, "rank_rows", no_full_sort)
+        monkeypatch.setattr(importlib.import_module("wret.rerank"), "rank_rows", no_full_sort)
+        evaluate(rank_all(distinct), {p.page_id: p.writer_id for p in distinct})
+        sgr(distinct, RerankConfig(k=2))
+        krnn_qe(distinct, 3)
+        # k2 = 1: hard_graph's 0 / 0.5 / 1 weights tie on any two neighbours.
+        hard_graph_rerank(distinct, 4, 1, 2)
+        with pytest.raises(Refused):
+            evaluate(rank_all(tied), {p.page_id: "w" for p in tied})
+
+
+def _ap(hits: np.ndarray) -> np.ndarray:
+    """AP of each row of a relevance matrix ranked left to right."""
+    cols, counts = true_columns(hits)
+    return average_precisions(cols + 1, counts)
 
 
 class TestAveragePrecision:
     def test_hand_oracle(self):
         # Pattern [1, 0, 1]: AP = (1/2)(1/1 + 2/3) = 5/6.
-        assert average_precisions(np.array([[True, False, True]]))[0] == pytest.approx(5.0 / 6.0)
+        assert _ap(np.array([[True, False, True]]))[0] == pytest.approx(5.0 / 6.0)
 
     def test_perfect_prefix(self):
-        assert average_precisions(np.array([[True, True, False]]))[0] == pytest.approx(1.0)
+        assert _ap(np.array([[True, True, False]]))[0] == pytest.approx(1.0)
 
     def test_single_hit_at_rank_two(self):
-        assert average_precisions(np.array([[False, True]]))[0] == pytest.approx(0.5)
+        assert _ap(np.array([[False, True]]))[0] == pytest.approx(0.5)
 
     def test_nothing_relevant(self):
-        assert average_precisions(np.array([[False, False]]))[0] == 0.0
+        assert _ap(np.array([[False, False]]))[0] == 0.0
 
     def test_rows_are_independent(self):
         hits = np.array([[True, False, True], [False, False, False], [False, True, False]])
+        np.testing.assert_array_equal(_ap(hits), [(1.0 + 2.0 / 3.0) / 2.0, 0.0, 0.5])
+
+    def test_ranks_count_only_up_to_each_rows_count(self):
+        ranks = np.array([[1, 3, 7], [2, 9, 9], [1, 1, 1]])
         np.testing.assert_array_equal(
-            average_precisions(hits), [(1.0 + 2.0 / 3.0) / 2.0, 0.0, 0.5]
+            average_precisions(ranks, np.array([2, 1, 0])), [(1.0 + 2.0 / 3.0) / 2.0, 0.5, 0.0]
         )
 
 
@@ -277,6 +361,75 @@ class TestEvaluate:
         report2 = evaluate(rank_all(renamed), {p.page_id: p.writer_id for p in renamed})
         assert report2.map == pytest.approx(report.map, abs=1e-12)
         assert report2.top1 == pytest.approx(report.top1, abs=1e-12)
+
+
+def _ranking(sims: np.ndarray, seed: int) -> Ranking:
+    """A Ranking over given similarities, page ids in shuffled list order."""
+    n = len(sims)
+    perm = np.random.default_rng(seed).permutation(n)
+    sims = np.array(sims, dtype=np.float64)
+    np.fill_diagonal(sims, -np.inf)
+    return Ranking(page_ids=tuple(f"p{i:03d}" for i in perm), sims=sims, tie_rank=perm)
+
+
+def _writer_sizes(rng: np.random.Generator, total: int) -> list[str]:
+    """Writer labels for `total` pages: groups of 1 to 20, in shuffled order."""
+    writers: list[str] = []
+    while len(writers) < total:
+        writers += [f"w{len(writers)}"] * int(rng.integers(1, 21))
+    return list(rng.permutation(writers[:total]))
+
+
+def _evaluate_cases():
+    rng = np.random.default_rng(12)
+    for n in (40, 150):  # 1 to 20 pages per writer, singletons included
+        writers = _writer_sizes(rng, n)
+        yield rank_all(_pages(rng.normal(size=(n, 6)), writers)), writers
+    base = rng.normal(size=(12, 4))  # duplicate vectors: relevant and irrelevant ties
+    vectors = base[rng.integers(0, 12, size=60)]
+    writers = [f"w{i}" for i in rng.integers(0, 8, size=60)]
+    yield rank_all(_pages(vectors, writers)), writers
+    for seed in range(4):  # exact 0.0 and -0.0 similarities, some other ties
+        sims = np.round(rng.normal(size=(30, 30)))
+        sims[rng.random((30, 30)) < 0.3] = 0.0
+        sims[rng.random((30, 30)) < 0.3] = -0.0
+        yield _ranking(sims, seed), [f"w{i}" for i in rng.integers(0, 5, size=30)]
+    sims = rng.normal(size=(30, 30))  # NaN among otherwise distinct scores
+    sims[rng.random((30, 30)) < 0.1] = np.nan
+    yield _ranking(sims, 4), [f"w{i}" for i in rng.integers(0, 5, size=30)]
+    for n in (2, 3):
+        for labels in np.ndindex(*(n,) * n):
+            for sims in (rng.normal(size=(n, n)), np.zeros((n, n))):
+                yield _ranking(sims, n), [f"w{i}" for i in labels]
+
+
+class TestEvaluateMatchesHitsMatrix:
+    @pytest.mark.parametrize("score_isolated", [False, True])
+    def test_reports_equal(self, score_isolated):
+        for ranking, writer_list in _evaluate_cases():
+            writers = dict(zip(ranking.page_ids, writer_list))
+            got = evaluate(ranking, writers, score_isolated_as_zero=score_isolated)
+            want = evaluate_oracle(ranking, writers, score_isolated_as_zero=score_isolated)
+            assert list(got.per_query_ap) == list(want.per_query_ap)
+            assert (
+                np.array(list(got.per_query_ap.values())).tobytes()
+                == np.array(list(want.per_query_ap.values())).tobytes()
+            )
+            assert got.per_query_top1 == want.per_query_top1
+            assert got.first_relevant_rank == want.first_relevant_rank
+            assert got.isolated_queries == want.isolated_queries
+            assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
+            assert got.query_count == want.query_count
+
+    def test_pool_retrieval_map_unchanged(self):
+        rng = np.random.default_rng(13)
+        for n, classes in ((2, 1), (3, 2), (60, 4), (300, 16), (1000, 64)):
+            vectors = rng.normal(size=(n, 8))
+            vectors[rng.random(n) < 0.1] = 0.0
+            vectors[: n // 4] = vectors[rng.integers(0, n, size=n // 4)]
+            labels = rng.integers(0, classes, size=n)
+            got = _pool_retrieval_map(vectors, labels)
+            assert repr(got) == repr(pool_retrieval_map_oracle(vectors, labels))
 
 
 class TestReportSerialization:
