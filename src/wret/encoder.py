@@ -184,30 +184,27 @@ def encode_patches(
     return v, {"znorm": znorm, "xhat": rows, "alpha": alpha, "resid": resid, "gnorm": gnorm}
 
 
-# pool_patches takes a (patch, cluster) pair's encoding row from the
-# expanded squared distance unless the expansion has cancelled (the
-# distance is at most CANCEL_RATIO of |x|^2 + |c|^2) or the row's squared
-# norm is below TINY_SQNORM, where squaring its entries underflows; such
-# pairs are formed from the difference, as encode_patches forms them.
+# A (patch, cluster) pair's encoding row is taken as a weighted residual
+# w_ik (x_i - c_k), with its squared norm from the expanded squared
+# distance, unless the expansion has cancelled (the distance is at most
+# CANCEL_RATIO of |x|^2 + |c|^2) or the row's squared norm is below
+# TINY_SQNORM, where squaring its entries underflows; such pairs are formed
+# from the difference, as encode_patches forms them.
 CANCEL_RATIO = 0.1
 TINY_SQNORM = 1e-280
 
 
-def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
-    """Sum of a page's l2-normalized flat patch encodings, (n_clusters * dim,).
+def _weighted_residuals(
+    cb: Codebook, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every encoding row of the prenormalized `rows` either as a weighted
+    residual or formed from the difference.
 
-    Equals pool_page(flatten_encoding(encode_patches(cb, xs))) up to
-    rounding without forming the (n, n_clusters, dim) stack: the rows
-    a_ik (x_i - c_k), or their intranormalized netvlad form, are weighted
-    residuals, so the sum over patches is W^T X - colsum(W) c per cluster,
-    one matmul. Pairs whose squared distance cancels or whose row's squared
-    norm underflows are formed exactly as encode_patches forms them and
-    added on their own.
+    Returns (coef, sqnorm, i, k, v): coef (n, n_clusters) holds w_ik (a_ik
+    in netrvlad mode, 1/|x_i - c_k| in netvlad mode) and 0 for the pairs
+    formed from the difference, which are (i[p], k[p]) with row v[p];
+    sqnorm holds every row's squared norm.
     """
-    rows, _ = _as_rows(xs, cb.dim, "pool_patches")
-    if rows.shape[0] == 0:
-        raise ValidationError("pool_patches needs at least one patch")
-    rows, _ = _prenormalize(cb, rows)
     alpha = soft_assign(cb, rows)
     scale = np.sum(rows**2, axis=1)[:, None] + np.sum(cb.centers**2, axis=1)[None, :]
     sq = np.maximum(scale - 2.0 * (rows @ cb.centers.T), 0.0)
@@ -226,6 +223,25 @@ def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     if cb.mode == "netvlad":
         v, _ = _intranormalize(v)
     sqnorm[i, k] = np.sum(v**2, axis=1)
+    return coef, sqnorm, i, k, v
+
+
+def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
+    """Sum of a page's l2-normalized flat patch encodings, (n_clusters * dim,).
+
+    Equals pool_page(flatten_encoding(encode_patches(cb, xs))) up to
+    rounding without forming the (n, n_clusters, dim) stack: the rows
+    a_ik (x_i - c_k), or their intranormalized netvlad form, are weighted
+    residuals, so the sum over patches is W^T X - colsum(W) c per cluster,
+    one matmul. Pairs whose squared distance cancels or whose row's squared
+    norm underflows are formed exactly as encode_patches forms them and
+    added on their own.
+    """
+    rows, _ = _as_rows(xs, cb.dim, "pool_patches")
+    if rows.shape[0] == 0:
+        raise ValidationError("pool_patches needs at least one patch")
+    rows, _ = _prenormalize(cb, rows)
+    coef, sqnorm, i, k, v = _weighted_residuals(cb, rows)
     norms = np.sqrt(sqnorm.sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
@@ -234,6 +250,30 @@ def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     pooled = w.T @ rows - w.sum(axis=0)[:, None] * cb.centers
     np.add.at(pooled, k, v / norms[i, None])
     return pooled.reshape(-1)
+
+
+def encoding_gram(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
+    """Gram matrix (n, n) of encode_flat(b, cb, xs), up to rounding,
+    without forming the (n, n_clusters, dim) stack.
+
+    With weighted-residual rows w_ik (x_i - c_k), the Gram is
+    (X X^T) o (W W^T) + Q W^T + W Q^T for Q = W o (|c|^2 / 2 - X C^T):
+    n^2 (dim + 2 n_clusters) work instead of n^2 n_clusters dim. A row e
+    formed from the difference (w_ik = 0) adds e . w_jk (x_j - c_k) to
+    row and column i, and e . e' for each such row e' of the same cluster.
+    """
+    rows, _ = _as_rows(backbone_forward(b, xs), cb.dim, "encoding_gram")
+    rows, _ = _prenormalize(cb, rows)
+    w, _, i, k, e = _weighted_residuals(cb, rows)
+    q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
+    qw = q @ w.T
+    gram = (rows @ rows.T) * (w @ w.T) + qw + qw.T
+    if len(i):
+        cross = np.zeros_like(gram)
+        np.add.at(cross, i, w[:, k].T * (e @ rows.T - np.sum(e * cb.centers[k], axis=1)[:, None]))
+        gram += cross + cross.T
+        np.add.at(gram, (i[:, None], i), np.where(k[:, None] == k, e @ e.T, 0.0))
+    return gram
 
 
 def encode_flat(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:

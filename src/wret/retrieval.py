@@ -183,9 +183,9 @@ def evaluate(
     """Score a ranking against writer identities.
 
     A relevant page's rank is one plus the number of gallery pages scored
-    strictly higher. Rows where a relevant score equals any other score
-    in the row (or is NaN) take their ranks from the full ranking of
-    that row instead, which breaks the tie by page id."""
+    strictly higher or scored equal with a lower page id, as the full
+    ranking breaks ties. Only rows where a relevant score is NaN take
+    their ranks from the full ranking of that row."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
@@ -196,16 +196,25 @@ def evaluate(
     np.fill_diagonal(same, False)
     relevant, counts = true_columns(same)
     width = relevant.shape[1]
-    sims, rows = ranking.sims, np.arange(n)
+    sims, tie_rank, rows = ranking.sims, ranking.tie_rank, np.arange(n)
     ranks = np.empty((n, width), dtype=np.intp)
-    tied = np.zeros(n, dtype=bool)
+    nan = np.zeros(n, dtype=bool)
     for c in range(width):
-        s = sims[rows, relevant[:, c]][:, None]
+        j = relevant[:, c]
+        s = sims[rows, j][:, None]
         ranks[:, c] = np.count_nonzero(sims > s, axis=1) + 1
-        tied |= (np.count_nonzero(sims == s, axis=1) != 1) & (c < counts)
-    redo = np.flatnonzero(tied)
+        equal = sims == s
+        nan |= np.isnan(s[:, 0]) & (c < counts)
+        # Rows where another column shares the score: the equal columns
+        # with a lower tie_rank rank ahead; the row's own column never.
+        t = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
+        if len(t):
+            ahead = equal[t] & (tie_rank < tie_rank[j[t], None])
+            ahead[np.arange(len(t)), t] = False
+            ranks[t, c] += np.count_nonzero(ahead, axis=1)
+    redo = np.flatnonzero(nan)
     if len(redo):
-        order = rank_rows(sims[redo], ranking.tie_rank, candidates=_leave_one_out(redo, n))
+        order = rank_rows(sims[redo], tie_rank, candidates=_leave_one_out(redo, n))
         hit_cols, _ = true_columns(labels[order] == labels[redo, None])
         ranks[redo, : hit_cols.shape[1]] = hit_cols + 1
     ranks[np.arange(width) >= counts[:, None]] = n  # padding sorts last

@@ -2,7 +2,10 @@
 
 Batch-hard mining over class-balanced batches, analytic gradients through
 the encoder, Adam with a warmup + cosine learning-rate schedule, early
-stopping on a pseudo-class retrieval score over a held-out pool.
+stopping on a pseudo-class retrieval score over a held-out pool. Mining
+and the validation score need only inner products between encodings, so
+they read the encodings' Gram matrix (encoder.encoding_gram); the flat
+encodings are formed only for a batch that admits triplets.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .encoder import (
     backbone_forward,
     encode_flat,
     encode_patches,
+    encoding_gram,
     flatten_encoding,
     init_backbone,
     init_codebook,
@@ -151,16 +155,17 @@ class Gradients:
         return list(self.blocks)
 
 
-def _pairwise_distances(f: np.ndarray) -> np.ndarray:
-    sq = np.sum(f**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (f @ f.T)
+def _pairwise_distances(gram: np.ndarray) -> np.ndarray:
+    sq = np.diag(gram)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
 def mine_hard_triplets(
-    encodings: np.ndarray, labels: np.ndarray, m: float
+    gram: np.ndarray, labels: np.ndarray, m: float
 ) -> tuple[tuple[int, int, int], ...]:
-    """Batch-hard candidates filtered by the admission rule.
+    """Batch-hard candidates filtered by the admission rule, from the
+    Gram matrix of the batch's encodings.
 
     Per anchor: hardest positive (max distance, same label) and hardest
     negative (min distance, other label), ties to the lowest index. The
@@ -169,7 +174,7 @@ def mine_hard_triplets(
     labels = np.asarray(labels)
     if len(labels) == 0:
         return ()
-    dist = _pairwise_distances(np.asarray(encodings, dtype=np.float64))
+    dist = _pairwise_distances(np.asarray(gram, dtype=np.float64))
     same = labels[:, None] == labels[None, :]
     pos = same.copy()
     np.fill_diagonal(pos, False)
@@ -350,16 +355,18 @@ def _epoch_batches(
         batches.append(np.array(batch, dtype=int))
 
 
-def _pool_retrieval_map(vectors: np.ndarray, labels: np.ndarray) -> float:
-    """Leave-one-out retrieval score over a pool: every item queries the
-    rest, ranked by cosine with ties by index; relevance = same label.
-    Items whose label is unique in the pool are skipped."""
+def _pool_retrieval_map(gram: np.ndarray, labels: np.ndarray) -> float:
+    """Leave-one-out retrieval score over a pool, from the Gram matrix of
+    its encodings: every item queries the rest, ranked by cosine with ties
+    by index (an all-zero encoding scores 0 against everything);
+    relevance = same label. Items whose label is unique in the pool are
+    skipped."""
     n = len(labels)
     if n < 2:
         return 0.0
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    unit = vectors / np.where(norms > 0.0, norms, 1.0)
-    order = rank_rows(unit @ unit.T, np.arange(n))
+    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    order = rank_rows(gram / safe[:, None] / safe, np.arange(n))
     hit_cols, counts = true_columns(labels[order] == labels[:, None])
     aps = average_precisions(hit_cols + 1, counts)[counts > 0]
     return float(np.mean(aps)) if len(aps) else 0.0
@@ -456,8 +463,7 @@ def train(
             steps += 1
             x = data[batch_idx]
             lab = labels[batch_idx]
-            flat = encode_flat(backbone, codebook, x)
-            trips = mine_hard_triplets(flat, lab, cfg.margin)
+            trips = mine_hard_triplets(encoding_gram(backbone, codebook, x), lab, cfg.margin)
             admitted += len(trips)
             if not trips:
                 # Nothing admitted: zero gradient, so skip the Adam step to
@@ -465,7 +471,8 @@ def train(
                 batch_losses.append(0.0)
                 continue
             batch = TripletBatch(
-                inputs=x, encodings=flat, labels=lab, triplets=trips, margin=cfg.margin
+                inputs=x, encodings=encode_flat(backbone, codebook, x), labels=lab,
+                triplets=trips, margin=cfg.margin,
             )
             loss, grads = backward(batch, backbone, codebook)
             adam.step(grads, lr)
@@ -473,7 +480,7 @@ def train(
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
         if len(val_idx) >= 2:
             val_map = _pool_retrieval_map(
-                encode_flat(backbone, codebook, data[val_idx]), labels[val_idx]
+                encoding_gram(backbone, codebook, data[val_idx]), labels[val_idx]
             )
         else:
             val_map = 0.0

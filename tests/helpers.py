@@ -242,13 +242,14 @@ def assign_and_filter_oracle(
 
 
 def mine_oracle(
-    encodings: np.ndarray, labels: np.ndarray, m: float
+    gram: np.ndarray, labels: np.ndarray, m: float
 ) -> tuple[tuple[int, int, int], ...]:
-    """Batch-hard candidates, one anchor at a time."""
+    """Batch-hard candidates from the encodings' Gram matrix, one anchor
+    at a time."""
     labels = np.asarray(labels)
-    f = np.asarray(encodings, dtype=np.float64)
-    sq = np.sum(f**2, axis=1)
-    dist = np.sqrt(np.clip(sq[:, None] + sq[None, :] - 2.0 * f @ f.T, 0.0, None))
+    g = np.asarray(gram, dtype=np.float64)
+    sq = np.diag(g)
+    dist = np.sqrt(np.clip(sq[:, None] + sq[None, :] - 2.0 * g, 0.0, None))
     triplets = []
     for a in range(len(labels)):
         same = labels == labels[a]
@@ -372,14 +373,14 @@ def evaluate_oracle(
     )
 
 
-def pool_retrieval_map_oracle(vectors: np.ndarray, labels: np.ndarray) -> float:
+def pool_retrieval_map_oracle(gram: np.ndarray, labels: np.ndarray) -> float:
     """trainer._pool_retrieval_map over the full ranking's hits matrix."""
     n = len(labels)
     if n < 2:
         return 0.0
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    unit = vectors / np.where(norms > 0.0, norms, 1.0)
-    order = rank_rows(unit @ unit.T, np.arange(n))
+    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    order = rank_rows(gram / safe[:, None] / safe, np.arange(n))
     hits = labels[order] == labels[:, None]
     aps = average_precisions_oracle(hits)[hits.any(axis=1)]
     return float(np.mean(aps)) if len(aps) else 0.0

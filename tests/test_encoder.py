@@ -9,9 +9,12 @@ from wret.encoder import (
     Backbone,
     Codebook,
     Layer,
+    TINY_SQNORM,
     backbone_forward,
+    encode_flat,
     encode_patches,
     encode_vlad_hard,
+    encoding_gram,
     flatten_encoding,
     init_backbone,
     init_codebook,
@@ -327,6 +330,64 @@ class TestPoolPatches:
     def test_empty_page_rejected(self):
         with pytest.raises(ValidationError, match="at least one patch"):
             pool_patches(_simple_codebook(), np.zeros((0, 2)))
+
+
+def _assert_grams_alike(cb: Codebook, xs: np.ndarray) -> None:
+    """encoding_gram through an identity backbone matches f f^T of the
+    flat encodings f to 1e-12 |f_i| |f_j| in every entry."""
+    bb = _identity_backbone(cb.dim)
+    f = encode_flat(bb, cb, xs)
+    got = encoding_gram(bb, cb, xs)
+    norms = np.linalg.norm(f, axis=1)
+    assert got.shape == (len(xs), len(xs))
+    assert np.all(np.abs(got - f @ f.T) <= 1e-12 * np.outer(norms, norms))
+
+
+class TestEncodingGram:
+    @pytest.mark.parametrize("placed", PLACED)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_flat_product(self, mode, placed):
+        rng = np.random.default_rng([7, MODES.index(mode), PLACED.index(placed)])
+        shapes = [(1, 1), (1, None), (None, 1)] + [(None, None)] * 97
+        for k, n in shapes:
+            cb, xs = _random_page(rng, mode, placed, k, n)
+            _assert_grams_alike(cb, xs)
+            _assert_grams_alike(cb, xs[rng.integers(0, len(xs), size=len(xs) + 3)])  # duplicates
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_patch_on_a_center_and_next_to_it(self, mode):
+        cb = Codebook(
+            centers=np.array([[0.6, 0.8], [-0.8, 0.6]]),
+            weights=np.ones((2, 2)), bias=np.zeros(2), mode=mode,
+        )
+        xs = np.array([[0.6, 0.8], [0.6 + 1e-9, 0.8], [0.3, -0.2], [0.6, 0.8 - 1e-9]])
+        _assert_grams_alike(cb, xs)
+        # n = 1: a patch on its only center has an all-zero encoding.
+        one = Codebook(centers=cb.centers[:1], weights=cb.weights[:1], bias=cb.bias[:1], mode=mode)
+        np.testing.assert_array_equal(
+            encoding_gram(_identity_backbone(2), one, xs[:1]), np.zeros((1, 1))
+        )
+        _assert_grams_alike(one, xs[1:2])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_underflowing_rows(self, mode):
+        # Sharp assignments put some a_ik (x_i - c_k) below TINY_SQNORM in
+        # squared norm, so those pairs are formed from the difference.
+        rng = np.random.default_rng(11)
+        tiny = 0
+        for _ in range(40):
+            centers = rng.normal(size=(6, 8))
+            centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+            tau = 10.0 ** rng.uniform(2.5, 3.5)
+            cb = Codebook(
+                centers=centers, weights=2 * tau * centers, bias=-tau * np.ones(6), mode=mode
+            )
+            xs = rng.normal(size=(20, 8))
+            _, cache = encode_patches(cb, xs, return_cache=True)
+            sqnorm = cache["alpha"] ** 2 * np.sum(cache["resid"] ** 2, axis=2)
+            tiny += int(np.sum((cache["alpha"] > 0.0) & (sqnorm < TINY_SQNORM)))
+            _assert_grams_alike(cb, xs)
+        assert tiny > 0
 
 
 class TestHardVlad:

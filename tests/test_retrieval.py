@@ -243,8 +243,41 @@ class TestNoFullSortWithoutTies:
         krnn_qe(distinct, 3)
         # k2 = 1: hard_graph's 0 / 0.5 / 1 weights tie on any two neighbours.
         hard_graph_rerank(distinct, 4, 1, 2)
+        # Exact ties are counted too; only a NaN relevant score takes the full sort.
+        evaluate(rank_all(tied), {p.page_id: "w" for p in tied})
+        sims = np.array([[0.0, np.nan, 0.5], [np.nan, 0.0, 0.2], [0.5, 0.2, 0.0]])
         with pytest.raises(Refused):
-            evaluate(rank_all(tied), {p.page_id: "w" for p in tied})
+            evaluate(_ranking(sims, 0), {f"p{i:03d}": "w" for i in range(3)})
+
+    def test_tied_rows_evaluate_without_rank_rows(self, monkeypatch):
+        """Tied, NaN-free rows take their ranks from the tie-aware count
+        alone and still match the full ranking's hits matrix."""
+        cases = [
+            (ranking, writers)
+            for ranking, writers in _evaluate_cases()
+            if not np.isnan(ranking.sims).any()
+        ]
+        rng = np.random.default_rng(21)
+        for seed in range(3):  # -inf scores tie with the row's own column
+            sims = np.round(rng.normal(size=(25, 25)))
+            sims[rng.random((25, 25)) < 0.2] = -np.inf
+            cases.append((_ranking(sims, seed), [f"w{i}" for i in rng.integers(0, 4, size=25)]))
+        wants = [evaluate_oracle(r, dict(zip(r.page_ids, w))) for r, w in cases]
+        tied_rows = sum(len(np.unique(row)) < len(row) for r, _ in cases for row in r.sims)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank_rows reached")
+
+        monkeypatch.setattr(retrieval, "rank_rows", refuse)
+        for (ranking, writer_list), want in zip(cases, wants):
+            got = evaluate(ranking, dict(zip(ranking.page_ids, writer_list)))
+            assert got.first_relevant_rank == want.first_relevant_rank
+            assert (
+                np.array(list(got.per_query_ap.values())).tobytes()
+                == np.array(list(want.per_query_ap.values())).tobytes()
+            )
+            assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
+        assert tied_rows > 100
 
 
 def _ap(hits: np.ndarray) -> np.ndarray:
@@ -428,8 +461,9 @@ class TestEvaluateMatchesHitsMatrix:
             vectors[rng.random(n) < 0.1] = 0.0
             vectors[: n // 4] = vectors[rng.integers(0, n, size=n // 4)]
             labels = rng.integers(0, classes, size=n)
-            got = _pool_retrieval_map(vectors, labels)
-            assert repr(got) == repr(pool_retrieval_map_oracle(vectors, labels))
+            gram = vectors @ vectors.T
+            got = _pool_retrieval_map(gram, labels)
+            assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
 
 
 class TestReportSerialization:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
@@ -11,7 +13,17 @@ from helpers import (
 )
 
 from wret import trainer
-from wret.encoder import Backbone, Codebook, Layer, encode_flat, init_backbone, init_codebook
+from wret.encoder import (
+    MODES,
+    Backbone,
+    Codebook,
+    Layer,
+    backbone_forward,
+    encode_flat,
+    encoding_gram,
+    init_backbone,
+    init_codebook,
+)
 from wret.errors import ValidationError
 from wret.features import PseudoLabeledSet
 from wret.seeds import derive_seed
@@ -33,23 +45,23 @@ class TestMining:
         # Same-label pair at distance 0, negative far away: d_an > d_ap - m.
         enc = np.array([[0.0], [0.0], [10.0]])
         labels = np.array([0, 0, 1])
-        assert mine_hard_triplets(enc, labels, 0.1) == ()
+        assert mine_hard_triplets(enc @ enc.T, labels, 0.1) == ()
 
     def test_admission_scalar_check(self):
         # d_ap = 1.0, d_an = 0.5, m = 0.1: 0.5 < 0.9, so both anchors emit.
         enc = np.array([[0.0], [1.0], [0.5]])
         labels = np.array([0, 0, 1])
-        assert mine_hard_triplets(enc, labels, 0.1) == ((0, 1, 2), (1, 0, 2))
+        assert mine_hard_triplets(enc @ enc.T, labels, 0.1) == ((0, 1, 2), (1, 0, 2))
 
     def test_single_label_empty(self):
         enc = np.array([[0.0], [1.0], [2.0]])
-        assert mine_hard_triplets(enc, np.array([0, 0, 0]), 0.1) == ()
+        assert mine_hard_triplets(enc @ enc.T, np.array([0, 0, 0]), 0.1) == ()
 
     def test_ties_pick_lowest_index(self):
         # Two positives at equal distance from the anchor, two equal negatives.
         enc = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.1], [0.0, -0.1]])
         labels = np.array([0, 0, 0, 1, 1])
-        trips = mine_hard_triplets(enc, labels, 0.1)
+        trips = mine_hard_triplets(enc @ enc.T, labels, 0.1)
         anchor0 = [t for t in trips if t[0] == 0]
         assert anchor0 == [(0, 1, 3)]
 
@@ -58,7 +70,7 @@ class TestMining:
         enc = rng.normal(size=(12, 4))
         labels = np.repeat([0, 1, 2], 4)
         # a margin this negative admits every anchor: d_an < d_ap + 100
-        trips = mine_hard_triplets(enc, labels, -100.0)
+        trips = mine_hard_triplets(enc @ enc.T, labels, -100.0)
         anchors = [a for a, _, _ in trips]
         assert anchors == sorted(anchors)
         assert len(trips) == 12
@@ -71,8 +83,8 @@ class TestMining:
             enc = np.round(rng.normal(size=(n, 3)), int(rng.integers(0, 2)))
             labels = rng.integers(int(rng.integers(1, 6)), size=n)
             m = float(rng.choice([0.1, 0.5, 1.5]))
-            got = mine_hard_triplets(enc, labels, m)
-            assert got == mine_oracle(enc, labels, m), trial
+            got = mine_hard_triplets(enc @ enc.T, labels, m)
+            assert got == mine_oracle(enc @ enc.T, labels, m), trial
 
     def test_singletons_and_one_class_match_per_anchor_loop(self):
         rng = np.random.default_rng(6)
@@ -80,9 +92,33 @@ class TestMining:
         mixed = np.array([0, 0, 1, 2, 2, 3, 4, 4, 4, 5])
         for labels in (np.arange(10), np.zeros(10, dtype=int), mixed):
             for m in (0.05, 5.0):
-                got = mine_hard_triplets(enc, labels, m)
-                assert got == mine_oracle(enc, labels, m)
-        assert mine_hard_triplets(enc[:0], np.arange(0), 0.1) == ()
+                got = mine_hard_triplets(enc @ enc.T, labels, m)
+                assert got == mine_oracle(enc @ enc.T, labels, m)
+        assert mine_hard_triplets(enc[:0] @ enc[:0].T, np.arange(0), 0.1) == ()
+
+
+class TestMiningOnTheGram:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_same_triplets_as_the_flat_product(self, mode):
+        rng = np.random.default_rng(MODES.index(mode))
+        admitted = {1e-3: 0, 1e3: 0}
+        for trial in range(30):
+            # an identity output layer: netvlad rejects all-zero embeddings
+            relu = init_backbone((6, 12, 8), seed=trial)
+            bb = Backbone(layers=(relu.layers[0], replace(relu.layers[1], activation="identity")))
+            x = rng.normal(size=(int(rng.integers(2, 40)), 6))
+            sample = backbone_forward(bb, rng.normal(size=(64, 6)))
+            cb = init_codebook(
+                mode, 4, 8, seed=trial, data_sample=sample, alpha_init=float(rng.uniform(2, 200))
+            )
+            labels = rng.integers(0, int(rng.integers(1, 6)), size=len(x))
+            gram = encoding_gram(bb, cb, x)
+            flat = encode_flat(bb, cb, x)
+            for m in admitted:
+                trips = mine_hard_triplets(gram, labels, m)
+                assert trips == mine_hard_triplets(flat @ flat.T, labels, m), trial
+                admitted[m] += len(trips)
+        assert admitted[1e-3] > 0 and admitted[1e3] == 0
 
 
 def _tiny_models(mode: str = "netrvlad", seed: int = 42) -> tuple[Backbone, Codebook]:
@@ -526,7 +562,7 @@ class TestTrain:
         split_rng = np.random.default_rng(derive_seed(cfg.seed, "train/split"))
         _, val_idx = _stratified_split(labeled.labels, cfg.validation_fraction, split_rng)
         pool = data[labeled.kept_indices][val_idx]
-        rescored = _pool_retrieval_map(encode_flat(bb, cb, pool), labeled.labels[val_idx])
+        rescored = _pool_retrieval_map(encoding_gram(bb, cb, pool), labeled.labels[val_idx])
         assert rescored == report.best_val_map
 
     def test_triplets_count_admitted_per_epoch(self, monkeypatch):
@@ -554,3 +590,28 @@ class TestTrain:
         assert report.triplets == tuple(per_epoch)
         assert len(report.triplets) == len(report.losses)
         assert all(count > 0 for count in report.triplets)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gram_training_matches_flat_product_training(self, monkeypatch, mode):
+        labeled, data = _two_blob_dataset(n_per=40)
+        cfg = TrainConfig(
+            margin=1e-3, batch_size=8, per_class=4, epochs_max=3, warmup_epochs=1,
+            patience=3, max_steps=12, n_clusters=4, backbone_dims=(8, 16, 8), mode=mode,
+            seed=3, learning_rate=1e-2,
+        )
+        bb, cb, report = train(labeled, data, cfg)
+
+        def flat_product(b, c, xs):
+            f = encode_flat(b, c, xs)
+            return f @ f.T
+
+        monkeypatch.setattr(trainer, "encoding_gram", flat_product)
+        bb_flat, cb_flat, report_flat = train(labeled, data, cfg)
+        assert report.steps == 12 and len(report.val_maps) == 2
+        assert sum(report.triplets) > 0
+        assert report.triplets == report_flat.triplets
+        assert report.val_maps == report_flat.val_maps
+        for (name, got), (_, want) in zip(
+            named_param_arrays(bb, cb), named_param_arrays(bb_flat, cb_flat)
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
