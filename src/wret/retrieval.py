@@ -182,43 +182,43 @@ def evaluate(
 ) -> RetrievalReport:
     """Score a ranking against writer identities.
 
-    A relevant page's rank is one plus the number of gallery pages scored
-    strictly higher or scored equal with a lower page id, as the full
-    ranking breaks ties. Only rows where a relevant score is NaN take
-    their ranks from the full ranking of that row."""
+    Where every query has at most log2(n) relevant pages and none of them
+    scores NaN, a relevant page's rank is one plus the number of gallery
+    pages scored strictly higher or scored equal with a lower page id, as
+    the full ranking breaks ties: O(n^2) per relevant page. Otherwise the
+    ranks are read off the full ranking, O(n^2 log n) once."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
             raise ValidationError(f"page {page} has no writer identity")
     _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
     n = len(ids)
-    same = labels[:, None] == labels
-    np.fill_diagonal(same, False)
-    relevant, counts = true_columns(same)
-    width = relevant.shape[1]
-    sims, tie_rank, rows = ranking.sims, ranking.tie_rank, np.arange(n)
-    ranks = np.empty((n, width), dtype=np.intp)
-    nan = np.zeros(n, dtype=bool)
-    for c in range(width):
-        j = relevant[:, c]
-        s = sims[rows, j][:, None]
-        ranks[:, c] = np.count_nonzero(sims > s, axis=1) + 1
-        equal = sims == s
-        nan |= np.isnan(s[:, 0]) & (c < counts)
-        # Rows where another column shares the score: the equal columns
-        # with a lower tie_rank rank ahead; the row's own column never.
-        t = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
-        if len(t):
-            ahead = equal[t] & (tie_rank < tie_rank[j[t], None])
-            ahead[np.arange(len(t)), t] = False
-            ranks[t, c] += np.count_nonzero(ahead, axis=1)
-    redo = np.flatnonzero(nan)
-    if len(redo):
-        order = rank_rows(sims[redo], tie_rank, candidates=_leave_one_out(redo, n))
-        hit_cols, _ = true_columns(labels[order] == labels[redo, None])
-        ranks[redo, : hit_cols.shape[1]] = hit_cols + 1
-    ranks[np.arange(width) >= counts[:, None]] = n  # padding sorts last
-    ranks.sort(axis=1)
+    counts = np.bincount(labels)[labels] - 1
+    sims, tie_rank = ranking.sims, ranking.tie_rank
+    width = max(1, counts.max(initial=0))
+    padding = np.arange(width) >= counts[:, None]
+    if width <= np.log2(n):
+        same = labels[:, None] == labels
+        np.fill_diagonal(same, False)
+        relevant, _ = true_columns(same)
+        scores = np.take_along_axis(sims, relevant, axis=1)
+    if width > np.log2(n) or np.isnan(scores[~padding]).any():
+        ranks = true_columns(labels[ranking.order] == labels[:, None])[0] + 1
+    else:
+        ranks = np.empty((n, width), dtype=np.intp)
+        for c, j in enumerate(relevant.T):
+            s = scores[:, c, None]
+            ranks[:, c] = np.count_nonzero(sims > s, axis=1) + 1
+            equal = sims == s
+            # Rows where another column shares the score: the equal columns
+            # with a lower tie_rank rank ahead; the row's own column never.
+            t = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
+            if len(t):
+                ahead = equal[t] & (tie_rank < tie_rank[j[t], None])
+                ahead[np.arange(len(t)), t] = False
+                ranks[t, c] += np.count_nonzero(ahead, axis=1)
+        ranks[padding] = n  # padding sorts last
+        ranks.sort(axis=1)
     ap = average_precisions(ranks, counts)
     isolated = counts == 0
     first = np.where(isolated, 0, ranks[:, 0])

@@ -40,8 +40,8 @@ class SynthSpec:
             raise ValidationError("descriptors_per_page must be >= 1")
         if self.n_prototypes < 1:
             raise ValidationError("n_prototypes must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValidationError("noise_sigma must be finite and >= 0")
         if not np.isfinite(self.writer_style_strength):
             raise ValidationError("writer_style_strength must be finite")
         for count in self.page_counts():

@@ -29,7 +29,7 @@ from .encoder import (
 )
 from .errors import TrainingError, ValidationError
 from .features import PseudoLabeledSet
-from .retrieval import average_precisions, rank_rows, true_columns
+from .retrieval import Ranking, evaluate
 from .seeds import derive_seed
 
 ADAM_BETA1 = 0.9
@@ -61,8 +61,8 @@ class TrainConfig:
     val_pool_cap: int = 1000
 
     def __post_init__(self) -> None:
-        if self.margin <= 0:
-            raise ValidationError("margin must be positive")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValidationError("margin must be finite and positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError("learning_rate must be finite and positive")
         if not 0 < self.validation_fraction < 1:
@@ -356,20 +356,19 @@ def _epoch_batches(
 
 
 def _pool_retrieval_map(gram: np.ndarray, labels: np.ndarray) -> float:
-    """Leave-one-out retrieval score over a pool, from the Gram matrix of
-    its encodings: every item queries the rest, ranked by cosine with ties
-    by index (an all-zero encoding scores 0 against everything);
-    relevance = same label. Items whose label is unique in the pool are
-    skipped."""
+    """Leave-one-out retrieval mAP over a pool, from the Gram matrix of its
+    encodings: `evaluate` on the cosine ranking with ties by index (an
+    all-zero encoding scores 0 against everything); relevance = same
+    label. Items whose label is unique in the pool are skipped."""
     n = len(labels)
     if n < 2:
         return 0.0
     norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
     safe = np.where(norms > 0.0, norms, 1.0)
-    order = rank_rows(gram / safe[:, None] / safe, np.arange(n))
-    hit_cols, counts = true_columns(labels[order] == labels[:, None])
-    aps = average_precisions(hit_cols + 1, counts)[counts > 0]
-    return float(np.mean(aps)) if len(aps) else 0.0
+    sims = gram / safe[:, None] / safe
+    np.fill_diagonal(sims, -np.inf)
+    ids = tuple(map(str, range(n)))
+    return evaluate(Ranking(ids, sims, np.arange(n)), dict(zip(ids, map(str, labels)))).map
 
 
 def train(

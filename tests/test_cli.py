@@ -125,3 +125,19 @@ def test_removed_mining_key_is_unknown(tmp_path, capsys, command, config):
     assert cli.entrypoint([*command, "--out", str(out), "--config", str(cfg_path)]) == 1
     assert "unknown config keys: ['mining']" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,field",
+    [
+        (["train", "--labels", "labels.wrmd", "--margin", "nan"], "margin"),
+        (["train", "--labels", "labels.wrmd", "--margin", "inf"], "margin"),
+        (["synth", "--noise", "nan"], "noise_sigma"),
+        (["synth", "--noise", "inf"], "noise_sigma"),
+    ],
+)
+def test_non_finite_config_value_rejected_up_front(tmp_path, capsys, command, field):
+    out = tmp_path / "out"
+    assert cli.entrypoint([*command, "--out", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()

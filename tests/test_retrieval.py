@@ -233,7 +233,8 @@ class TestNoFullSortWithoutTies:
             return real(scores, tie_rank, candidates, k)
 
         rng = np.random.default_rng(8)
-        distinct = _unit(_pages(rng.normal(size=(50, 8)), [f"w{i % 7}" for i in range(50)]))
+        # 5 pages per writer: 4 relevant per query, within log2(50) ~ 5.6.
+        distinct = _unit(_pages(rng.normal(size=(50, 8)), [f"w{i % 10}" for i in range(50)]))
         tied = _pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
         monkeypatch.setattr(np, "lexsort", refuse)
         monkeypatch.setattr(retrieval, "rank_rows", no_full_sort)
@@ -243,26 +244,26 @@ class TestNoFullSortWithoutTies:
         krnn_qe(distinct, 3)
         # k2 = 1: hard_graph's 0 / 0.5 / 1 weights tie on any two neighbours.
         hard_graph_rerank(distinct, 4, 1, 2)
-        # Exact ties are counted too; only a NaN relevant score takes the full sort.
-        evaluate(rank_all(tied), {p.page_id: "w" for p in tied})
+        # p000's relevant p001 ties with p002: exact ties are counted too.
+        evaluate(rank_all(tied), dict(zip(("p000", "p001", "p002"), "aab")))
         sims = np.array([[0.0, np.nan, 0.5], [np.nan, 0.0, 0.2], [0.5, 0.2, 0.0]])
+        nan = _ranking(sims, 0)
         with pytest.raises(Refused):
-            evaluate(_ranking(sims, 0), {f"p{i:03d}": "w" for i in range(3)})
+            evaluate(nan, dict(zip(nan.page_ids, "aab")))
 
     def test_tied_rows_evaluate_without_rank_rows(self, monkeypatch):
-        """Tied, NaN-free rows take their ranks from the tie-aware count
-        alone and still match the full ranking's hits matrix."""
-        cases = [
-            (ranking, writers)
-            for ranking, writers in _evaluate_cases()
-            if not np.isnan(ranking.sims).any()
-        ]
+        """Tied, NaN-free rows with at most log2(n) relevant pages take
+        their ranks from the tie-aware count alone and still match the
+        full ranking's hits matrix."""
         rng = np.random.default_rng(21)
+        rankings = [r for r, _ in _evaluate_cases() if not np.isnan(r.sims).any()]
         for seed in range(3):  # -inf scores tie with the row's own column
             sims = np.round(rng.normal(size=(25, 25)))
             sims[rng.random((25, 25)) < 0.2] = -np.inf
-            cases.append((_ranking(sims, seed), [f"w{i}" for i in rng.integers(0, 4, size=25)]))
-        wants = [evaluate_oracle(r, dict(zip(r.page_ids, w))) for r, w in cases]
+            rankings.append(_ranking(sims, seed))
+        cases = [(r, _writer_sizes(rng, len(r), _widest_counted(len(r)) + 1)) for r in rankings]
+        # The oracle sorts on fresh copies, so the cached order is never reused.
+        wants = [evaluate_oracle(_fresh(r), dict(zip(r.page_ids, w))) for r, w in cases]
         tied_rows = sum(len(np.unique(row)) < len(row) for r, _ in cases for row in r.sims)
 
         def refuse(*args, **kwargs):
@@ -278,6 +279,22 @@ class TestNoFullSortWithoutTies:
             )
             assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
         assert tied_rows > 100
+
+    def test_wide_and_nan_inputs_sort_once(self, monkeypatch):
+        """Above log2(n) relevant pages (50 pages of 7 writers), or with a
+        NaN relevant score, evaluate sorts the whole ranking once; a NaN
+        irrelevant score alone does not make it sort."""
+        calls = _count_full_sorts(monkeypatch)
+        rng = np.random.default_rng(9)
+        wide = _pages(rng.normal(size=(50, 8)), [f"w{i % 7}" for i in range(50)])
+        evaluate(rank_all(wide), {p.page_id: p.writer_id for p in wide})
+        assert calls == [50]
+        nan, writers = _width_case(50, _widest_counted(50), "nan_relevant", seed=9)
+        evaluate(nan, writers)
+        assert calls == [50, 50]
+        narrow, writers = _width_case(50, _widest_counted(50), "nan_irrelevant", seed=9)
+        evaluate(narrow, writers)
+        assert calls == [50, 50]
 
 
 def _ap(hits: np.ndarray) -> np.ndarray:
@@ -405,12 +422,23 @@ def _ranking(sims: np.ndarray, seed: int) -> Ranking:
     return Ranking(page_ids=tuple(f"p{i:03d}" for i in perm), sims=sims, tie_rank=perm)
 
 
-def _writer_sizes(rng: np.random.Generator, total: int) -> list[str]:
-    """Writer labels for `total` pages: groups of 1 to 20, in shuffled order."""
+def _writer_sizes(rng: np.random.Generator, total: int, most: int = 20) -> list[str]:
+    """Writer labels for `total` pages: groups of 1 to `most`, in shuffled
+    order."""
     writers: list[str] = []
     while len(writers) < total:
-        writers += [f"w{len(writers)}"] * int(rng.integers(1, 21))
+        writers += [f"w{len(writers)}"] * int(rng.integers(1, most + 1))
     return list(rng.permutation(writers[:total]))
+
+
+def _widest_counted(n: int) -> int:
+    """The most relevant pages per query that evaluate still counts."""
+    return int(np.floor(np.log2(n)))
+
+
+def _fresh(ranking: Ranking) -> Ranking:
+    """A copy of a ranking without its cached order."""
+    return Ranking(ranking.page_ids, ranking.sims, ranking.tie_rank)
 
 
 def _evaluate_cases():
@@ -436,7 +464,74 @@ def _evaluate_cases():
                 yield _ranking(sims, n), [f"w{i}" for i in labels]
 
 
+def _width_case(n: int, width: int, kind: str, seed: int) -> tuple[Ranking, dict[str, str]]:
+    """n pages whose widest writer has width + 1 pages, the rest 1 to
+    width + 1 (singletons included), over similarities of one kind:
+    "distinct", "ties" (halves, 0.0 and -0.0), or ties with NaN at
+    "nan_irrelevant" or also at "nan_relevant" entries."""
+    rng = np.random.default_rng(seed)
+    sizes = [width + 1, 1]
+    while sum(sizes) < n:
+        sizes.append(int(rng.integers(1, width + 2)))
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes)[:n])
+    sims = rng.normal(size=(n, n))
+    if kind != "distinct":
+        sims = np.round(sims * 2) / 2
+        sims[rng.random((n, n)) < 0.1] = 0.0
+        sims[rng.random((n, n)) < 0.1] = -0.0
+    if kind.startswith("nan"):
+        sims[(rng.random((n, n)) < 0.05) & (labels[:, None] != labels)] = np.nan
+    if kind == "nan_relevant":
+        a, b = np.flatnonzero(labels == labels[np.argmax(np.bincount(labels)[labels])])[:2]
+        sims[a, b] = np.nan
+    ranking = _ranking(sims, seed)
+    return ranking, dict(zip(ranking.page_ids, (f"w{c}" for c in labels)))
+
+
+def _count_full_sorts(monkeypatch) -> list[int]:
+    """Patch retrieval.rank_rows to count its full leave-one-out calls."""
+    calls: list[int] = []
+    real = retrieval.rank_rows
+
+    def counted(scores, tie_rank, candidates=None, k=None):
+        if candidates is None and k is None:
+            calls.append(len(scores))
+        return real(scores, tie_rank, candidates, k)
+
+    monkeypatch.setattr(retrieval, "rank_rows", counted)
+    return calls
+
+
+WIDTH_KINDS = ("distinct", "ties", "nan_irrelevant", "nan_relevant")
+
+
 class TestEvaluateMatchesHitsMatrix:
+    @pytest.mark.parametrize("n", [2, 3, 8, 50, 1000])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_both_sides_of_the_width_rule(self, monkeypatch, n, above):
+        """Up to log2(n) relevant pages per query evaluate counts ranks,
+        one more sorts every row once; a NaN relevant score sorts too.
+        Both match the hits-matrix oracle exactly."""
+        width = min(_widest_counted(n) + above, n - 1)
+        calls = _count_full_sorts(monkeypatch)
+        for kind in WIDTH_KINDS:
+            for score_isolated in (False, True):
+                ranking, writers = _width_case(n, width, kind, seed=n + 10 * above)
+                sorts = len(calls)
+                got = evaluate(ranking, writers, score_isolated_as_zero=score_isolated)
+                sorted_rows = width > np.log2(n) or kind == "nan_relevant"
+                assert len(calls) - sorts == sorted_rows
+                want = evaluate_oracle(_fresh(ranking), writers, score_isolated)
+                assert list(got.per_query_ap) == list(want.per_query_ap)
+                assert (
+                    np.array(list(got.per_query_ap.values())).tobytes()
+                    == np.array(list(want.per_query_ap.values())).tobytes()
+                )
+                assert got.per_query_top1 == want.per_query_top1
+                assert got.first_relevant_rank == want.first_relevant_rank
+                assert got.isolated_queries == want.isolated_queries
+                assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
+
     @pytest.mark.parametrize("score_isolated", [False, True])
     def test_reports_equal(self, score_isolated):
         for ranking, writer_list in _evaluate_cases():
@@ -464,6 +559,23 @@ class TestEvaluateMatchesHitsMatrix:
             gram = vectors @ vectors.T
             got = _pool_retrieval_map(gram, labels)
             assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
+
+    @pytest.mark.parametrize(
+        "n,size", [(2, 2), (8, 3), (60, 4), (60, 15), (300, 5), (300, 19), (1000, 8), (1000, 24)]
+    )
+    def test_pool_retrieval_map_on_narrow_and_wide_classes(self, monkeypatch, n, size):
+        """Each item has size - 1 relevant ones: up to log2(n) the pool's
+        score is counted, above it sorted. The all-zero pool ties every
+        pair."""
+        calls = _count_full_sorts(monkeypatch)
+        rng = np.random.default_rng(n + size)
+        labels = rng.permutation(np.arange(n) // size)
+        for vectors in (rng.normal(size=(n, 8)), np.zeros((n, 8))):
+            vectors[rng.random(n) < 0.1] = 0.0
+            gram = vectors @ vectors.T
+            got = _pool_retrieval_map(gram, labels)
+            assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
+        assert len(calls) == 2 * (size - 1 > np.log2(n))
 
 
 class TestReportSerialization:
