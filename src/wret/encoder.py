@@ -1,8 +1,8 @@
-"""Patch encoders: hard VLAD plus the NetVLAD and NetRVLAD soft variants.
+"""Patch encoders: hard VLAD and NetRVLAD (NetVLAD without its normalizations).
 
 A shallow affine/relu backbone maps input descriptors to the embedding
-space the codebook lives in. Encodings are (n_clusters x dim) residual
-matrices, flattened row-major over clusters for all downstream use.
+space the codebook lives in. Encodings are (n_clusters x dim) matrices of
+soft-assigned residuals, flattened row-major over clusters downstream.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .features import fit_kmeans
 
 ACTIVATIONS = ("relu", "identity")
-MODES = ("netvlad", "netrvlad")
+MODES = ("netrvlad",)
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class Codebook:
     centers: np.ndarray  # (n_clusters, dim)
     weights: np.ndarray  # (n_clusters, dim)
     bias: np.ndarray  # (n_clusters,)
-    mode: str = "netrvlad"
+    mode: str = "netrvlad"  # saved in codebook files, so one of another mode is refused
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -143,45 +142,21 @@ def soft_assign(cb: Codebook, x: np.ndarray) -> np.ndarray:
     return alpha[0] if single else alpha
 
 
-def _prenormalize(cb: Codebook, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """netvlad l2-normalizes each input row (and returns the norms);
-    netrvlad uses the rows as they are."""
-    if cb.mode != "netvlad":
-        return rows, None
-    znorm = np.linalg.norm(rows, axis=1, keepdims=True)
-    if np.any(znorm == 0.0):
-        raise ValidationError("netvlad prenormalization rejects zero embeddings")
-    return rows / znorm, znorm
-
-
-def _intranormalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """l2-normalize v along its last axis, and return the norms; zero
-    rows stay zero rather than dividing by zero."""
-    gnorm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return np.where(gnorm > 0.0, v / np.where(gnorm > 0.0, gnorm, 1.0), v), gnorm
-
-
 def encode_patches(
     cb: Codebook, xs: np.ndarray, return_cache: bool = False
-) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray | None]]:
+) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray]]:
     """Encode a batch of embeddings to (n, n_clusters, dim) residual stacks.
 
     With return_cache, also return the intermediates the backward pass
-    needs: znorm (input norms), xhat (the inputs after prenormalization),
-    alpha (soft assignments), resid (xhat minus each center) and gnorm
-    (norms of the weighted residual rows before intranormalization);
-    znorm and gnorm are None in netrvlad mode."""
+    needs: x (the inputs), alpha (soft assignments) and resid (x minus
+    each center)."""
     rows, _ = _as_rows(xs, cb.dim, "encode_patches")
-    rows, znorm = _prenormalize(cb, rows)
-    gnorm = None
     alpha = soft_assign(cb, rows)
     resid = rows[:, None, :] - cb.centers[None, :, :]
     v = alpha[:, :, None] * resid
-    if cb.mode == "netvlad":
-        v, gnorm = _intranormalize(v)
     if not return_cache:
         return v
-    return v, {"znorm": znorm, "xhat": rows, "alpha": alpha, "resid": resid, "gnorm": gnorm}
+    return v, {"x": rows, "alpha": alpha, "resid": resid}
 
 
 # A (patch, cluster) pair's encoding row is taken as a weighted residual
@@ -197,31 +172,22 @@ TINY_SQNORM = 1e-280
 def _weighted_residuals(
     cb: Codebook, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every encoding row of the prenormalized `rows` either as a weighted
-    residual or formed from the difference.
+    """Every encoding row of `rows` either as a weighted residual or
+    formed from the difference.
 
-    Returns (coef, sqnorm, i, k, v): coef (n, n_clusters) holds w_ik (a_ik
-    in netrvlad mode, 1/|x_i - c_k| in netvlad mode) and 0 for the pairs
-    formed from the difference, which are (i[p], k[p]) with row v[p];
-    sqnorm holds every row's squared norm.
+    Returns (coef, sqnorm, i, k, v): coef (n, n_clusters) holds w_ik = a_ik
+    and 0 for the pairs formed from the difference, which are (i[p], k[p])
+    with row v[p]; sqnorm holds every row's squared norm.
     """
     alpha = soft_assign(cb, rows)
     scale = np.sum(rows**2, axis=1)[:, None] + np.sum(cb.centers**2, axis=1)[None, :]
     sq = np.maximum(scale - 2.0 * (rows @ cb.centers.T), 0.0)
     sqnorm = alpha**2 * sq  # squared norm of each row a_ik (x_i - c_k)
     fast = (sq > CANCEL_RATIO * scale) & (sqnorm >= TINY_SQNORM)
-    exact = (alpha > 0.0) & ~fast
-    if cb.mode == "netvlad":
-        # Intranormalized rows (x_i - c_k) / |x_i - c_k| have unit norm.
-        coef = np.where(fast, 1.0 / np.sqrt(np.where(fast, sq, 1.0)), 0.0)
-        sqnorm = fast.astype(np.float64)
-    else:
-        coef = np.where(fast, alpha, 0.0)
-        sqnorm = np.where(fast, sqnorm, 0.0)
-    i, k = np.nonzero(exact)
+    coef = np.where(fast, alpha, 0.0)
+    sqnorm = np.where(fast, sqnorm, 0.0)
+    i, k = np.nonzero((alpha > 0.0) & ~fast)
     v = alpha[i, k, None] * (rows[i] - cb.centers[k])
-    if cb.mode == "netvlad":
-        v, _ = _intranormalize(v)
     sqnorm[i, k] = np.sum(v**2, axis=1)
     return coef, sqnorm, i, k, v
 
@@ -231,16 +197,14 @@ def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
 
     Equals pool_page(flatten_encoding(encode_patches(cb, xs))) up to
     rounding without forming the (n, n_clusters, dim) stack: the rows
-    a_ik (x_i - c_k), or their intranormalized netvlad form, are weighted
-    residuals, so the sum over patches is W^T X - colsum(W) c per cluster,
-    one matmul. Pairs whose squared distance cancels or whose row's squared
-    norm underflows are formed exactly as encode_patches forms them and
-    added on their own.
+    a_ik (x_i - c_k) are weighted residuals, so the sum over patches is
+    W^T X - colsum(W) c per cluster with W_ik = a_ik / |v_i|, one matmul.
+    Pairs whose squared distance cancels or whose row's squared norm
+    underflows are formed as encode_patches forms them and added apart.
     """
     rows, _ = _as_rows(xs, cb.dim, "pool_patches")
     if rows.shape[0] == 0:
         raise ValidationError("pool_patches needs at least one patch")
-    rows, _ = _prenormalize(cb, rows)
     coef, sqnorm, i, k, v = _weighted_residuals(cb, rows)
     norms = np.sqrt(sqnorm.sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
@@ -256,14 +220,13 @@ def encoding_gram(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
     """Gram matrix (n, n) of encode_flat(b, cb, xs), up to rounding,
     without forming the (n, n_clusters, dim) stack.
 
-    With weighted-residual rows w_ik (x_i - c_k), the Gram is
+    With weighted-residual rows w_ik (x_i - c_k), w_ik = a_ik, the Gram is
     (X X^T) o (W W^T) + Q W^T + W Q^T for Q = W o (|c|^2 / 2 - X C^T):
     n^2 (dim + 2 n_clusters) work instead of n^2 n_clusters dim. A row e
     formed from the difference (w_ik = 0) adds e . w_jk (x_j - c_k) to
     row and column i, and e . e' for each such row e' of the same cluster.
     """
     rows, _ = _as_rows(backbone_forward(b, xs), cb.dim, "encoding_gram")
-    rows, _ = _prenormalize(cb, rows)
     w, _, i, k, e = _weighted_residuals(cb, rows)
     q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
     qw = q @ w.T
@@ -310,58 +273,15 @@ def flatten_encoding(v: np.ndarray) -> np.ndarray:
     raise ValidationError(f"expected an encoding matrix or stack, got ndim {v.ndim}")
 
 
-def init_codebook(
-    mode: str,
-    n_clusters: int,
-    dim: int,
-    seed: int,
-    data_sample: np.ndarray | None = None,
-    alpha_init: float | None = None,
-) -> Codebook:
-    """Build a fresh codebook.
-
-    netrvlad: centers and assignment weights drawn uniform in +-1/sqrt(dim),
-    bias zero, so initial logits are scale-balanced.
-
-    netvlad: centers from k-means over data_sample; weights 2a*c_k and bias
-    -a*|c_k|^2 with a chosen so the mean log-ratio of the two closest soft
-    assignments over the sample equals log(alpha_init).
-    """
-    if mode not in MODES:
-        raise ValidationError(f"unknown codebook mode {mode!r}")
+def init_codebook(n_clusters: int, dim: int, seed: int) -> Codebook:
+    """A fresh codebook: centers and assignment weights drawn uniform in
+    +-1/sqrt(dim), bias zero, so initial logits are scale-balanced."""
     if n_clusters < 1 or dim < 1:
         raise ValidationError("n_clusters and dim must be positive")
-    if mode == "netrvlad":
-        rng = np.random.default_rng(seed)
-        half = 1.0 / np.sqrt(dim)
-        return Codebook(
-            centers=rng.uniform(-half, half, size=(n_clusters, dim)),
-            weights=rng.uniform(-half, half, size=(n_clusters, dim)),
-            bias=np.zeros(n_clusters),
-            mode="netrvlad",
-        )
-    if n_clusters < 2:
-        raise ValidationError("netvlad initialization needs >= 2 clusters for the gap")
-    if data_sample is None:
-        raise ValidationError("netvlad initialization requires data_sample")
-    if alpha_init is None or alpha_init <= 1.0:
-        raise ValidationError("netvlad initialization requires alpha_init > 1")
-    sample = np.asarray(data_sample, dtype=np.float64)
-    centers = fit_kmeans(sample, n_clusters=n_clusters, seed=seed).centers
-    sq = (
-        np.sum(sample**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * sample @ centers.T
-    )
-    sq.sort(axis=1)
-    gaps = sq[:, 1] - sq[:, 0]
-    mean_gap = float(gaps.mean())
-    if mean_gap <= 0.0:
-        raise ValidationError("data_sample has no usable nearest/second-nearest gap")
-    a = float(np.log(alpha_init)) / mean_gap
+    rng = np.random.default_rng(seed)
+    half = 1.0 / np.sqrt(dim)
     return Codebook(
-        centers=centers,
-        weights=2.0 * a * centers,
-        bias=-a * np.sum(centers**2, axis=1),
-        mode="netvlad",
+        centers=rng.uniform(-half, half, size=(n_clusters, dim)),
+        weights=rng.uniform(-half, half, size=(n_clusters, dim)),
+        bias=np.zeros(n_clusters),
     )

@@ -11,7 +11,8 @@ Two little-endian binary containers:
   in header order.
 
 All JSON emitted here is canonical (sorted keys) so that re-running a
-stage with identical inputs reproduces artifacts byte for byte.
+stage with identical inputs reproduces artifacts byte for byte, each
+written whole or not at all by `write_atomic`.
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
-from contextlib import contextmanager
+import uuid
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,9 +56,24 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def write_atomic(path: Path | str, data: bytes) -> None:
+    """Write data to a new file beside path and rename it to path, so path
+    holds its old bytes or all the new ones; a failed write is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def write_json(path: Path | str, obj) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -103,7 +121,7 @@ def _model_checks(path: Path | str):
 def _write_matrix(path: Path, magic: bytes, matrix: np.ndarray, dtype: str) -> None:
     count, dim = matrix.shape
     header = MATRIX_HEADER.pack(magic, FORMAT_VERSION, dim, count)
-    path.write_bytes(header + matrix.astype(dtype).tobytes(order="C"))
+    write_atomic(path, header + matrix.astype(dtype).tobytes(order="C"))
 
 
 def _read_matrix(path: Path, magic: bytes, dtype: str, what: str) -> np.ndarray:
@@ -217,7 +235,7 @@ def save_model(path: Path | str, kind: str, meta: dict, arrays: dict[str, np.nda
     out += header
     for blob in blobs:
         out += blob
-    Path(path).write_bytes(bytes(out))
+    write_atomic(path, bytes(out))
 
 
 def _valid_array_entry(entry) -> bool:

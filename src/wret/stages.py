@@ -51,6 +51,7 @@ from .fileio import (
     save_model,
     save_pca,
     typed_entry,
+    write_atomic,
     write_embeddings,
     write_json,
 )
@@ -352,7 +353,7 @@ def run_evaluate(
         report["seed"] = sidecar.get("seed", 0)
         write_json(report_path, report)
         if per_query:
-            csv_path.write_text(report_to_csv(result), encoding="utf-8")
+            write_atomic(csv_path, report_to_csv(result).encode("utf-8"))
     return report
 
 
@@ -431,7 +432,7 @@ def run_sweep(
             writer.writerow(
                 [repr(float(cfg.gamma)), cfg.layers, cfg.k, repr(result.map), repr(result.top1)]
             )
-        out_csv.write_text(buf.getvalue(), encoding="utf-8")
+        write_atomic(out_csv, buf.getvalue().encode("utf-8"))
     return out_csv
 
 

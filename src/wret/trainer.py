@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .encoder import (
-    MODES,
     Backbone,
     Codebook,
     backbone_forward,
@@ -56,8 +55,6 @@ class TrainConfig:
     max_steps: int | None = None
     n_clusters: int = 16
     backbone_dims: tuple[int, ...] | None = None
-    mode: str = "netrvlad"
-    alpha_init: float = 100.0
     val_pool_cap: int = 1000
 
     def __post_init__(self) -> None:
@@ -77,8 +74,6 @@ class TrainConfig:
             raise ValidationError("max_steps must be positive when set")
         if self.val_pool_cap < 1:
             raise ValidationError("val_pool_cap must be positive")
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown encoder mode {self.mode!r}")
         dims = self.backbone_dims
         if dims is not None and (len(dims) < 2 or min(dims) < 1):
             raise ValidationError("backbone_dims needs >= 2 entries, each >= 1")
@@ -228,29 +223,15 @@ def backward(
     dflat = w.sum(axis=1)[:, None] * flat - w @ flat
 
     dv = dflat.reshape(n, n_clusters, -1)
-    if codebook.mode == "netvlad":
-        gnorm = fwd["gnorm"]
-        dot = np.sum(dv * v, axis=2, keepdims=True)
-        safe = np.where(gnorm > 0.0, gnorm, 1.0)
-        dg = np.where(gnorm > 0.0, (dv - dot * v) / safe, 0.0)
-    else:
-        dg = dv
     alpha, resid = fwd["alpha"], fwd["resid"]
-    dalpha = np.sum(dg * resid, axis=2)
-    dcenters = -np.einsum("nk,nkd->kd", alpha, dg)
-    dxhat = np.einsum("nk,nkd->nd", alpha, dg)
+    dalpha = np.sum(dv * resid, axis=2)
+    dcenters = -np.einsum("nk,nkd->kd", alpha, dv)
     # Softmax Jacobian applied row-wise.
     srow = np.sum(dalpha * alpha, axis=1, keepdims=True)
     dlogits = alpha * (dalpha - srow)
-    dweights = dlogits.T @ fwd["xhat"]
+    dweights = dlogits.T @ fwd["x"]
     dbias = dlogits.sum(axis=0)
-    dxhat = dxhat + dlogits @ codebook.weights
-    if codebook.mode == "netvlad":
-        xhat, znorm = fwd["xhat"], fwd["znorm"]
-        dot = np.sum(dxhat * xhat, axis=1, keepdims=True)
-        dh = (dxhat - dot * xhat) / znorm
-    else:
-        dh = dxhat
+    dh = np.einsum("nk,nkd->nd", alpha, dv) + dlogits @ codebook.weights
     by_name = {"codebook.centers": dcenters, "codebook.weights": dweights, "codebook.bias": dbias}
     for i in reversed(range(len(backbone.layers))):
         layer, (h_in, pre) = backbone.layers[i], layer_cache[i]
@@ -415,21 +396,9 @@ def train(
             raise ValidationError("backbone input dimension must match the descriptors")
         backbone = init_backbone(tuple(dims), seed=derive_seed(cfg.seed, "train/backbone"))
     if codebook is None:
-        if cfg.mode == "netrvlad":
-            codebook = init_codebook(
-                "netrvlad", cfg.n_clusters, backbone.output_dim,
-                seed=derive_seed(cfg.seed, "train/codebook"),
-            )
-        else:
-            sample_rng = np.random.default_rng(derive_seed(cfg.seed, "train/codebook-sample"))
-            size = min(len(train_idx), 2048)
-            pick = np.sort(sample_rng.choice(len(train_idx), size=size, replace=False))
-            sample = backbone_forward(backbone, data[train_idx[pick]])
-            codebook = init_codebook(
-                "netvlad", cfg.n_clusters, backbone.output_dim,
-                seed=derive_seed(cfg.seed, "train/codebook"),
-                data_sample=sample, alpha_init=cfg.alpha_init,
-            )
+        codebook = init_codebook(
+            cfg.n_clusters, backbone.output_dim, seed=derive_seed(cfg.seed, "train/codebook")
+        )
     if codebook.dim != backbone.output_dim:
         raise ValidationError("codebook dimension must match the backbone output")
 

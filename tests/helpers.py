@@ -59,7 +59,7 @@ def rebuild_with(
         arr = cb_params[block.split(".")[1]]
         arr.flat[flat_index] += delta
     layers = tuple(Layer(weight=w, bias=b, activation=a) for w, b, a in layer_params)
-    return Backbone(layers=layers), Codebook(mode=codebook.mode, **cb_params)
+    return Backbone(layers=layers), Codebook(**cb_params)
 
 
 def triplet_objective(
@@ -93,18 +93,6 @@ def well_conditioned(
     for layer, (_, pre) in zip(backbone.layers, cache):
         if layer.activation == "relu" and np.any(np.abs(pre) < gap):
             return False
-    z = backbone_forward(backbone, inputs)
-    if codebook.mode == "netvlad":
-        norms = np.linalg.norm(z, axis=1)
-        if np.any(norms < gap):
-            return False
-        zhat = z / norms[:, None]
-        logits = zhat @ codebook.weights.T + codebook.bias
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        alpha = e / e.sum(axis=1, keepdims=True)
-        g = alpha[:, :, None] * (zhat[:, None, :] - codebook.centers[None, :, :])
-        if np.any(np.linalg.norm(g, axis=2) < gap):
-            return False
     flat = encode_flat(backbone, codebook, inputs)
     for a, p, n in triplets:
         d_ap = float(np.linalg.norm(flat[a] - flat[p]))
@@ -133,12 +121,11 @@ def random_gradcheck_config(
             Layer(weight=rng.normal(size=(fo, fi)), bias=rng.normal(size=fo) * 0.5, activation=act)
         )
     backbone = Backbone(layers=tuple(layers))
-    mode = "netvlad" if rng.random() < 0.4 else "netrvlad"
+    rng.random()  # unused; kept so each seed draws the same other parameters
     codebook = Codebook(
         centers=rng.normal(size=(n_clusters, d_out)),
         weights=rng.normal(size=(n_clusters, d_out)),
         bias=rng.normal(size=n_clusters) * 0.3,
-        mode=mode,
     )
     n_items = 6
     inputs = rng.normal(size=(n_items, d_in))
@@ -294,28 +281,15 @@ def backward_oracle(
         dflat[neg] += u_an / count
 
     dv = dflat.reshape(n, n_clusters, -1)
-    if codebook.mode == "netvlad":
-        gnorm = fwd["gnorm"]
-        dot = np.sum(dv * v, axis=2, keepdims=True)
-        safe = np.where(gnorm > 0.0, gnorm, 1.0)
-        dg = np.where(gnorm > 0.0, (dv - dot * v) / safe, 0.0)
-    else:
-        dg = dv
     alpha, resid = fwd["alpha"], fwd["resid"]
-    dalpha = np.sum(dg * resid, axis=2)
-    grads = {"codebook.centers": -np.einsum("nk,nkd->kd", alpha, dg)}
-    dxhat = np.einsum("nk,nkd->nd", alpha, dg)
+    dalpha = np.sum(dv * resid, axis=2)
+    grads = {"codebook.centers": -np.einsum("nk,nkd->kd", alpha, dv)}
+    dh = np.einsum("nk,nkd->nd", alpha, dv)
     srow = np.sum(dalpha * alpha, axis=1, keepdims=True)
     dlogits = alpha * (dalpha - srow)
-    grads["codebook.weights"] = dlogits.T @ fwd["xhat"]
+    grads["codebook.weights"] = dlogits.T @ fwd["x"]
     grads["codebook.bias"] = dlogits.sum(axis=0)
-    dxhat = dxhat + dlogits @ codebook.weights
-    if codebook.mode == "netvlad":
-        xhat, znorm = fwd["xhat"], fwd["znorm"]
-        dot = np.sum(dxhat * xhat, axis=1, keepdims=True)
-        dh = (dxhat - dot * xhat) / znorm
-    else:
-        dh = dxhat
+    dh = dh + dlogits @ codebook.weights
     for i in reversed(range(len(backbone.layers))):
         layer, (h_in, pre) = backbone.layers[i], layer_cache[i]
         da = dh * (pre > 0.0) if layer.activation == "relu" else dh

@@ -21,11 +21,11 @@ CLI_SURFACE = {
         "store --out required", "store --rho", "store --seed", "store --target-dim",
     ],
     "train": [
-        "store --alpha-init", "store --backbone-dims", "store --batch-size", "store --clusters",
-        "store --config", "store --epochs-max", "store --labels required",
-        "store --learning-rate", "store --margin", "store --max-steps", "store --mode",
-        "store --out required", "store --patience", "store --per-class", "store --seed",
-        "store --val-pool-cap", "store --validation-fraction", "store --warmup-epochs",
+        "store --backbone-dims", "store --batch-size", "store --clusters", "store --config",
+        "store --epochs-max", "store --labels required", "store --learning-rate",
+        "store --margin", "store --max-steps", "store --out required", "store --patience",
+        "store --per-class", "store --seed", "store --val-pool-cap",
+        "store --validation-fraction", "store --warmup-epochs",
     ],
     "encode": [
         "store --cap", "store --config", "store --manifest required",
@@ -111,19 +111,25 @@ def test_flag_reaches_config(monkeypatch, argv, stage, reach, expected):
 
 
 @pytest.mark.parametrize(
-    "command,config",
-    [
-        (["train", "--labels", "labels.wrmd"], {"mining": "hard"}),
-        (["report", "--manifest", "manifest.json"], {"train": {"mining": "semi"}}),
-    ],
+    "key,value", [("mining", "hard"), ("mode", "netvlad"), ("alpha_init", 100.0)]
 )
-def test_removed_mining_key_is_unknown(tmp_path, capsys, command, config):
-    # training has one admission rule, so "mining" is no longer a config field
+@pytest.mark.parametrize(
+    "command,section",
+    [
+        (["train", "--labels", "labels.wrmd"], None),
+        (["report", "--manifest", "manifest.json"], "train"),
+    ],
+    ids=["train", "report"],
+)
+def test_removed_train_key_is_unknown(tmp_path, capsys, command, section, key, value):
+    # training has one admission rule and one encoder mode, so "mining",
+    # "mode" and "alpha_init" are no longer config fields
+    config = {key: value} if section is None else {section: {key: value}}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert cli.entrypoint([*command, "--out", str(out), "--config", str(cfg_path)]) == 1
-    assert "unknown config keys: ['mining']" in capsys.readouterr().err
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not out.exists()
 
 

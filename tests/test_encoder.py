@@ -5,7 +5,6 @@ import pytest
 
 from wret.aggregation import pool_page
 from wret.encoder import (
-    MODES,
     Backbone,
     Codebook,
     Layer,
@@ -83,12 +82,11 @@ class TestBackbone:
         assert np.array_equal(a.layers[0].weight, b.layers[0].weight)
 
 
-def _simple_codebook(mode: str = "netrvlad") -> Codebook:
+def _simple_codebook() -> Codebook:
     return Codebook(
         centers=np.array([[0.0, 0.0], [1.0, 1.0]]),
         weights=np.array([[1.0, 0.0], [0.0, 1.0]]),
         bias=np.array([0.0, 0.0]),
-        mode=mode,
     )
 
 
@@ -196,31 +194,15 @@ class TestEncodePatch:
         np.testing.assert_allclose(v2, 0.5 * (2 * x[None, :] - cb.centers), atol=1e-12)
         np.testing.assert_allclose(v2 - v1, np.tile(0.5 * x, (2, 1)), atol=1e-12)
 
-    def test_netvlad_prenorm_and_intranorm(self):
-        cb = _simple_codebook(mode="netvlad")
-        x = np.array([3.0, 4.0])
-        v = encode_patches(cb, x)[0]
-        xhat = x / 5.0
-        alpha = soft_assign(cb, xhat)
-        for k in range(2):
-            raw = alpha[k] * (xhat - cb.centers[k])
-            np.testing.assert_allclose(v[k], raw / np.linalg.norm(raw), atol=1e-12)
-            assert abs(np.linalg.norm(v[k]) - 1.0) < 1e-12
-
-    def test_netvlad_rejects_zero_vector(self):
-        with pytest.raises(ValidationError):
-            encode_patches(_simple_codebook(mode="netvlad"), np.zeros(2))
-
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         xs = rng.normal(size=(6, 2))
-        for mode in MODES:
-            cb = _simple_codebook(mode)
-            stack = encode_patches(cb, xs)
-            for i in range(6):
-                np.testing.assert_array_equal(stack[i], encode_patches(cb, xs[i])[0])
-            # The cached variant runs the same forward pass.
-            np.testing.assert_array_equal(encode_patches(cb, xs, return_cache=True)[0], stack)
+        cb = _simple_codebook()
+        stack = encode_patches(cb, xs)
+        for i in range(6):
+            np.testing.assert_array_equal(stack[i], encode_patches(cb, xs[i])[0])
+        # The cached variant runs the same forward pass.
+        np.testing.assert_array_equal(encode_patches(cb, xs, return_cache=True)[0], stack)
 
 
 def _pool_oracle(cb: Codebook, xs: np.ndarray) -> np.ndarray:
@@ -243,7 +225,7 @@ def _assert_pools_alike(cb: Codebook, xs: np.ndarray) -> bool:
     return True
 
 
-def _random_page(rng, mode: str, placed: str, k: int | None = None, n: int | None = None):
+def _random_page(rng, placed: str, k: int | None = None, n: int | None = None):
     """A random codebook and page at a scale from 1e-3 to 1e3. `placed`
     puts the first patches on a center ("equal"), within 1e-9 of one
     ("near") or at a distance from 1e-8 to 1 from one ("close"), relative
@@ -252,21 +234,13 @@ def _random_page(rng, mode: str, placed: str, k: int | None = None, n: int | Non
     n = int(rng.integers(1, 41)) if n is None else n
     dim = int(rng.integers(2, 33))
     scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    centers = rng.normal(size=(k, dim))
-    if mode == "netvlad":
-        # netvlad compares the unit-norm inputs with the centers
-        centers /= np.linalg.norm(centers, axis=1, keepdims=True)
-        weights = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-1.0, 1.0)
-    else:
-        centers *= scale
-        weights = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-1.0, 1.0) / scale
-    cb = Codebook(centers=centers, weights=weights, bias=rng.normal(size=k), mode=mode)
+    centers = rng.normal(size=(k, dim)) * scale
+    weights = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-1.0, 1.0) / scale
+    cb = Codebook(centers=centers, weights=weights, bias=rng.normal(size=k))
     xs = rng.normal(size=(n, dim)) * scale
     m = int(rng.integers(1, n + 1))
     if placed != "none":
         on = centers[rng.integers(0, k, size=m)]
-        if mode == "netvlad":
-            on = on * scale  # prenormalization brings it back onto the center
         if placed != "equal":
             offset = rng.normal(size=on.shape)
             offset /= np.linalg.norm(offset, axis=1, keepdims=True)
@@ -281,48 +255,39 @@ PLACED = ("none", "equal", "near", "close")
 
 class TestPoolPatches:
     @pytest.mark.parametrize("placed", PLACED)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_stack_oracle(self, mode, placed):
-        rng = np.random.default_rng([MODES.index(mode), PLACED.index(placed)])
+    def test_matches_stack_oracle(self, placed):
+        rng = np.random.default_rng([1, PLACED.index(placed)])
         shapes = [(1, 1), (1, None), (None, 1)] + [(None, None)] * 97
-        compared = sum(
-            _assert_pools_alike(*_random_page(rng, mode, placed, k, n)) for k, n in shapes
-        )
+        compared = sum(_assert_pools_alike(*_random_page(rng, placed, k, n)) for k, n in shapes)
         assert compared >= 80
 
-    def test_netvlad_rows_whose_norm_underflows_match_the_stack(self):
-        # Sharp assignments put some a_ik below 1e-162: the squared entries
-        # of a_ik (x_i - c_k) underflow, so encode_patches leaves that row
-        # unnormalized and near zero instead of scaling it to unit norm.
+    def test_rows_whose_norm_underflows_match_the_stack(self):
+        # Sharp assignments put some a_ik (x_i - c_k) below TINY_SQNORM in
+        # squared norm, so those pairs are formed from the difference.
         rng = np.random.default_rng(5)
-        underflowing = 0
+        tiny = 0
         for _ in range(40):
             centers = rng.normal(size=(6, 8))
             centers /= np.linalg.norm(centers, axis=1, keepdims=True)
             tau = 10.0 ** rng.uniform(2.5, 3.5)
-            cb = Codebook(
-                centers=centers, weights=2 * tau * centers, bias=-tau * np.ones(6), mode="netvlad"
-            )
+            cb = Codebook(centers=centers, weights=2 * tau * centers, bias=-tau * np.ones(6))
             xs = rng.normal(size=(20, 8))
-            alpha = encode_patches(cb, xs, return_cache=True)[1]["alpha"]
-            underflowing += int(np.sum((alpha > 0.0) & (alpha < 1e-162)))
+            _, cache = encode_patches(cb, xs, return_cache=True)
+            sqnorm = cache["alpha"] ** 2 * np.sum(cache["resid"] ** 2, axis=2)
+            tiny += int(np.sum((cache["alpha"] > 0.0) & (sqnorm < TINY_SQNORM)))
             _assert_pools_alike(cb, xs)
-        assert underflowing > 0
+        assert tiny > 0
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_patch_on_its_only_center_is_an_all_zero_encoding(self, mode):
-        cb = Codebook(
-            centers=np.array([[0.6, 0.8]]), weights=np.ones((1, 2)), bias=np.zeros(1), mode=mode
-        )
+    def test_patch_on_its_only_center_is_an_all_zero_encoding(self):
+        cb = Codebook(centers=np.array([[0.6, 0.8]]), weights=np.ones((1, 2)), bias=np.zeros(1))
         xs = np.array([[0.3, -0.2], [0.6, 0.8]])
         with pytest.raises(ValidationError, match="patch 1 has an all-zero encoding"):
             pool_patches(cb, xs)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_row_order_does_not_matter(self, mode):
+    def test_row_order_does_not_matter(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            cb, xs = _random_page(rng, mode, "none")
+            cb, xs = _random_page(rng, "none")
             pooled = pool_patches(cb, xs)
             shuffled = pool_patches(cb, xs[rng.permutation(len(xs))])
             assert np.max(np.abs(shuffled - pooled)) <= 1e-12 * np.max(np.abs(pooled))
@@ -345,32 +310,28 @@ def _assert_grams_alike(cb: Codebook, xs: np.ndarray) -> None:
 
 class TestEncodingGram:
     @pytest.mark.parametrize("placed", PLACED)
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_flat_product(self, mode, placed):
-        rng = np.random.default_rng([7, MODES.index(mode), PLACED.index(placed)])
+    def test_matches_flat_product(self, placed):
+        rng = np.random.default_rng([7, 1, PLACED.index(placed)])
         shapes = [(1, 1), (1, None), (None, 1)] + [(None, None)] * 97
         for k, n in shapes:
-            cb, xs = _random_page(rng, mode, placed, k, n)
+            cb, xs = _random_page(rng, placed, k, n)
             _assert_grams_alike(cb, xs)
             _assert_grams_alike(cb, xs[rng.integers(0, len(xs), size=len(xs) + 3)])  # duplicates
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_patch_on_a_center_and_next_to_it(self, mode):
+    def test_patch_on_a_center_and_next_to_it(self):
         cb = Codebook(
-            centers=np.array([[0.6, 0.8], [-0.8, 0.6]]),
-            weights=np.ones((2, 2)), bias=np.zeros(2), mode=mode,
+            centers=np.array([[0.6, 0.8], [-0.8, 0.6]]), weights=np.ones((2, 2)), bias=np.zeros(2)
         )
         xs = np.array([[0.6, 0.8], [0.6 + 1e-9, 0.8], [0.3, -0.2], [0.6, 0.8 - 1e-9]])
         _assert_grams_alike(cb, xs)
         # n = 1: a patch on its only center has an all-zero encoding.
-        one = Codebook(centers=cb.centers[:1], weights=cb.weights[:1], bias=cb.bias[:1], mode=mode)
+        one = Codebook(centers=cb.centers[:1], weights=cb.weights[:1], bias=cb.bias[:1])
         np.testing.assert_array_equal(
             encoding_gram(_identity_backbone(2), one, xs[:1]), np.zeros((1, 1))
         )
         _assert_grams_alike(one, xs[1:2])
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_underflowing_rows(self, mode):
+    def test_underflowing_rows(self):
         # Sharp assignments put some a_ik (x_i - c_k) below TINY_SQNORM in
         # squared norm, so those pairs are formed from the difference.
         rng = np.random.default_rng(11)
@@ -379,9 +340,7 @@ class TestEncodingGram:
             centers = rng.normal(size=(6, 8))
             centers /= np.linalg.norm(centers, axis=1, keepdims=True)
             tau = 10.0 ** rng.uniform(2.5, 3.5)
-            cb = Codebook(
-                centers=centers, weights=2 * tau * centers, bias=-tau * np.ones(6), mode=mode
-            )
+            cb = Codebook(centers=centers, weights=2 * tau * centers, bias=-tau * np.ones(6))
             xs = rng.normal(size=(20, 8))
             _, cache = encode_patches(cb, xs, return_cache=True)
             sqnorm = cache["alpha"] ** 2 * np.sum(cache["resid"] ** 2, axis=2)
@@ -444,36 +403,18 @@ class TestFlattening:
 
 class TestInitCodebook:
     def test_netrvlad_deterministic(self):
-        a = init_codebook("netrvlad", 8, 32, seed=11)
-        b = init_codebook("netrvlad", 8, 32, seed=11)
+        a = init_codebook(8, 32, seed=11)
+        b = init_codebook(8, 32, seed=11)
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
     def test_netrvlad_sanity(self):
-        cb = init_codebook("netrvlad", 8, 32, seed=1)
+        cb = init_codebook(8, 32, seed=1)
         assert np.isfinite(cb.centers).all()
         assert len({tuple(row) for row in cb.centers}) == 8
         assert np.all(np.abs(cb.centers) <= 1.0 / np.sqrt(32))
         np.testing.assert_array_equal(cb.bias, np.zeros(8))
-
-    def test_netvlad_requires_sample_and_alpha(self):
-        with pytest.raises(ValidationError):
-            init_codebook("netvlad", 2, 2, seed=0)
-        with pytest.raises(ValidationError):
-            init_codebook("netvlad", 2, 2, seed=0, data_sample=np.eye(2), alpha_init=0.5)
-
-    def test_netvlad_alpha_ratio_property(self):
-        # Two tight blobs; soft-assignment ratio at the blob centers ~ alpha_init.
-        rng = np.random.default_rng(6)
-        blob_a = np.array([0.0, 0.0]) + 0.01 * rng.normal(size=(40, 2))
-        blob_b = np.array([4.0, 0.0]) + 0.01 * rng.normal(size=(40, 2))
-        sample = np.vstack([blob_a, blob_b])
-        cb = init_codebook("netvlad", 2, 2, seed=0, data_sample=sample, alpha_init=100.0)
-        for point in (cb.centers[0], cb.centers[1]):
-            alpha = np.sort(soft_assign(cb, point))[::-1]
-            ratio = alpha[0] / alpha[1]
-            assert abs(ratio - 100.0) <= 10.0  # within 10%
 
     def test_limiting_equivalence_to_hard_vlad(self):
         rng = np.random.default_rng(7)

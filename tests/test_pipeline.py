@@ -1,3 +1,5 @@
+import builtins
+import errno
 import json
 import re
 import shutil
@@ -10,6 +12,7 @@ from wret.aggregation import PageEmbedding
 from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
+from wret import fileio
 from wret.features import KmeansRun, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
@@ -32,6 +35,7 @@ from wret.fileio import (
     save_pca,
     write_descriptors,
     write_embeddings,
+    write_json,
 )
 from wret.rerank import RerankConfig
 from wret.seeds import derive_seed
@@ -197,7 +201,7 @@ class TestModelFiles:
         assert [layer.weight.shape for layer in load_backbone(path).layers] == [(48, 32), (64, 48)]
 
     def test_codebook_round_trip(self, tmp_path):
-        codebook = init_codebook("netrvlad", 4, 6, seed=5)
+        codebook = init_codebook(4, 6, seed=5)
         path = tmp_path / "cb.wrmd"
         save_codebook(path, codebook, seed=5)
         back = load_codebook(path)
@@ -296,8 +300,8 @@ _LABELS = {
         (load_backbone, "backbone", {"activations": ["relu"]}, {"layer0.bias": np.zeros(2)}),
         (load_backbone, "backbone", {"activations": 3}, _LAYER),
         (load_codebook, "codebook", {}, _CODEBOOK),
-        (load_codebook, "codebook", {"mode": ["netvlad"]}, _CODEBOOK),
-        (load_codebook, "codebook", {"mode": "netvlad"}, {**_CODEBOOK, "centers": None}),
+        (load_codebook, "codebook", {"mode": ["netrvlad"]}, _CODEBOOK),
+        (load_codebook, "codebook", {"mode": "netrvlad"}, {**_CODEBOOK, "centers": None}),
         (load_pca, "pca", {}, _PCA),
         (load_pca, "pca", {"whiten": "yes"}, _PCA),
         (load_cluster_model, "kmeans", {}, {"centers": np.ones((2, 2))}),
@@ -316,36 +320,41 @@ _KEPT = {**_LABELS, "kept": np.array([0, 1], dtype=np.int64)}
 
 
 @pytest.mark.parametrize(
-    "loader, kind, arrays",
+    "loader, kind, arrays, meta",
     [
-        (load_pca, "pca", {**_PCA, "basis": np.eye(3)}),
-        (load_pca, "pca", {**_PCA, "basis": np.ones((2, 3))}),
-        (load_pca, "pca", {**_PCA, "mean": np.zeros((1, 2))}),
-        (load_labels, "labels", {**_KEPT, "kept": np.array([0, 2], dtype=np.int64)}),
-        (load_labels, "labels", {**_KEPT, "kept": np.array([-1, 0], dtype=np.int64)}),
-        (load_labels, "labels", {**_KEPT, "kept": np.array([0.0, 1.0])}),
-        (load_labels, "labels", {**_KEPT, "labels": np.zeros(1, dtype=np.int64)}),
-        (load_labels, "labels", {**_KEPT, "labels": np.zeros((2, 1), dtype=np.int64)}),
-        (load_labels, "labels", {**_KEPT, "rejected": np.array([5], dtype=np.int64)}),
-        (load_labels, "labels", {**_KEPT, "descriptors": np.ones(2)}),
-        (load_codebook, "codebook", {**_CODEBOOK, "centers": np.ones((2, 3))}),
-        (load_backbone, "backbone", {**_LAYER, "layer0.bias": np.zeros(3)}),
+        (load_pca, "pca", {**_PCA, "basis": np.eye(3)}, {}),
+        (load_pca, "pca", {**_PCA, "basis": np.ones((2, 3))}, {}),
+        (load_pca, "pca", {**_PCA, "mean": np.zeros((1, 2))}, {}),
+        (load_labels, "labels", {**_KEPT, "kept": np.array([0, 2], dtype=np.int64)}, {}),
+        (load_labels, "labels", {**_KEPT, "kept": np.array([-1, 0], dtype=np.int64)}, {}),
+        (load_labels, "labels", {**_KEPT, "kept": np.array([0.0, 1.0])}, {}),
+        (load_labels, "labels", {**_KEPT, "labels": np.zeros(1, dtype=np.int64)}, {}),
+        (load_labels, "labels", {**_KEPT, "labels": np.zeros((2, 1), dtype=np.int64)}, {}),
+        (load_labels, "labels", {**_KEPT, "rejected": np.array([5], dtype=np.int64)}, {}),
+        (load_labels, "labels", {**_KEPT, "descriptors": np.ones(2)}, {}),
+        (load_codebook, "codebook", {**_CODEBOOK, "centers": np.ones((2, 3))}, {}),
+        # an encoder mode this version no longer implements
+        (load_codebook, "codebook", _CODEBOOK, {"mode": "netvlad"}),
+        (load_backbone, "backbone", {**_LAYER, "layer0.bias": np.zeros(3)}, {}),
         (
             load_backbone, "backbone",
-            {**_LAYER, "layer1.weight": np.ones((2, 3)), "layer1.bias": np.zeros(2)},
+            {**_LAYER, "layer1.weight": np.ones((2, 3)), "layer1.bias": np.zeros(2)}, {},
         ),
     ],
     ids=[
         "pca-basis-rows", "pca-basis-cols", "pca-mean-2d", "kept-out-of-range",
         "kept-negative", "kept-float", "labels-short", "labels-2d", "rejected-out-of-range",
-        "descriptors-1d", "codebook-weights", "backbone-bias", "backbone-chain",
+        "descriptors-1d", "codebook-weights", "codebook-netvlad-mode", "backbone-bias",
+        "backbone-chain",
     ],
 )
-def test_model_with_inconsistent_arrays_raises_artifact_error(tmp_path, loader, kind, arrays):
+def test_model_with_inconsistent_arrays_raises_artifact_error(
+    tmp_path, loader, kind, arrays, meta
+):
     path = tmp_path / "m.wrmd"
     # each loader reads only its own meta keys; load_labels reads none
     layers = sum(name.endswith(".weight") for name in arrays)
-    meta = {"activations": ["relu"] * layers, "mode": "netrvlad", "whiten": True}
+    meta = {"activations": ["relu"] * layers, "mode": "netrvlad", "whiten": True, **meta}
     save_model(path, kind, meta, arrays)
     with pytest.raises(ArtifactIOError, match=re.escape(str(path))):
         loader(path)
@@ -375,6 +384,49 @@ def test_every_strict_prefix_raises_artifact_error(tmp_path, fmt):
         path.write_bytes(raw[:size])
         with pytest.raises(ArtifactIOError):
             read()
+
+
+class _FullDisk:
+    """A file handle whose write stores half of its data, then fails."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.handle.write(data[: len(data) // 2])
+        self.handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path, n: write_json(path, {"values": list(range(n))}),
+        lambda path, n: write_descriptors(path, np.ones((n, 3))),
+        lambda path, n: save_model(path, "pca", {}, {"basis": np.ones((n, 3))}),
+    ],
+    ids=["json", "matrix", "model"],
+)
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write, existing):
+    path = tmp_path / "artifact"
+    if existing:
+        write(path, 2)
+    before = path.read_bytes() if existing else None
+    monkeypatch.setattr(
+        fileio, "open", lambda *a, **kw: _FullDisk(builtins.open(*a, **kw)), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        write(path, 50)
+    assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if existing else [])
+    if existing:
+        assert path.read_bytes() == before
 
 
 class TestManifests:
@@ -521,16 +573,17 @@ class TestStages:
 
     def test_backbone_dims_config_hash_is_stable(self, workspace, tmp_path):
         # backbone_dims is hashed as a JSON array, so a tuple and a list
-        # hash alike. The pins changed once, when TrainConfig lost its
-        # "mining" field (was 55e222c5... and 7240e406...); the pins are the
-        # old configs' hashes with that key left out
+        # hash alike. The pins changed when TrainConfig lost its "mining"
+        # field (was 55e222c5... and 7240e406...), and again when it lost
+        # "mode" and "alpha_init" (was c430b454... and 6217f553...); each
+        # time the pins became the old configs' hashes with those keys left out
         short = dict(epochs_max=1, warmup_epochs=0, max_steps=2)
         run_cluster(
             workspace["manifest"], tmp_path, ClusterConfig(n_clusters=6, target_dim=32, seed=SEED)
         )
         train_cfg = _tiny_train_cfg(backbone_dims=(32, 48, 64), **short)
         report = run_train(tmp_path / "labels.wrmd", tmp_path, train_cfg)
-        assert report["config_hash"] == "c430b454c0afa024087e39b8ab47e15b144e3eaa74a3d685d0854f9ed3ecc029"
+        assert report["config_hash"] == "b5c0d7cdfc9e56ca1885ae746ae2b979625f4ed0248e42b1081698ed1c957cc5"
         report = run_report(
             workspace["manifest"],
             tmp_path / "report",
@@ -539,7 +592,7 @@ class TestStages:
             train_cfg=_tiny_train_cfg(backbone_dims=(16, 24, 32), **short),
             encode_cfg=EncodeConfig(page_dim=8),
         )
-        assert report["config_hash"] == "6217f5535b0a16c731d7157260e0009b37889e000b8b7482ffb9d46de613cb02"
+        assert report["config_hash"] == "ae57a7dd34d5e6cf0597150f90ac3c3fa7fcce11fbf5984d83a28d172b646b97"
 
     def test_synth_config_hash_is_stable(self, tmp_path):
         # per-writer page counts are hashed as a JSON array; the hash
@@ -876,7 +929,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "command,flags,config,message",
         [
-            ("train", [], {"mode": "bogus"}, "mode"),
+            ("train", [], {"val_pool_cap": 0}, "val_pool_cap"),
             ("train", ["--backbone-dims", "16,-1"], {}, "backbone_dims"),
             ("train", ["--backbone-dims", ""], {}, "backbone_dims"),
             ("train", ["--learning-rate", "-1"], {}, "learning_rate"),
@@ -946,31 +999,39 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, artifact, arrays",
+        "command, artifact, arrays, meta",
         [
-            ("train", "labels.wrmd", lambda a: {**a, "kept": a["kept"] + len(a["descriptors"])}),
-            ("train", "labels.wrmd", lambda a: {**a, "labels": a["labels"][:-1]}),
-            ("encode", "pca.wrmd", lambda a: {**a, "basis": a["basis"][:, 1:]}),
-            ("encode", "codebook.wrmd", lambda a: {**a, "weights": a["weights"][:, 1:]}),
+            (
+                "train", "labels.wrmd",
+                lambda a: {**a, "kept": a["kept"] + len(a["descriptors"])}, {},
+            ),
+            ("train", "labels.wrmd", lambda a: {**a, "labels": a["labels"][:-1]}, {}),
+            ("encode", "pca.wrmd", lambda a: {**a, "basis": a["basis"][:, 1:]}, {}),
+            ("encode", "codebook.wrmd", lambda a: {**a, "weights": a["weights"][:, 1:]}, {}),
+            # an encoder mode this version no longer implements
+            ("encode", "codebook.wrmd", lambda a: a, {"mode": "netvlad"}),
             (
                 "encode", "backbone.wrmd",
-                lambda a: {**a, "layer0.bias": np.append(a["layer0.bias"], 0.0)},
+                lambda a: {**a, "layer0.bias": np.append(a["layer0.bias"], 0.0)}, {},
             ),
-            ("encode", "backbone.wrmd", lambda a: {**a, "layer1.weight": a["layer1.weight"][:, 1:]}),
+            (
+                "encode", "backbone.wrmd",
+                lambda a: {**a, "layer1.weight": a["layer1.weight"][:, 1:]}, {},
+            ),
         ],
         ids=[
             "kept-out-of-range", "labels-short", "pca-basis", "codebook-weights",
-            "backbone-bias", "backbone-chain",
+            "codebook-netvlad-mode", "backbone-bias", "backbone-chain",
         ],
     )
     def test_inconsistent_model_exits_two(
-        self, workspace, tmp_path, capsys, command, artifact, arrays
+        self, workspace, tmp_path, capsys, command, artifact, arrays, meta
     ):
         models = tmp_path / "models"
         shutil.copytree(workspace["run"], models)
         kind = artifact.removesuffix(".wrmd")
-        meta, loaded = load_model(models / artifact, kind)
-        save_model(models / artifact, kind, meta, arrays(loaded))
+        saved_meta, loaded = load_model(models / artifact, kind)
+        save_model(models / artifact, kind, {**saved_meta, **meta}, arrays(loaded))
         inputs = {
             "train": ["--labels", str(models / "labels.wrmd")],
             "encode": ["--manifest", str(workspace["manifest"]), "--models", str(models)],

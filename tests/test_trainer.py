@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from helpers import (
@@ -14,11 +12,9 @@ from helpers import (
 
 from wret import trainer
 from wret.encoder import (
-    MODES,
     Backbone,
     Codebook,
     Layer,
-    backbone_forward,
     encode_flat,
     encoding_gram,
     init_backbone,
@@ -98,19 +94,13 @@ class TestMining:
 
 
 class TestMiningOnTheGram:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_same_triplets_as_the_flat_product(self, mode):
-        rng = np.random.default_rng(MODES.index(mode))
+    def test_same_triplets_as_the_flat_product(self):
+        rng = np.random.default_rng(1)
         admitted = {1e-3: 0, 1e3: 0}
         for trial in range(30):
-            # an identity output layer: netvlad rejects all-zero embeddings
-            relu = init_backbone((6, 12, 8), seed=trial)
-            bb = Backbone(layers=(relu.layers[0], replace(relu.layers[1], activation="identity")))
+            bb = init_backbone((6, 12, 8), seed=trial)
             x = rng.normal(size=(int(rng.integers(2, 40)), 6))
-            sample = backbone_forward(bb, rng.normal(size=(64, 6)))
-            cb = init_codebook(
-                mode, 4, 8, seed=trial, data_sample=sample, alpha_init=float(rng.uniform(2, 200))
-            )
+            cb = init_codebook(4, 8, seed=trial)
             labels = rng.integers(0, int(rng.integers(1, 6)), size=len(x))
             gram = encoding_gram(bb, cb, x)
             flat = encode_flat(bb, cb, x)
@@ -121,7 +111,7 @@ class TestMiningOnTheGram:
         assert admitted[1e-3] > 0 and admitted[1e3] == 0
 
 
-def _tiny_models(mode: str = "netrvlad", seed: int = 42) -> tuple[Backbone, Codebook]:
+def _tiny_models(seed: int = 42) -> tuple[Backbone, Codebook]:
     rng = np.random.default_rng(seed)
     backbone = Backbone(
         layers=(
@@ -133,7 +123,6 @@ def _tiny_models(mode: str = "netrvlad", seed: int = 42) -> tuple[Backbone, Code
         centers=rng.normal(size=(2, 3)),
         weights=rng.normal(size=(2, 3)),
         bias=rng.normal(size=2),
-        mode=mode,
     )
     return backbone, codebook
 
@@ -238,7 +227,7 @@ class TestBackward:
                 margin=0.1,
             )
 
-    def test_finite_differences_both_modes(self):
+    def test_finite_differences(self):
         checked = 0
         seed = 0
         while checked < 8 and seed < 200:
@@ -263,14 +252,13 @@ class TestBackward:
             checked += 1
         assert checked == 8
 
-    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
-    def test_matches_per_triplet_oracle(self, mode):
+    def test_matches_per_triplet_oracle(self):
         # random triplet lists: duplicates, clamped and active triplets,
         # positives equal to their anchor, and T = 1
         rng = np.random.default_rng(8)
         active_seen = clamped_seen = 0
         for trial in range(40):
-            bb, cb = _tiny_models(mode, seed=trial)
+            bb, cb = _tiny_models(seed=trial)
             n = int(rng.integers(4, 10))
             labels = np.concatenate([[0, 0, 1], rng.integers(3, size=n - 3)])
             inputs = rng.normal(size=(n, 3))
@@ -290,16 +278,14 @@ class TestBackward:
                 clamped_seen += loss + margin <= 0.0
         assert active_seen and clamped_seen
 
-    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
-    def test_single_triplet_matches_oracle(self, mode):
-        bb, cb = _tiny_models(mode)
+    def test_single_triplet_matches_oracle(self):
+        bb, cb = _tiny_models()
         inputs = np.random.default_rng(3).normal(size=(3, 3))
         batch = _batch(bb, cb, inputs, [0, 0, 1], [(0, 1, 2)], margin=10.0)
         assert _assert_matches_oracle(batch, bb, cb) > 0.0
 
-    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
-    def test_duplicate_triplets_match_oracle(self, mode):
-        bb, cb = _tiny_models(mode)
+    def test_duplicate_triplets_match_oracle(self):
+        bb, cb = _tiny_models()
         inputs = np.random.default_rng(4).normal(size=(4, 3))
         triplets = [(0, 1, 2), (0, 1, 2), (1, 0, 3), (0, 1, 2)]
         batch = _batch(bb, cb, inputs, [0, 0, 1, 1], triplets, margin=10.0)
@@ -323,9 +309,8 @@ class TestBackward:
         for (_, got), (_, one) in zip(g_both.named_blocks(), g_alone.named_blocks()):
             np.testing.assert_allclose(got, one / 2, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("mode", ["netrvlad", "netvlad"])
-    def test_zero_anchor_positive_distance_matches_oracle(self, mode):
-        bb, cb = _tiny_models(mode)
+    def test_zero_anchor_positive_distance_matches_oracle(self):
+        bb, cb = _tiny_models()
         inputs = np.random.default_rng(6).normal(size=(4, 3))
         inputs[1] = inputs[0]
         batch = _batch(bb, cb, inputs, [0, 0, 1, 1], [(0, 1, 2), (2, 3, 1)], margin=10.0)
@@ -519,20 +504,10 @@ class TestTrain:
         with pytest.raises(ValidationError, match="insufficient classes"):
             train(labeled, data, cfg)
 
-    def test_netvlad_mode_trains(self):
-        labeled, data = _two_blob_dataset(n_per=40)
-        cfg = TrainConfig(
-            batch_size=8, per_class=4, epochs_max=2, patience=2, mode="netvlad",
-            n_clusters=4, backbone_dims=(8, 16, 8), seed=4, learning_rate=1e-3,
-        )
-        bb, cb, report = train(labeled, data, cfg)
-        assert cb.mode == "netvlad"
-        assert len(report.losses) == 2
-
     def test_starting_models_are_left_unchanged(self):
         labeled, data = _two_blob_dataset()
         backbone = init_backbone((8, 16, 8), seed=9)
-        codebook = init_codebook("netrvlad", 4, 8, seed=9)
+        codebook = init_codebook(4, 8, seed=9)
 
         def param_bytes():
             arrays = [a for layer in backbone.layers for a in (layer.weight, layer.bias)]
@@ -591,13 +566,12 @@ class TestTrain:
         assert len(report.triplets) == len(report.losses)
         assert all(count > 0 for count in report.triplets)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_gram_training_matches_flat_product_training(self, monkeypatch, mode):
+    def test_gram_training_matches_flat_product_training(self, monkeypatch):
         labeled, data = _two_blob_dataset(n_per=40)
         cfg = TrainConfig(
             margin=1e-3, batch_size=8, per_class=4, epochs_max=3, warmup_epochs=1,
-            patience=3, max_steps=12, n_clusters=4, backbone_dims=(8, 16, 8), mode=mode,
-            seed=3, learning_rate=1e-2,
+            patience=3, max_steps=12, n_clusters=4, backbone_dims=(8, 16, 8), seed=3,
+            learning_rate=1e-2,
         )
         bb, cb, report = train(labeled, data, cfg)
 
