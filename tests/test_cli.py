@@ -133,6 +133,14 @@ def test_removed_train_key_is_unknown(tmp_path, capsys, command, section, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--mode", "netvlad"], ["--alpha-init", "100"]])
+def test_removed_train_flag_is_rejected(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert cli.entrypoint(["train", "--labels", "labels.wrmd", "--out", str(out), *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command,field",
     [

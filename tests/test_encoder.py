@@ -194,6 +194,16 @@ class TestEncodePatch:
         np.testing.assert_allclose(v2, 0.5 * (2 * x[None, :] - cb.centers), atol=1e-12)
         np.testing.assert_allclose(v2 - v1, np.tile(0.5 * x, (2, 1)), atol=1e-12)
 
+    def test_zero_vector_is_encoded(self):
+        # no prenormalization: a zero input is assigned by the bias alone
+        cb = Codebook(
+            centers=np.array([[0.5, -0.5], [1.0, 2.0]]),
+            weights=np.ones((2, 2)),
+            bias=np.array([0.0, np.log(3.0)]),
+        )
+        v = encode_patches(cb, np.zeros(2))[0]
+        np.testing.assert_allclose(v, -np.array([[0.25], [0.75]]) * cb.centers, atol=1e-12)
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         xs = rng.normal(size=(6, 2))
@@ -415,6 +425,17 @@ class TestInitCodebook:
         assert len({tuple(row) for row in cb.centers}) == 8
         assert np.all(np.abs(cb.centers) <= 1.0 / np.sqrt(32))
         np.testing.assert_array_equal(cb.bias, np.zeros(8))
+
+    @pytest.mark.parametrize("n_clusters, dim", [(0, 4), (4, 0)])
+    def test_rejects_empty_sizes(self, n_clusters, dim):
+        with pytest.raises(ValidationError, match="must be positive"):
+            init_codebook(n_clusters, dim, seed=0)
+
+    @pytest.mark.parametrize("mode", ["netvlad", "bogus"])
+    def test_codebook_of_another_mode_is_refused(self, mode):
+        cb = init_codebook(2, 2, seed=0)
+        with pytest.raises(ValidationError, match=f"unknown codebook mode '{mode}'"):
+            Codebook(centers=cb.centers, weights=cb.weights, bias=cb.bias, mode=mode)
 
     def test_limiting_equivalence_to_hard_vlad(self):
         rng = np.random.default_rng(7)

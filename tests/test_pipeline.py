@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from wret.aggregation import PageEmbedding
 from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
-from wret import fileio
+from wret import fileio, stages
 from wret.features import KmeansRun, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
@@ -386,6 +387,13 @@ def test_every_strict_prefix_raises_artifact_error(tmp_path, fmt):
             read()
 
 
+_WRITERS = [
+    lambda path, n: write_json(path, {"values": list(range(n))}),
+    lambda path, n: write_descriptors(path, np.ones((n, 3))),
+    lambda path, n: save_model(path, "pca", {}, {"basis": np.ones((n, 3))}),
+]
+
+
 class _FullDisk:
     """A file handle whose write stores half of its data, then fails."""
 
@@ -405,15 +413,7 @@ class _FullDisk:
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-@pytest.mark.parametrize(
-    "write",
-    [
-        lambda path, n: write_json(path, {"values": list(range(n))}),
-        lambda path, n: write_descriptors(path, np.ones((n, 3))),
-        lambda path, n: save_model(path, "pca", {}, {"basis": np.ones((n, 3))}),
-    ],
-    ids=["json", "matrix", "model"],
-)
+@pytest.mark.parametrize("write", _WRITERS, ids=["json", "matrix", "model"])
 def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write, existing):
     path = tmp_path / "artifact"
     if existing:
@@ -427,6 +427,34 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, write, exist
     assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if existing else [])
     if existing:
         assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("write", _WRITERS, ids=["json", "matrix", "model"])
+def test_write_renames_a_sibling_temp_file_over_the_target(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(path, 2)
+    replaced = []
+    real_replace = fileio.os.replace
+
+    def recording_replace(src, dst):
+        replaced.append((Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(fileio.os, "replace", recording_replace)
+    write(path, 5)
+    [(src, dst)] = replaced
+    # a rename within one directory stays on one file system, so it is atomic
+    assert dst == path and src.parent == tmp_path
+    assert src.name.startswith(".artifact.") and src.name.endswith(".tmp")
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_write_atomic_replaces_a_longer_file_whole(tmp_path):
+    path = tmp_path / "artifact"
+    fileio.write_atomic(path, b"0123456789")
+    fileio.write_atomic(path, b"abc")
+    assert path.read_bytes() == b"abc"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
 class TestManifests:
@@ -723,6 +751,35 @@ class TestStages:
     def test_sweep_empty_grid(self, workspace, tmp_path):
         with pytest.raises(ValidationError, match="empty"):
             run_sweep(workspace["embeddings"], tmp_path, [], [1], [1])
+
+    @pytest.mark.parametrize(
+        "run, csv_name, header",
+        [
+            (
+                lambda emb, out: run_evaluate(emb, out, per_query=True),
+                "eval_per_query.csv", "query,ap,top1_hit,first_relevant_rank",
+            ),
+            (
+                lambda emb, out: run_sweep(emb, out, [0.4], [1], [1]),
+                "sweep.csv", "gamma,layers,k,map,top1",
+            ),
+        ],
+        ids=["evaluate", "sweep"],
+    )
+    def test_stage_csv_is_written_atomically(
+        self, workspace, tmp_path, monkeypatch, run, csv_name, header
+    ):
+        written = []
+        real_write = stages.write_atomic
+
+        def recording_write(path, data):
+            written.append(Path(path).name)
+            real_write(path, data)
+
+        monkeypatch.setattr(stages, "write_atomic", recording_write)
+        run(workspace["embeddings"], tmp_path)
+        assert csv_name in written
+        assert (tmp_path / csv_name).read_text().splitlines()[0] == header
 
     def test_report_multi_seed(self, workspace, tmp_path):
         report = run_report(
