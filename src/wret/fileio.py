@@ -41,6 +41,7 @@ FORMAT_VERSION = 1
 MATRIX_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 
 SPLITS = ("train", "test")
+DESCRIPTOR_CAP = 2000  # rows read per page; later rows are ignored
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +139,8 @@ def _read_matrix(path: Path, magic: bytes, dtype: str, what: str) -> np.ndarray:
     if len(raw) != MATRIX_HEADER.size + count * dim * dtype.itemsize:
         raise ArtifactIOError(f"{path} is truncated or padded")
     data = np.frombuffer(raw, dtype=dtype, count=count * dim, offset=MATRIX_HEADER.size)
+    if not np.isfinite(data).all():  # the writers refuse such values
+        raise ArtifactIOError(f"{path} holds non-finite values")
     return data.reshape(count, dim).astype(dtype.newbyteorder("="))
 
 
@@ -159,12 +162,7 @@ def read_descriptors(path: Path | str) -> np.ndarray:
 # Embedding dumps
 
 
-def write_embeddings(
-    json_path: Path | str,
-    pages: list[PageEmbedding],
-    cfg_hash: str,
-    seed: int,
-) -> None:
+def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash: str) -> None:
     """Write a page-embedding dump: JSON sidecar plus binary blob."""
     json_path = Path(json_path)
     if not pages:
@@ -183,7 +181,6 @@ def write_embeddings(
         "pages": [
             {"page_id": p.page_id, "writer_id": p.writer_id} for p in pages
         ],
-        "seed": seed,
     }
     write_json(json_path, sidecar)
 
@@ -441,12 +438,8 @@ def load_manifest(path: Path | str) -> Manifest:
     return Manifest(dataset=dataset, split=split, pages=tuple(records), base_dir=base)
 
 
-def load_page_descriptors(
-    manifest: Manifest, cap: int = 2000
-) -> list[tuple[PageRecord, np.ndarray]]:
-    """Read every page's descriptors, truncating each page to `cap` rows."""
-    if cap < 1:
-        raise ValidationError("descriptor cap must be >= 1")
+def load_page_descriptors(manifest: Manifest) -> list[tuple[PageRecord, np.ndarray]]:
+    """Read every page's descriptors, truncating each page to DESCRIPTOR_CAP rows."""
     out = []
     dim = None
     for record in manifest.pages:
@@ -457,5 +450,5 @@ def load_page_descriptors(
             raise ValidationError(
                 f"page {record.page_id} has dimension {data.shape[1]}, expected {dim}"
             )
-        out.append((record, data[:cap]))
+        out.append((record, data[:DESCRIPTOR_CAP]))
     return out

@@ -5,12 +5,15 @@ each, and its output file names once, in `_stage`: a missing input
 names its producer, no output may overwrite an input, and the stage
 body runs under an exclusive lock on its output directory. A stage that
 fails removes the output directory if it created it and the directory
-is still empty; a directory that existed before is always kept. Files a
-stage wrote before failing stay behind until writes are atomic.
+is still empty; a directory that existed before is always kept. Every
+file is written whole or not at all (`fileio.write_atomic`), but the
+files a stage finished before it failed stay behind.
 
-Every report embeds the stage's config hash and seed. Reports carry no
-timestamps: re-running a stage with identical inputs and config
-reproduces every output byte for byte.
+Every report embeds the stage's config hash. The stages that draw
+random numbers (synth, cluster, train, report) also record their seed;
+encode, evaluate, rerank and sweep draw none and record none. Reports
+carry no timestamps: re-running a stage with identical inputs and
+config reproduces every output byte for byte.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ class ClusterConfig:
     n_clusters: int = 64
     target_dim: int = 32
     rho: float = 0.9
-    cap: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -81,8 +83,6 @@ class ClusterConfig:
             raise ValidationError("target_dim must be >= 1")
         if not 0.0 < self.rho <= 1.0:
             raise ValidationError("rho must be in (0, 1]")
-        if self.cap < 1:
-            raise ValidationError("cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,26 +90,41 @@ class EncodeConfig:
     """Page-embedding parameters for the encode stage."""
 
     page_dim: int = 64
-    power_alpha: float = 0.4
-    cap: int = 2000
-    seed: int = 0
     page_pca: str | None = None  # optional prefit page-level PCA model
 
     def __post_init__(self):
         if self.page_dim < 1:
             raise ValidationError("page_dim must be >= 1")
-        if not 0.0 < self.power_alpha <= 1.0:
-            raise ValidationError("power_alpha must be in (0, 1]")
-        if self.cap < 1:
-            raise ValidationError("cap must be >= 1")
+
+
+def _lock_holder(lock: Path) -> str:
+    """What a held lock says of its owner: the pid written in it, marked
+    "not running" when no process has that pid. A lock read between its
+    creation and the write of the pid is still empty."""
+    try:
+        text = lock.read_text(encoding="ascii").strip()
+    except (OSError, ValueError):  # removed meanwhile, or not ASCII
+        text = "?"
+    if not text.isdecimal():
+        return "empty lock" if text == "" else "no pid in the lock"
+    pid = int(text)
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return f"pid {pid}, not running"
+    except (OSError, OverflowError):  # alive but another user's, or no valid pid
+        pass
+    return f"pid {pid}"
 
 
 @contextmanager
 def output_lock(out_dir: Path):
     """Reject concurrent invocations targeting the same output directory.
 
-    A directory this call creates is removed again on exit while it is
-    still empty, so a stage that fails before writing leaves nothing.
+    The lock file holds the owner's pid, which a rejected invocation
+    names. A directory this call creates is removed again on exit while
+    it is still empty, so a stage that fails before writing leaves
+    nothing.
     """
     created = not out_dir.is_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -118,10 +133,12 @@ def output_lock(out_dir: Path):
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise ArtifactIOError(
-            f"another invocation holds {lock}; remove it if no run is active"
+            f"another invocation ({_lock_holder(lock)}) holds {lock}; "
+            "remove it if no run is active"
         ) from None
     try:
-        os.close(fd)
+        with open(fd, "w", encoding="ascii") as handle:
+            handle.write(str(os.getpid()))
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -183,11 +200,7 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
         ["pca.wrmd", "kmeans.wrmd", "labels.wrmd", "cluster_report.json"],
     ) as (pca_path, kmeans_path, labels_path, report_path):
         manifest = load_manifest(manifest_path)
-        loaded = load_page_descriptors(manifest, cap=cfg.cap)
-        raw = np.vstack([data for _, data in loaded]).astype(np.float64)
-        page_index = np.concatenate(
-            [np.full(len(data), i, dtype=np.int64) for i, (_, data) in enumerate(loaded)]
-        )
+        raw = np.vstack([data for _, data in load_page_descriptors(manifest)]).astype(np.float64)
         normalized = hellinger_normalize(raw)
         pca = fit_pca(normalized, cfg.target_dim, whiten=False)
         reduced = pca_transform(pca, normalized)
@@ -212,7 +225,6 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
                 "descriptors": reduced,
                 "kept": labeled.kept_indices,
                 "labels": labeled.labels,
-                "page_index": page_index,
                 "rejected": np.array(labeled.rejected, dtype=np.int64),
             },
         )
@@ -309,19 +321,19 @@ def run_encode(
         pooled = []
         page_ids = []
         writer_ids = []
-        for record, data in load_page_descriptors(manifest, cap=cfg.cap):
+        for record, data in load_page_descriptors(manifest):
             if len(data) == 0:
                 raise ValidationError(f"page {record.page_id} has no descriptors")
             reduced = pca_transform(pca, hellinger_normalize(data.astype(np.float64)))
             embedded = backbone_forward(backbone, reduced)
-            pooled.append(power_normalize(pool_patches(codebook, embedded), cfg.power_alpha))
+            pooled.append(power_normalize(pool_patches(codebook, embedded)))
             page_ids.append(record.page_id)
             writer_ids.append(record.writer_id)
         pages, page_pca = whiten_pages(
             np.array(pooled), cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
         )
         cfg_hash = _stage_hash("encode", asdict(cfg))
-        write_embeddings(embeddings_path, pages, cfg_hash, cfg.seed)
+        write_embeddings(embeddings_path, pages, cfg_hash)
         save_pca(page_pca_path, page_pca)
     return embeddings_path
 
@@ -350,7 +362,6 @@ def run_evaluate(
                 "score_isolated": score_isolated,
             },
         )
-        report["seed"] = sidecar.get("seed", 0)
         write_json(report_path, report)
         if per_query:
             write_atomic(csv_path, report_to_csv(result).encode("utf-8"))
@@ -375,8 +386,7 @@ def run_rerank(
             "rerank",
             {"embeddings_hash": sidecar.get("config_hash", ""), **asdict(cfg)},
         )
-        seed = sidecar.get("seed", 0)
-        write_embeddings(reranked_path, refined, cfg_hash, seed)
+        write_embeddings(reranked_path, refined, cfg_hash)
         report = {
             "after": {"map": after.map, "top1": after.top1},
             "before": {"map": before.map, "top1": before.top1},
@@ -384,7 +394,6 @@ def run_rerank(
             "method": cfg.method,
             "params": asdict(cfg),
             "per_query": _ap_changes(before.per_query_ap, after.per_query_ap),
-            "seed": seed,
         }
         write_json(report_path, report)
     return report
@@ -453,12 +462,9 @@ def run_report(
         per_seed = []
         for seed in seeds:
             run_dir = report_path.parent / f"seed_{seed}"
-            ccfg = replace(cluster_cfg, seed=seed)
-            tcfg = replace(train_cfg, seed=seed)
-            ecfg = replace(encode_cfg, seed=seed)
-            run_cluster(manifest_path, run_dir, ccfg)
-            run_train(run_dir / "labels.wrmd", run_dir, tcfg)
-            emb = run_encode(manifest_path, run_dir, run_dir, ecfg)
+            run_cluster(manifest_path, run_dir, replace(cluster_cfg, seed=seed))
+            run_train(run_dir / "labels.wrmd", run_dir, replace(train_cfg, seed=seed))
+            emb = run_encode(manifest_path, run_dir, run_dir, encode_cfg)
             eval_report = run_evaluate(emb, run_dir)
             per_seed.append(
                 {"map": eval_report["map"], "seed": seed, "top1": eval_report["top1"]}

@@ -96,13 +96,13 @@ def synth_generate(spec: SynthSpec, out_dir: Path | str) -> Path:
     return manifest_path
 
 
-def nearest_centroid_accuracy(manifest: Manifest, cap: int = 2000) -> float:
+def nearest_centroid_accuracy(manifest: Manifest) -> float:
     """Leave-one-out writer classification on raw page means.
 
     Each page is classified by the nearest writer centroid computed
     from all other pages. Writers need at least two pages each.
     """
-    loaded = load_page_descriptors(manifest, cap=cap)
+    loaded = load_page_descriptors(manifest)
     means = np.array([data.mean(axis=0) for _, data in loaded], dtype=np.float64)
     writers = [record.writer_id for record, _ in loaded]
     writer_set = sorted(set(writers))

@@ -34,6 +34,7 @@ from .seeds import derive_seed
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+VAL_POOL_CAP = 1000  # validation items scored per epoch; a larger split is subsampled
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,6 @@ class TrainConfig:
     max_steps: int | None = None
     n_clusters: int = 16
     backbone_dims: tuple[int, ...] | None = None
-    val_pool_cap: int = 1000
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.margin) and self.margin > 0):
@@ -72,8 +72,6 @@ class TrainConfig:
             raise ValidationError("epoch counts out of range")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValidationError("max_steps must be positive when set")
-        if self.val_pool_cap < 1:
-            raise ValidationError("val_pool_cap must be positive")
         dims = self.backbone_dims
         if dims is not None and (len(dims) < 2 or min(dims) < 1):
             raise ValidationError("backbone_dims needs >= 2 entries, each >= 1")
@@ -374,8 +372,8 @@ def train(
 
     split_rng = np.random.default_rng(derive_seed(cfg.seed, "train/split"))
     train_idx, val_idx = _stratified_split(labels, cfg.validation_fraction, split_rng)
-    if len(val_idx) > cfg.val_pool_cap:
-        keep = split_rng.choice(len(val_idx), size=cfg.val_pool_cap, replace=False)
+    if len(val_idx) > VAL_POOL_CAP:
+        keep = split_rng.choice(len(val_idx), size=VAL_POOL_CAP, replace=False)
         val_idx = val_idx[np.sort(keep)]
     train_labels = labels[train_idx]
     class_items = {

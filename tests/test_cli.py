@@ -17,20 +17,19 @@ CLI_SURFACE = {
         "store --writers",
     ],
     "cluster": [
-        "store --cap", "store --clusters", "store --config", "store --manifest required",
+        "store --clusters", "store --config", "store --manifest required",
         "store --out required", "store --rho", "store --seed", "store --target-dim",
     ],
     "train": [
         "store --backbone-dims", "store --batch-size", "store --clusters", "store --config",
         "store --epochs-max", "store --labels required", "store --learning-rate",
         "store --margin", "store --max-steps", "store --out required", "store --patience",
-        "store --per-class", "store --seed", "store --val-pool-cap",
-        "store --validation-fraction", "store --warmup-epochs",
+        "store --per-class", "store --seed", "store --validation-fraction",
+        "store --warmup-epochs",
     ],
     "encode": [
-        "store --cap", "store --config", "store --manifest required",
-        "store --models required", "store --out required", "store --page-dim",
-        "store --page-pca", "store --power-alpha", "store --seed",
+        "store --config", "store --manifest required", "store --models required",
+        "store --out required", "store --page-dim", "store --page-pca",
     ],
     "evaluate": [
         "bool --per-query/--no-per-query", "bool --score-isolated/--no-score-isolated",
@@ -110,34 +109,60 @@ def test_flag_reaches_config(monkeypatch, argv, stage, reach, expected):
     assert repr(reach(seen)) == repr(expected)
 
 
-@pytest.mark.parametrize(
-    "key,value", [("mining", "hard"), ("mode", "netvlad"), ("alpha_init", 100.0)]
-)
-@pytest.mark.parametrize(
-    "command,section",
-    [
-        (["train", "--labels", "labels.wrmd"], None),
-        (["report", "--manifest", "manifest.json"], "train"),
-    ],
-    ids=["train", "report"],
-)
-def test_removed_train_key_is_unknown(tmp_path, capsys, command, section, key, value):
-    # training has one admission rule and one encoder mode, so "mining",
-    # "mode" and "alpha_init" are no longer config fields
-    config = {key: value} if section is None else {section: {key: value}}
+# config fields that are gone: the trainer has one admission rule and
+# one encoder mode ("mining", "mode", "alpha_init"); the validation pool
+# cap, the descriptor cap and the power-normalization exponent are
+# constants (trainer.VAL_POOL_CAP, fileio.DESCRIPTOR_CAP,
+# aggregation.POWER_ALPHA); encode draws no random numbers ("seed")
+_REMOVED_KEYS = [
+    ("train", "mining", "hard"),
+    ("train", "mode", "netvlad"),
+    ("train", "alpha_init", 100.0),
+    ("train", "val_pool_cap", 1000),
+    ("cluster", "cap", 2000),
+    ("encode", "seed", 0),
+    ("encode", "cap", 2000),
+    ("encode", "power_alpha", 0.4),
+]
+_INPUTS = {
+    "train": ["--labels", "labels.wrmd"],
+    "cluster": ["--manifest", "manifest.json"],
+    "encode": ["--manifest", "manifest.json", "--models", "models"],
+    "report": ["--manifest", "manifest.json"],
+}
+
+
+@pytest.mark.parametrize("section,key,value", _REMOVED_KEYS)
+@pytest.mark.parametrize("via_report", [False, True], ids=["stage", "report"])
+def test_removed_train_key_is_unknown(tmp_path, capsys, via_report, section, key, value):
+    command = "report" if via_report else section
+    config = {section: {key: value}} if via_report else {key: value}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert cli.entrypoint([*command, "--out", str(out), "--config", str(cfg_path)]) == 1
+    argv = [command, *_INPUTS[command], "--out", str(out), "--config", str(cfg_path)]
+    assert cli.entrypoint(argv) == 1
     assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--mode", "netvlad"], ["--alpha-init", "100"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["train", "--mode", "netvlad"],
+        ["train", "--alpha-init", "100"],
+        ["train", "--val-pool-cap", "1000"],
+        ["cluster", "--cap", "2000"],
+        ["encode", "--cap", "2000"],
+        ["encode", "--power-alpha", "0.4"],
+        ["encode", "--seed", "0"],
+    ],
+)
 def test_removed_train_flag_is_rejected(tmp_path, capsys, flag):
+    command, *removed = flag
     out = tmp_path / "out"
-    assert cli.entrypoint(["train", "--labels", "labels.wrmd", "--out", str(out), *flag]) == 1
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert cli.entrypoint([command, *_INPUTS[command], "--out", str(out), *removed]) == 1
+    assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
     assert not out.exists()
 
 

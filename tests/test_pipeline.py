@@ -1,13 +1,19 @@
 import builtins
 import errno
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wret.aggregation import PageEmbedding
 from wret.cli import entrypoint
@@ -30,6 +36,7 @@ from wret.fileio import (
     read_embeddings,
     read_json,
     save_backbone,
+    save_cluster_model,
     save_codebook,
     save_manifest,
     save_model,
@@ -156,9 +163,9 @@ class TestEmbeddingDumps:
     def test_round_trip(self, tmp_path):
         pages = self._pages()
         path = tmp_path / "emb.json"
-        write_embeddings(path, pages, "abc123", seed=9)
+        write_embeddings(path, pages, "abc123")
         back, meta = read_embeddings(path)
-        assert meta["config_hash"] == "abc123" and meta["seed"] == 9
+        assert meta["config_hash"] == "abc123" and "seed" not in meta
         for orig, got in zip(pages, back):
             assert got.page_id == orig.page_id
             assert got.writer_id == orig.writer_id
@@ -166,7 +173,7 @@ class TestEmbeddingDumps:
 
     def test_sidecar_blob_mismatch(self, tmp_path):
         path = tmp_path / "emb.json"
-        write_embeddings(path, self._pages(), "h", seed=0)
+        write_embeddings(path, self._pages(), "h")
         doc = json.loads(path.read_text())
         doc["count"] = 99
         doc["pages"] = doc["pages"] * 33
@@ -174,9 +181,17 @@ class TestEmbeddingDumps:
         with pytest.raises(ArtifactIOError, match="disagrees"):
             read_embeddings(path)
 
+    def test_sidecar_with_a_seed_key_loads(self, tmp_path):
+        # sidecars written before encode stopped recording a seed
+        path = tmp_path / "emb.json"
+        write_embeddings(path, self._pages(), "h")
+        write_json(path, {**read_json(path), "seed": 0})
+        back, meta = read_embeddings(path)
+        assert meta["seed"] == 0 and [p.page_id for p in back] == ["p0", "p1", "p2"]
+
     def test_missing_blob(self, tmp_path):
         path = tmp_path / "emb.json"
-        write_embeddings(path, self._pages(), "h", seed=0)
+        write_embeddings(path, self._pages(), "h")
         (tmp_path / "emb.bin").unlink()
         with pytest.raises(ArtifactIOError, match="missing"):
             read_embeddings(path)
@@ -362,17 +377,34 @@ def test_model_with_inconsistent_arrays_raises_artifact_error(
 
 
 def _tiny_binary_file(tmp_path, fmt):
-    """One tiny file of a binary format and the call that reads it."""
+    """One tiny file of a binary format and the call that reads it; "bin"
+    and "sidecar" are the two files of one embedding dump, "wrmd" a pca
+    model and the other names the model kinds."""
+    rng = np.random.default_rng(0)
     if fmt == "wrds":
         path = tmp_path / "d.wrds"
         write_descriptors(path, np.arange(6, dtype=np.float32).reshape(2, 3))
         return path, lambda: read_descriptors(path)
-    if fmt == "bin":
+    if fmt in ("bin", "sidecar"):
         pages = [PageEmbedding(f"p{i}", "w", np.array([1.0, float(i)])) for i in range(2)]
-        write_embeddings(tmp_path / "e.json", pages, "h", seed=0)
-        return tmp_path / "e.bin", lambda: read_embeddings(tmp_path / "e.json")
-    path = tmp_path / "pca.wrmd"
-    save_pca(path, fit_pca(np.random.default_rng(0).normal(size=(5, 3)), 2))
+        write_embeddings(tmp_path / "e.json", pages, "h")
+        path = tmp_path / ("e.bin" if fmt == "bin" else "e.json")
+        return path, lambda: read_embeddings(tmp_path / "e.json")
+    path = tmp_path / f"{fmt}.wrmd"
+    if fmt == "backbone":
+        save_backbone(path, init_backbone((3, 4, 2), seed=0), seed=0)
+        return path, lambda: load_backbone(path)
+    if fmt == "codebook":
+        save_codebook(path, init_codebook(2, 3, seed=0), seed=0)
+        return path, lambda: load_codebook(path)
+    if fmt == "kmeans":
+        save_cluster_model(path, fit_kmeans(rng.normal(size=(6, 3)), 2, seed=0), seed=0)
+        return path, lambda: load_cluster_model(path)
+    if fmt == "labels":
+        arrays = {**_KEPT, "descriptors": np.ones((3, 2)), "rejected": np.array([2])}
+        save_model(path, "labels", {"rho": 0.9, "seed": 0}, arrays)
+        return path, lambda: load_labels(path)
+    save_pca(path, fit_pca(rng.normal(size=(5, 3)), 2))
     return path, lambda: load_pca(path)
 
 
@@ -385,6 +417,44 @@ def test_every_strict_prefix_raises_artifact_error(tmp_path, fmt):
         path.write_bytes(raw[:size])
         with pytest.raises(ArtifactIOError):
             read()
+
+
+# (kind, offset, value): xor a byte with value, set it to value, or cut
+# the file at offset; offsets wrap around the file's length
+_MUTATION = st.tuples(
+    st.sampled_from(["flip", "set", "truncate"]), st.integers(0, 2**16), st.integers(1, 255)
+)
+
+
+def _mutate(raw: bytes, mutations) -> bytes:
+    out = bytearray(raw)
+    for kind, offset, value in mutations:
+        if not out:
+            break
+        offset %= len(out)
+        if kind == "truncate":
+            del out[offset:]
+        else:
+            out[offset] = out[offset] ^ value if kind == "flip" else value
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "fmt", ["wrds", "bin", "sidecar", "backbone", "codebook", "wrmd", "kmeans", "labels"]
+)
+def test_corrupt_bytes_raise_only_artifact_or_validation_errors(tmp_path, fmt):
+    path, read = _tiny_binary_file(tmp_path, fmt)
+    raw = path.read_bytes()
+    read()  # the whole file reads
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_MUTATION, min_size=1, max_size=3))
+    def corrupted(mutations):
+        path.write_bytes(_mutate(raw, mutations))
+        with suppress(ArtifactIOError, ValidationError):  # anything else fails the test
+            read()
+
+    corrupted()
 
 
 _WRITERS = [
@@ -494,15 +564,16 @@ class TestManifests:
             save_manifest(tmp_path / "m.json", "demo", "dev", [])
 
     def test_descriptor_cap(self, tmp_path):
-        data = np.random.default_rng(3).normal(size=(30, 4)).astype(np.float32)
+        rows = fileio.DESCRIPTOR_CAP + 7
+        data = np.random.default_rng(3).normal(size=(rows, 4)).astype(np.float32)
         write_descriptors(tmp_path / "big.wrds", data)
         save_manifest(
             tmp_path / "m.json", "demo", "test", [PageRecord("p0", "w0", "big.wrds")]
         )
         manifest = load_manifest(tmp_path / "m.json")
-        [(record, capped)] = load_page_descriptors(manifest, cap=10)
-        assert record.page_id == "p0"
-        np.testing.assert_array_equal(capped, data[:10])
+        [(record, capped)] = load_page_descriptors(manifest)
+        assert record.page_id == "p0" and len(capped) == fileio.DESCRIPTOR_CAP
+        np.testing.assert_array_equal(capped, data[: fileio.DESCRIPTOR_CAP])
 
 
 class TestSynth:
@@ -560,6 +631,8 @@ class TestStages:
         pca = load_pca(run / "pca.wrmd")
         kmeans = load_cluster_model(run / "kmeans.wrmd")
         labeled, descriptors, meta = load_labels(run / "labels.wrmd")
+        _, arrays = load_model(run / "labels.wrmd", "labels")
+        assert sorted(arrays) == ["descriptors", "kept", "labels", "rejected"]
         assert pca.basis.shape == (16, 64)
         assert kmeans.centers.shape == (6, 16)
         assert descriptors.shape == (480, 16)
@@ -602,16 +675,19 @@ class TestStages:
     def test_backbone_dims_config_hash_is_stable(self, workspace, tmp_path):
         # backbone_dims is hashed as a JSON array, so a tuple and a list
         # hash alike. The pins changed when TrainConfig lost its "mining"
-        # field (was 55e222c5... and 7240e406...), and again when it lost
-        # "mode" and "alpha_init" (was c430b454... and 6217f553...); each
-        # time the pins became the old configs' hashes with those keys left out
+        # field (was 55e222c5... and 7240e406...), again when it lost
+        # "mode" and "alpha_init" (was c430b454... and 6217f553...), and
+        # again when TrainConfig lost "val_pool_cap", ClusterConfig "cap"
+        # and EncodeConfig "power_alpha", "cap" and "seed" (was
+        # b5c0d7cd... and ae57a7dd...); each time the pins became the old
+        # configs' hashes with those keys left out
         short = dict(epochs_max=1, warmup_epochs=0, max_steps=2)
         run_cluster(
             workspace["manifest"], tmp_path, ClusterConfig(n_clusters=6, target_dim=32, seed=SEED)
         )
         train_cfg = _tiny_train_cfg(backbone_dims=(32, 48, 64), **short)
         report = run_train(tmp_path / "labels.wrmd", tmp_path, train_cfg)
-        assert report["config_hash"] == "b5c0d7cdfc9e56ca1885ae746ae2b979625f4ed0248e42b1081698ed1c957cc5"
+        assert report["config_hash"] == "e32dc5566dbdc96ba2396783e21a4b4183fc42065454070cf7c883a2723d84aa"
         report = run_report(
             workspace["manifest"],
             tmp_path / "report",
@@ -620,7 +696,7 @@ class TestStages:
             train_cfg=_tiny_train_cfg(backbone_dims=(16, 24, 32), **short),
             encode_cfg=EncodeConfig(page_dim=8),
         )
-        assert report["config_hash"] == "ae57a7dd34d5e6cf0597150f90ac3c3fa7fcce11fbf5984d83a28d172b646b97"
+        assert report["config_hash"] == "033d1636f355f784df98c6764e8c2c1d4b35d0e7b9820116608497c41b0ca571"
 
     def test_synth_config_hash_is_stable(self, tmp_path):
         # per-writer page counts are hashed as a JSON array; the hash
@@ -672,7 +748,7 @@ class TestStages:
         report = run_evaluate(workspace["embeddings"], tmp_path, per_query=True)
         assert 0.0 <= report["map"] <= 1.0
         assert report["query_count"] == 12
-        assert report["seed"] == 0  # encode default seed
+        assert "seed" not in report  # encode draws no random numbers, so records no seed
         csv_text = (tmp_path / "eval_per_query.csv").read_text()
         assert csv_text.splitlines()[0] == "query,ap,top1_hit,first_relevant_rank"
         assert len(csv_text.splitlines()) == 13
@@ -683,7 +759,7 @@ class TestStages:
             PageEmbedding(page_id=f"p{i}", writer_id=f"w{i}", vector=v)
             for i, v in enumerate(vecs)
         ]
-        write_embeddings(tmp_path / "emb.json", pages, "h", seed=0)
+        write_embeddings(tmp_path / "emb.json", pages, "h")
         report = run_evaluate(tmp_path / "emb.json", tmp_path / "out")
         assert report["query_count"] == 2
         assert sorted(report["isolated_queries"]) == ["p0", "p1"]
@@ -696,6 +772,7 @@ class TestStages:
         pages, meta = read_embeddings(tmp_path / "reranked.json")
         assert len(pages) == 12
         assert meta["config_hash"] == report["config_hash"]
+        assert "seed" not in report and "seed" not in meta  # rerank draws no random numbers
 
     @pytest.mark.parametrize("method", ["sgr", "krnn_qe", "hard_graph"])
     def test_rerank_report_counts_per_query_changes(self, workspace, tmp_path, method):
@@ -850,7 +927,9 @@ class TestStages:
 
     def test_output_lock_rejects_concurrent(self, tmp_path):
         with output_lock(tmp_path):
-            with pytest.raises(ArtifactIOError, match="another invocation"):
+            assert (tmp_path / ".wret.lock").read_text() == str(os.getpid())
+            held = rf"another invocation \(pid {os.getpid()}\)"
+            with pytest.raises(ArtifactIOError, match=held):
                 with output_lock(tmp_path):
                     pass
         # released on exit
@@ -986,7 +1065,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "command,flags,config,message",
         [
-            ("train", [], {"val_pool_cap": 0}, "val_pool_cap"),
+            ("train", [], {"validation_fraction": 1.0}, "validation_fraction"),
             ("train", ["--backbone-dims", "16,-1"], {}, "backbone_dims"),
             ("train", ["--backbone-dims", ""], {}, "backbone_dims"),
             ("train", ["--learning-rate", "-1"], {}, "learning_rate"),
@@ -1164,7 +1243,7 @@ class TestCli:
         assert code == 2
         assert "expected type" in capsys.readouterr().err
 
-    def test_lock_exits_two(self, workspace, tmp_path):
+    def test_lock_exits_two(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
         out.mkdir()
         (out / ".wret.lock").touch()
@@ -1172,6 +1251,47 @@ class TestCli:
             ["evaluate", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
         )
         assert code == 2
+        assert "(empty lock)" in capsys.readouterr().err
+
+    def test_lock_of_an_exited_process_exits_two_saying_so(self, workspace, tmp_path, capsys):
+        child = subprocess.Popen([sys.executable, "-c", ""])
+        child.wait()  # exited and reaped: no process has its pid now
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".wret.lock").write_text(str(child.pid))
+        code = entrypoint(
+            ["evaluate", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
+        )
+        assert code == 2
+        assert f"(pid {child.pid}, not running)" in capsys.readouterr().err
+        assert (out / ".wret.lock").read_text() == str(child.pid)  # left for the user
+
+    @pytest.mark.parametrize(
+        "command, artifact, last_value",
+        [
+            ("cluster", "data/pages/w001p02.wrds", struct.pack("<f", np.nan)),
+            ("evaluate", "run/embeddings.bin", struct.pack("<d", np.inf)),
+        ],
+        ids=["wrds", "bin"],
+    )
+    def test_non_finite_value_exits_two_naming_the_file(
+        self, workspace, tmp_path, capsys, command, artifact, last_value
+    ):
+        # the writers refuse non-finite values, so a file holding one is corrupt
+        shutil.copytree(workspace["manifest"].parent, tmp_path / "data")
+        shutil.copytree(workspace["run"], tmp_path / "run")
+        path = tmp_path / artifact
+        raw = path.read_bytes()
+        path.write_bytes(raw[: -len(last_value)] + last_value)
+        inputs = {
+            "cluster": ["--manifest", str(tmp_path / "data" / "manifest.json")],
+            "evaluate": ["--embeddings", str(tmp_path / "run" / "embeddings.json")],
+        }[command]
+        out = tmp_path / "out"
+        assert entrypoint([command, *inputs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} holds non-finite values" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_evaluate_and_rerank_commands(self, workspace, tmp_path):
         code = entrypoint(

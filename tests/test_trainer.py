@@ -540,6 +540,27 @@ class TestTrain:
         rescored = _pool_retrieval_map(encoding_gram(bb, cb, pool), labeled.labels[val_idx])
         assert rescored == report.best_val_map
 
+    def test_validation_pool_is_subsampled_to_the_cap(self, monkeypatch):
+        labeled, data = _two_blob_dataset()
+        cfg = TrainConfig(
+            batch_size=8, per_class=4, epochs_max=3, patience=3,
+            n_clusters=4, backbone_dims=(8, 16, 8), seed=4, learning_rate=1e-3,
+        )
+        split_rng = np.random.default_rng(derive_seed(cfg.seed, "train/split"))
+        _, val_idx = _stratified_split(labeled.labels, cfg.validation_fraction, split_rng)
+        assert len(val_idx) == 12  # more than the cap below
+        pool_sizes: list[int] = []
+        score = trainer._pool_retrieval_map
+
+        def recorded(gram, labels):
+            pool_sizes.append(len(labels))
+            return score(gram, labels)
+
+        monkeypatch.setattr(trainer, "VAL_POOL_CAP", 5)
+        monkeypatch.setattr(trainer, "_pool_retrieval_map", recorded)
+        _, _, report = train(labeled, data, cfg)
+        assert pool_sizes == [5] * len(report.val_maps) and len(pool_sizes) == 3
+
     def test_triplets_count_admitted_per_epoch(self, monkeypatch):
         labeled, data = _two_blob_dataset()
         cfg = TrainConfig(
