@@ -281,6 +281,8 @@ def load_model(path: Path | str, kind: str) -> tuple[dict, dict[str, np.ndarray]
         if offset + nbytes > len(raw):
             raise ArtifactIOError(f"{path} is truncated in array {entry['name']}")
         data = np.frombuffer(raw, dtype=dtype, count=size, offset=offset)
+        if dtype.kind == "f" and not np.isfinite(data).all():  # no stage fits one: corrupt
+            raise ArtifactIOError(f"{path} holds non-finite values")
         arrays[entry["name"]] = data.reshape(shape).astype(dtype.base)
         offset += nbytes
     if offset != len(raw):

@@ -3,7 +3,8 @@
 Each stage declares its input artifacts, with the stage that produces
 each, and its output file names once, in `_stage`: a missing input
 names its producer, no output may overwrite an input, and the stage
-body runs under an exclusive lock on its output directory. A stage that
+body runs under an exclusive `flock` on `.wret.lock` in its output
+directory, which the OS releases if the process dies. A stage that
 fails removes the output directory if it created it and the directory
 is still empty; a directory that existed before is always kept. Every
 file is written whole or not at all (`fileio.write_atomic`), but the
@@ -19,6 +20,7 @@ config reproduces every output byte for byte.
 from __future__ import annotations
 
 import csv
+import fcntl
 import io
 import os
 from contextlib import contextmanager, suppress
@@ -97,54 +99,43 @@ class EncodeConfig:
             raise ValidationError("page_dim must be >= 1")
 
 
-def _lock_holder(lock: Path) -> str:
-    """What a held lock says of its owner: the pid written in it, marked
-    "not running" when no process has that pid. A lock read between its
-    creation and the write of the pid is still empty."""
-    try:
-        text = lock.read_text(encoding="ascii").strip()
-    except (OSError, ValueError):  # removed meanwhile, or not ASCII
-        text = "?"
-    if not text.isdecimal():
-        return "empty lock" if text == "" else "no pid in the lock"
-    pid = int(text)
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return f"pid {pid}, not running"
-    except (OSError, OverflowError):  # alive but another user's, or no valid pid
-        pass
-    return f"pid {pid}"
-
-
 @contextmanager
 def output_lock(out_dir: Path):
     """Reject concurrent invocations targeting the same output directory.
 
-    The lock file holds the owner's pid, which a rejected invocation
-    names. A directory this call creates is removed again on exit while
-    it is still empty, so a stage that fails before writing leaves
-    nothing.
+    The guard is an exclusive `flock` on `.wret.lock`, which the OS drops
+    however its holder exits, so a lock file that no process holds, such
+    as one a killed run left, is taken over. The holder writes its pid
+    into the file, which a rejected invocation names, and unlinks the
+    file before it releases; a contender whose lock is then on an
+    unlinked file is rejected too. A directory this call creates is
+    removed again on exit while it is still empty, so a stage that fails
+    before writing leaves nothing. POSIX only.
     """
     created = not out_dir.is_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / LOCK_NAME
+    fd = os.open(lock, os.O_CREAT | os.O_RDWR, 0o644)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ArtifactIOError(
-            f"another invocation ({_lock_holder(lock)}) holds {lock}; "
-            "remove it if no run is active"
-        ) from None
-    try:
-        with open(fd, "w", encoding="ascii") as handle:
-            handle.write(str(os.getpid()))
-        yield
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            taken = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except (BlockingIOError, FileNotFoundError):  # held, or unlinked by its holder
+            taken = False
+        if not taken:
+            pid = os.pread(fd, 32, 0).decode("ascii", "replace").strip() or "unknown"
+            raise ArtifactIOError(f"another invocation (pid {pid}) holds {lock}")
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        try:
+            yield
+        finally:
+            lock.unlink(missing_ok=True)  # before the release, or it may remove a contender's lock
+            if created:
+                with suppress(OSError):  # rmdir fails, keeping the directory, unless it is empty
+                    out_dir.rmdir()
     finally:
-        lock.unlink(missing_ok=True)
-        if created:
-            with suppress(OSError):  # rmdir fails, keeping the directory, unless it is empty
-                out_dir.rmdir()
+        os.close(fd)
 
 
 @contextmanager

@@ -1,13 +1,15 @@
 import builtins
 import errno
+import fcntl
 import json
 import os
 import re
 import shutil
+import signal
 import struct
 import subprocess
 import sys
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from pathlib import Path
 
 import numpy as np
@@ -937,6 +939,32 @@ class TestStages:
             pass
         assert not (tmp_path / ".wret.lock").exists()
 
+    @pytest.mark.parametrize("retaken", [False, True], ids=["unlinked", "retaken"])
+    def test_output_lock_refuses_a_lock_file_its_holder_unlinked(
+        self, tmp_path, monkeypatch, retaken
+    ):
+        # the holder releases between the contender's open and its flock, so
+        # the contender locks a file that no longer guards the directory;
+        # meanwhile a third run may have taken a new lock file at the path
+        holder = ExitStack()
+        holder.enter_context(output_lock(tmp_path))
+        flock = fcntl.flock
+
+        def release_then_flock(fd, operation):
+            monkeypatch.setattr(fcntl, "flock", flock)
+            holder.close()
+            if retaken:
+                holder.enter_context(output_lock(tmp_path))
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", release_then_flock)
+        with pytest.raises(ArtifactIOError, match=rf"another invocation \(pid {os.getpid()}\)"):
+            with output_lock(tmp_path):
+                pass
+        assert (tmp_path / ".wret.lock").exists() == retaken  # the third run's lock is kept
+        holder.close()
+        assert not (tmp_path / ".wret.lock").exists()
+
     def test_output_lock_removes_only_an_empty_directory_it_created(self, tmp_path):
         fresh, existing, written = tmp_path / "fresh", tmp_path / "existing", tmp_path / "written"
         existing.mkdir()
@@ -949,6 +977,40 @@ class TestStages:
         assert not fresh.exists()
         assert existing.is_dir() and not any(existing.iterdir())
         assert [p.name for p in written.iterdir()] == ["partial.json"]
+
+
+def _lock_holding_child(out: Path) -> subprocess.Popen:
+    """A Python process that holds the output lock on out until it is killed."""
+    code = (
+        "import sys, time\n"
+        "from pathlib import Path\n"
+        "from wret.stages import output_lock\n"
+        "with output_lock(Path(sys.argv[1])):\n"
+        "    print('held', flush=True)\n"
+        "    time.sleep(600)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(stages.__file__).resolve().parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-c", code, str(out)], stdout=subprocess.PIPE, text=True, env=env
+    )
+    assert child.stdout.readline() == "held\n"
+    return child
+
+
+def _with_last_bytes(value: bytes):
+    """Overwrite a file's last bytes with value."""
+    return lambda path: path.write_bytes(path.read_bytes()[: -len(value)] + value)
+
+
+def _with_nan_in(kind: str, name: str):
+    """Rewrite a model file with NaN as the first value of array name."""
+
+    def corrupt(path: Path) -> None:
+        meta, arrays = load_model(path, kind)
+        arrays[name].flat[0] = np.nan
+        save_model(path, kind, meta, arrays)
+
+    return corrupt
 
 
 class TestCli:
@@ -1243,49 +1305,63 @@ class TestCli:
         assert code == 2
         assert "expected type" in capsys.readouterr().err
 
-    def test_lock_exits_two(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
+    def test_lock_of_a_killed_run_is_taken_over(self, workspace, tmp_path, signum):
         out = tmp_path / "out"
-        out.mkdir()
-        (out / ".wret.lock").touch()
+        child = _lock_holding_child(out)
+        child.send_signal(signum)
+        child.wait()
+        child.stdout.close()
+        assert (out / ".wret.lock").read_text() == str(child.pid)  # left behind
         code = entrypoint(
             ["evaluate", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
         )
-        assert code == 2
-        assert "(empty lock)" in capsys.readouterr().err
+        assert code == 0 and (out / "eval_report.json").exists()
+        assert not (out / ".wret.lock").exists()
 
-    def test_lock_of_an_exited_process_exits_two_saying_so(self, workspace, tmp_path, capsys):
-        child = subprocess.Popen([sys.executable, "-c", ""])
-        child.wait()  # exited and reaped: no process has its pid now
+    def test_lock_held_by_a_live_process_exits_two_naming_it(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
-        out.mkdir()
-        (out / ".wret.lock").write_text(str(child.pid))
-        code = entrypoint(
-            ["evaluate", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
-        )
+        child = _lock_holding_child(out)
+        try:
+            code = entrypoint(
+                ["evaluate", "--embeddings", str(workspace["embeddings"]), "--out", str(out)]
+            )
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
         assert code == 2
-        assert f"(pid {child.pid}, not running)" in capsys.readouterr().err
-        assert (out / ".wret.lock").read_text() == str(child.pid)  # left for the user
+        err = capsys.readouterr().err
+        assert f"another invocation (pid {child.pid}) holds {out / '.wret.lock'}" in err
+        assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == [".wret.lock"]
 
     @pytest.mark.parametrize(
-        "command, artifact, last_value",
+        "command, artifact, corrupt",
         [
-            ("cluster", "data/pages/w001p02.wrds", struct.pack("<f", np.nan)),
-            ("evaluate", "run/embeddings.bin", struct.pack("<d", np.inf)),
+            ("cluster", "data/pages/w001p02.wrds", _with_last_bytes(struct.pack("<f", np.nan))),
+            ("evaluate", "run/embeddings.bin", _with_last_bytes(struct.pack("<d", np.inf))),
+            ("encode", "run/pca.wrmd", _with_nan_in("pca", "mean")),
+            ("train", "run/labels.wrmd", _with_nan_in("labels", "descriptors")),
         ],
-        ids=["wrds", "bin"],
+        ids=["wrds", "bin", "pca", "labels"],
     )
     def test_non_finite_value_exits_two_naming_the_file(
-        self, workspace, tmp_path, capsys, command, artifact, last_value
+        self, workspace, tmp_path, capsys, command, artifact, corrupt
     ):
-        # the writers refuse non-finite values, so a file holding one is corrupt
+        # no writer produces non-finite values, so a file holding one is corrupt
         shutil.copytree(workspace["manifest"].parent, tmp_path / "data")
         shutil.copytree(workspace["run"], tmp_path / "run")
         path = tmp_path / artifact
-        raw = path.read_bytes()
-        path.write_bytes(raw[: -len(last_value)] + last_value)
+        corrupt(path)
         inputs = {
             "cluster": ["--manifest", str(tmp_path / "data" / "manifest.json")],
             "evaluate": ["--embeddings", str(tmp_path / "run" / "embeddings.json")],
+            "encode": [
+                "--manifest", str(tmp_path / "data" / "manifest.json"),
+                "--models", str(tmp_path / "run"),
+            ],
+            "train": ["--labels", str(tmp_path / "run" / "labels.wrmd")],
         }[command]
         out = tmp_path / "out"
         assert entrypoint([command, *inputs, "--out", str(out)]) == 2
