@@ -29,8 +29,9 @@ class PageEmbedding:
 def pool_page(encodings: np.ndarray) -> np.ndarray:
     """l2-normalize each flattened patch encoding, then sum in row order.
 
-    The sum runs one row at a time: np.sum's pairwise summation would
-    change the last bits of every page embedding.
+    numpy sums a C-contiguous matrix down axis 0 one row at a time, so the
+    patches are added in order; its pairwise summation applies only along
+    the contiguous axis, hence the C-ordered unit rows.
     """
     encodings = np.asarray(encodings, dtype=np.float64)
     if encodings.ndim != 2 or encodings.shape[0] == 0:
@@ -39,11 +40,8 @@ def pool_page(encodings: np.ndarray) -> np.ndarray:
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
         raise ValidationError(f"patch {int(zero[0])} has an all-zero encoding")
-    unit = encodings / norms[:, None]
-    total = np.zeros(unit.shape[1])
-    for row in unit:
-        total += row
-    return total
+    unit = np.divide(encodings, norms[:, None], order="C")
+    return unit.sum(axis=0)
 
 
 def power_normalize(v: np.ndarray, alpha: float = POWER_ALPHA) -> np.ndarray:

@@ -33,16 +33,19 @@ def hellinger_normalize(d: np.ndarray) -> np.ndarray:
     """Elementwise square root followed by l1 normalization.
 
     Input entries must be non-negative (histogram-style descriptors). An
-    all-zero descriptor maps to the zero vector.
+    all-zero descriptor maps to the zero vector. The input is left as it
+    is; the result is one new array, divided in place inside the square
+    roots' buffer.
     """
     batch, squeeze = _as_batch(d)
     if not np.all(np.isfinite(batch)):
         raise ValidationError("descriptor contains non-finite entries")
     if np.any(batch < 0):
         raise ValidationError("hellinger_normalize requires non-negative entries")
-    roots = np.sqrt(batch)
-    norms = roots.sum(axis=1, keepdims=True)
-    out = np.divide(roots, norms, out=np.zeros_like(roots), where=norms > 0)
+    out = np.sqrt(batch)
+    norms = out.sum(axis=1, keepdims=True)
+    np.divide(out, norms, out=out, where=norms > 0)
+    out[norms[:, 0] == 0.0] = 0.0  # an all-zero row may hold -0.0
     return out[0] if squeeze else out
 
 
@@ -72,8 +75,14 @@ class PcaModel:
 def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel:
     """Fit the top ``target_dim`` principal components of mean-centered data.
 
-    Raises if the centered data has rank below ``target_dim``: whitening would
-    divide by a zero variance and the projection would be meaningless.
+    With at least as many samples as dimensions the components come from
+    the eigendecomposition of the (d, d) scatter matrix ``centeredᵀ·centered``,
+    so nothing of size n is held beyond the centered copy; with fewer (a
+    page PCA) they come from the SVD of the centered data. A direction
+    whose variance is at most ``max(n, d)·eps`` times the largest counts
+    as absent. Raises if fewer than ``target_dim`` directions remain:
+    whitening would divide by a zero variance and the projection would be
+    meaningless.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -88,10 +97,16 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
 
     mean = x.mean(axis=0)
     centered = x - mean
-    # SVD of centered data: singular values give component std devs.
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = max(n, d) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
+    if n >= d:
+        # Ascending eigenvalues of the (d, d) scatter matrix: the squared
+        # singular values of the centered data.
+        power, vectors = np.linalg.eigh(centered.T @ centered)
+        power, vt = power[::-1], vectors[:, ::-1].T
+    else:
+        _, s, vt = np.linalg.svd(centered, full_matrices=False)
+        power = s**2
+    tol = max(n, d) * np.finfo(np.float64).eps * power[0]
+    rank = int(np.sum(power > tol))
     if rank < target_dim:
         raise ValidationError(
             f"centered data has rank {rank}, below target_dim={target_dim}"
@@ -102,7 +117,7 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
             row *= -1.0
-    variances = (s[:target_dim] ** 2) / (n - 1)
+    variances = power[:target_dim] / (n - 1)
     scale = 1.0 / np.sqrt(variances) if whiten else np.ones(target_dim)
     return PcaModel(mean=mean, basis=basis, scale=scale, whiten=whiten)
 

@@ -14,6 +14,9 @@ import numpy as np
 from .aggregation import PageEmbedding
 from .errors import ValidationError
 
+# Rows per leave-one-out sort in evaluate: bounds its (rows, n) temporaries.
+RANK_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class RankedList:
@@ -185,8 +188,9 @@ def evaluate(
     Where every query has at most log2(n) relevant pages and none of them
     scores NaN, a relevant page's rank is one plus the number of gallery
     pages scored strictly higher or scored equal with a lower page id, as
-    the full ranking breaks ties: O(n^2) per relevant page. Otherwise the
-    ranks are read off the full ranking, O(n^2 log n) once."""
+    the full ranking breaks ties: O(n^2) per relevant page. Otherwise every
+    row is ranked in full, O(n^2 log n) once, RANK_BLOCK rows at a time,
+    so no (n, n - 1) order is held; `ranking.order` is left unbuilt."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
@@ -203,7 +207,13 @@ def evaluate(
         relevant, _ = true_columns(same)
         scores = np.take_along_axis(sims, relevant, axis=1)
     if width > np.log2(n) or np.isnan(scores[~padding]).any():
-        ranks = true_columns(labels[ranking.order] == labels[:, None])[0] + 1
+        ranks = np.ones((n, width), dtype=np.intp)
+        for lo in range(0, n, RANK_BLOCK):
+            hi = min(lo + RANK_BLOCK, n)
+            candidates = _leave_one_out(np.arange(lo, hi), n)
+            order = rank_rows(sims[lo:hi], tie_rank, candidates=candidates)
+            cols = true_columns(labels[order] == labels[lo:hi, None])[0]
+            ranks[lo:hi, : cols.shape[1]] = cols + 1
     else:
         ranks = np.empty((n, width), dtype=np.intp)
         for c, j in enumerate(relevant.T):

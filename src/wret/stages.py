@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import hashlib
 import io
 import os
 from contextlib import contextmanager, suppress
@@ -191,10 +192,16 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
         ["pca.wrmd", "kmeans.wrmd", "labels.wrmd", "cluster_report.json"],
     ) as (pca_path, kmeans_path, labels_path, report_path):
         manifest = load_manifest(manifest_path)
-        raw = np.vstack([data for _, data in load_page_descriptors(manifest)]).astype(np.float64)
+        # Each (n, d) float64 matrix is dropped once the next step has its input.
+        raw = np.concatenate(
+            [data for _, data in load_page_descriptors(manifest)], dtype=np.float64
+        )
+        n_descriptors = len(raw)
         normalized = hellinger_normalize(raw)
+        del raw
         pca = fit_pca(normalized, cfg.target_dim, whiten=False)
         reduced = pca_transform(pca, normalized)
+        del normalized
         kmeans = fit_kmeans(
             reduced, cfg.n_clusters, seed=derive_seed(cfg.seed, "cluster/kmeans")
         )
@@ -225,7 +232,7 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
             "empty_reseeds": kmeans.run.empty_reseeds,
             "inertia": float(kmeans.inertia),
             "iterations": kmeans.run.iterations,
-            "n_descriptors": int(len(raw)),
+            "n_descriptors": n_descriptors,
             "n_kept": int(len(labeled.items)),
             "n_rejected": int(len(labeled.rejected)),
             "seed": cfg.seed,
@@ -323,7 +330,12 @@ def run_encode(
         pages, page_pca = whiten_pages(
             np.array(pooled), cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
         )
-        cfg_hash = _stage_hash("encode", asdict(cfg))
+        hashed = asdict(cfg)
+        if cfg.page_pca is not None:
+            # The model's content, not its path: the same encode hashes alike
+            # from any directory, and a replaced model hashes differently.
+            hashed["page_pca"] = hashlib.sha256(Path(cfg.page_pca).read_bytes()).hexdigest()
+        cfg_hash = _stage_hash("encode", hashed)
         write_embeddings(embeddings_path, pages, cfg_hash)
         save_pca(page_pca_path, page_pca)
     return embeddings_path

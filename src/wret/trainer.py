@@ -344,7 +344,8 @@ def _pool_retrieval_map(gram: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
     safe = np.where(norms > 0.0, norms, 1.0)
-    sims = gram / safe[:, None] / safe
+    sims = gram / safe[:, None]
+    sims /= safe
     np.fill_diagonal(sims, -np.inf)
     ids = tuple(map(str, range(n)))
     return evaluate(Ranking(ids, sims, np.arange(n)), dict(zip(ids, map(str, labels)))).map

@@ -1,10 +1,13 @@
-"""Shared test machinery: an independent triplet-loss objective, a central
-finite-difference harness for checking analytic gradients, and plain-loop
-oracles that the vectorized k-means, assignment, mining, ranking and
-retrieval scoring must match bitwise and the pair-weight triplet gradient
-must match to rounding."""
+"""Shared test machinery: a traced-memory probe, an independent
+triplet-loss objective, a central finite-difference harness for checking
+analytic gradients, and plain-loop oracles that the vectorized k-means,
+assignment, mining, ranking and retrieval scoring must match bitwise and
+the pair-weight triplet gradient must match to rounding."""
 
 from __future__ import annotations
+
+import tracemalloc
+from collections.abc import Callable
 
 import numpy as np
 
@@ -20,6 +23,18 @@ from wret.encoder import (
 )
 from wret.retrieval import Ranking, RetrievalReport, rank_rows
 from wret.trainer import TripletBatch
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak bytes allocated while fn runs, above what was allocated before.
+    numpy reports its array buffers to tracemalloc; memory that BLAS or
+    LAPACK allocate themselves is not seen."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 FD_STEP = 1e-5
 # Relative error denominator floor; below this scale finite differences

@@ -40,6 +40,18 @@ class TestPoolPage:
         scaled[2] *= 37.5
         np.testing.assert_allclose(pool_page(scaled), pool_page(e), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 5), (7, 3), (3, 1), (200, 1024), (1000, 1024), (5000, 64), (300, 2)]
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sum_is_the_row_loop_bitwise(self, shape, order):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        e = np.asarray(rng.normal(size=shape), order=order)
+        total = np.zeros(shape[1])
+        for row in e / np.linalg.norm(e, axis=1)[:, None]:
+            total += row
+        assert pool_page(e).tobytes() == total.tobytes()
+
 
 class TestPowerNormalize:
     def test_alpha_one_is_plain_l2(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import assign_and_filter_oracle, kmeans_oracle
+from helpers import assign_and_filter_oracle, kmeans_oracle, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +47,22 @@ class TestHellinger:
         out = hellinger_normalize(batch)
         for i in range(10):
             np.testing.assert_array_equal(out[i], hellinger_normalize(batch[i]))
+
+    def test_bitwise_the_divide_into_zeros_formula(self):
+        """One buffer, divided in place, gives the values of a separate
+        output that starts at zero: an all-zero row holding -0.0 included.
+        The input is left as it was."""
+        rng = np.random.default_rng(1)
+        batch = rng.uniform(0, 5, size=(50, 7))
+        batch[rng.random((50, 7)) < 0.2] = 0.0
+        batch[rng.random((50, 7)) < 0.2] = -0.0
+        batch[[3, 17]] = [[0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0], [-0.0] * 7]
+        before = batch.copy()
+        roots = np.sqrt(batch)
+        norms = roots.sum(axis=1, keepdims=True)
+        want = np.divide(roots, norms, out=np.zeros_like(roots), where=norms > 0)
+        assert hellinger_normalize(batch).tobytes() == want.tobytes()
+        assert batch.tobytes() == before.tobytes()
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=32)
@@ -121,6 +137,57 @@ class TestFitPca:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValidationError):
             fit_pca(np.eye(3), target_dim=3)
+
+    @pytest.mark.parametrize("n,d", [(64, 64), (500, 16), (20000, 8)])
+    def test_scatter_path_matches_the_svd(self, n, d):
+        """With n >= d the components come from the (d, d) scatter matrix;
+        they match the SVD of the centered data to rounding."""
+        rng = np.random.default_rng(n + d)
+        data = rng.normal(size=(n, d)) * np.linspace(1.0, 4.0, d) + rng.normal(size=d)
+        target = d // 2
+        model = fit_pca(data, target_dim=target, whiten=True)
+        _, s, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+        np.testing.assert_allclose(model.basis, _sign_rule(vt[:target]), rtol=0, atol=1e-9)
+        variances = s[:target] ** 2 / (n - 1)
+        np.testing.assert_allclose(model.scale**-2, variances, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("n,d,rank", [(300, 12, 5), (2000, 64, 31), (10, 20, 3)])
+    def test_exact_rank_deficiency_names_the_rank(self, n, d, rank):
+        rng = np.random.default_rng(n)
+        data = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) + rng.normal(size=d)
+        with pytest.raises(ValidationError, match=f"rank {rank},"):
+            fit_pca(data, target_dim=rank + 1)
+        assert fit_pca(data, target_dim=rank).d_out == rank
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    def test_fewer_samples_than_dimensions_keep_the_svd(self, whiten):
+        """The page PCA's shape (100 pages of 1024 dimensions) is fit by
+        the SVD of the centered data, bitwise as before."""
+        rng = np.random.default_rng(10)
+        data = rng.normal(size=(100, 1024)) * rng.uniform(0.5, 2.0, size=1024)
+        model = fit_pca(data, target_dim=16, whiten=whiten)
+        mean = data.mean(axis=0)
+        _, s, vt = np.linalg.svd(data - mean, full_matrices=False)
+        variances = (s[:16] ** 2) / 99
+        scale = 1.0 / np.sqrt(variances) if whiten else np.ones(16)
+        assert model.mean.tobytes() == mean.tobytes()
+        assert model.basis.tobytes() == _sign_rule(vt[:16]).tobytes()
+        assert model.scale.tobytes() == scale.tobytes()
+
+    def test_peak_memory_is_one_centered_copy(self):
+        """No (n, d) factor beside the centered data. LAPACK's own
+        workspace is invisible to tracemalloc."""
+        data = np.random.default_rng(11).normal(size=(20000, 64))
+        assert traced_peak(lambda: fit_pca(data, target_dim=32)) < 1.5 * data.nbytes
+
+
+def _sign_rule(rows: np.ndarray) -> np.ndarray:
+    """A copy of the rows, each flipped so that its largest-magnitude
+    entry is positive."""
+    rows = rows.copy()
+    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    rows[pivots < 0] *= -1.0
+    return rows
 
 
 class TestPcaTransform:

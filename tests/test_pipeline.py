@@ -22,7 +22,7 @@ from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
 from wret import fileio, stages
-from wret.features import KmeansRun, fit_kmeans, fit_pca
+from wret.features import KmeansRun, PcaModel, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
     PageRecord,
@@ -745,6 +745,29 @@ class TestStages:
         base, _ = read_embeddings(workspace["embeddings"])
         for got, orig in zip(pages, base):
             np.testing.assert_allclose(got.vector, orig.vector, atol=1e-12)
+
+    def test_encode_hashes_the_prefit_page_pca_by_content(self, workspace, tmp_path):
+        """The same page PCA reached through two paths hashes alike; a
+        different one at the same path hashes differently."""
+        original = workspace["run"] / "page_pca.wrmd"
+        copy = tmp_path / "elsewhere" / "page_pca.wrmd"
+        copy.parent.mkdir()
+        shutil.copyfile(original, copy)
+
+        def encode_hash(page_pca: Path, out: str) -> str:
+            cfg = EncodeConfig(page_dim=8, page_pca=str(page_pca))
+            path = run_encode(workspace["manifest"], workspace["run"], tmp_path / out, cfg)
+            return read_json(path)["config_hash"]
+
+        first = encode_hash(original, "a")
+        assert encode_hash(copy, "b") == first
+        pca = load_pca(copy)
+        save_pca(copy, PcaModel(pca.mean + 1e-3, pca.basis, pca.scale, pca.whiten))
+        assert encode_hash(copy, "c") != first
+        # Without a prefit model the hash is the config's alone.
+        assert read_json(workspace["embeddings"])["config_hash"] == stages._stage_hash(
+            "encode", {"page_dim": 8, "page_pca": None}
+        )
 
     def test_evaluate_stage(self, workspace, tmp_path):
         report = run_evaluate(workspace["embeddings"], tmp_path, per_query=True)

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import evaluate_oracle, pool_retrieval_map_oracle, rank_rows_oracle
+from helpers import evaluate_oracle, pool_retrieval_map_oracle, rank_rows_oracle, traced_peak
 
 from wret import retrieval
 from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
 from wret.rerank import RerankConfig, hard_graph_rerank, krnn_qe, sgr
 from wret.retrieval import (
+    RANK_BLOCK,
     Ranking,
     average_precisions,
     evaluate,
@@ -282,19 +283,21 @@ class TestNoFullSortWithoutTies:
 
     def test_wide_and_nan_inputs_sort_once(self, monkeypatch):
         """Above log2(n) relevant pages (50 pages of 7 writers), or with a
-        NaN relevant score, evaluate sorts the whole ranking once; a NaN
-        irrelevant score alone does not make it sort."""
-        calls = _count_full_sorts(monkeypatch)
+        NaN relevant score, evaluate sorts every row once; a NaN irrelevant
+        score alone does not make it sort."""
+        calls = _record_sorted_rows(monkeypatch)
         rng = np.random.default_rng(9)
         wide = _pages(rng.normal(size=(50, 8)), [f"w{i % 7}" for i in range(50)])
         evaluate(rank_all(wide), {p.page_id: p.writer_id for p in wide})
-        assert calls == [50]
+        _assert_sorted_once(calls, 50)
+        calls.clear()
         nan, writers = _width_case(50, _widest_counted(50), "nan_relevant", seed=9)
         evaluate(nan, writers)
-        assert calls == [50, 50]
+        _assert_sorted_once(calls, 50)
+        calls.clear()
         narrow, writers = _width_case(50, _widest_counted(50), "nan_irrelevant", seed=9)
         evaluate(narrow, writers)
-        assert calls == [50, 50]
+        assert calls == []
 
 
 def _ap(hits: np.ndarray) -> np.ndarray:
@@ -488,18 +491,30 @@ def _width_case(n: int, width: int, kind: str, seed: int) -> tuple[Ranking, dict
     return ranking, dict(zip(ranking.page_ids, (f"w{c}" for c in labels)))
 
 
-def _count_full_sorts(monkeypatch) -> list[int]:
-    """Patch retrieval.rank_rows to count its full leave-one-out calls."""
-    calls: list[int] = []
+def _record_sorted_rows(monkeypatch) -> list[np.ndarray]:
+    """Patch retrieval.rank_rows to record the rows that each leave-one-out
+    call ranks: all rows of a default call, or the one column each row of
+    an explicit (m, n - 1) candidate matrix leaves out."""
+    calls: list[np.ndarray] = []
     real = retrieval.rank_rows
 
-    def counted(scores, tie_rank, candidates=None, k=None):
+    def recorded(scores, tie_rank, candidates=None, k=None):
+        n = len(tie_rank)
         if candidates is None and k is None:
-            calls.append(len(scores))
+            calls.append(np.arange(len(scores)))
+        elif candidates is not None and candidates.shape[1] == n - 1:
+            calls.append(n * (n - 1) // 2 - candidates.sum(axis=1))
         return real(scores, tie_rank, candidates, k)
 
-    monkeypatch.setattr(retrieval, "rank_rows", counted)
+    monkeypatch.setattr(retrieval, "rank_rows", recorded)
     return calls
+
+
+def _assert_sorted_once(calls: list[np.ndarray], n: int) -> None:
+    """Each of the n rows was ranked by exactly one call, and no call
+    ranked more than RANK_BLOCK rows."""
+    assert calls and all(len(rows) <= RANK_BLOCK for rows in calls)
+    assert np.array_equal(np.sort(np.concatenate(calls)), np.arange(n))
 
 
 WIDTH_KINDS = ("distinct", "ties", "nan_irrelevant", "nan_relevant")
@@ -510,17 +525,19 @@ class TestEvaluateMatchesHitsMatrix:
     @pytest.mark.parametrize("above", [False, True])
     def test_both_sides_of_the_width_rule(self, monkeypatch, n, above):
         """Up to log2(n) relevant pages per query evaluate counts ranks,
-        one more sorts every row once; a NaN relevant score sorts too.
-        Both match the hits-matrix oracle exactly."""
+        one more sorts every row once, in blocks; a NaN relevant score
+        sorts too. Both match the hits-matrix oracle exactly."""
         width = min(_widest_counted(n) + above, n - 1)
-        calls = _count_full_sorts(monkeypatch)
+        calls = _record_sorted_rows(monkeypatch)
         for kind in WIDTH_KINDS:
             for score_isolated in (False, True):
                 ranking, writers = _width_case(n, width, kind, seed=n + 10 * above)
-                sorts = len(calls)
+                calls.clear()
                 got = evaluate(ranking, writers, score_isolated_as_zero=score_isolated)
-                sorted_rows = width > np.log2(n) or kind == "nan_relevant"
-                assert len(calls) - sorts == sorted_rows
+                if width > np.log2(n) or kind == "nan_relevant":
+                    _assert_sorted_once(calls, n)
+                else:
+                    assert calls == []
                 want = evaluate_oracle(_fresh(ranking), writers, score_isolated)
                 assert list(got.per_query_ap) == list(want.per_query_ap)
                 assert (
@@ -565,17 +582,50 @@ class TestEvaluateMatchesHitsMatrix:
     )
     def test_pool_retrieval_map_on_narrow_and_wide_classes(self, monkeypatch, n, size):
         """Each item has size - 1 relevant ones: up to log2(n) the pool's
-        score is counted, above it sorted. The all-zero pool ties every
-        pair."""
-        calls = _count_full_sorts(monkeypatch)
+        score is counted, above it every row is sorted once. The all-zero
+        pool ties every pair."""
+        calls = _record_sorted_rows(monkeypatch)
         rng = np.random.default_rng(n + size)
         labels = rng.permutation(np.arange(n) // size)
         for vectors in (rng.normal(size=(n, 8)), np.zeros((n, 8))):
             vectors[rng.random(n) < 0.1] = 0.0
             gram = vectors @ vectors.T
+            calls.clear()
             got = _pool_retrieval_map(gram, labels)
+            if size - 1 > np.log2(n):
+                _assert_sorted_once(calls, n)
+            else:
+                assert calls == []
             assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
-        assert len(calls) == 2 * (size - 1 > np.log2(n))
+
+
+class TestPeakMemory:
+    """tracemalloc peaks above the inputs on a 1000-item pool of 64
+    pseudo-classes, whose width sends evaluate down the sort path; the
+    unit is one (n, n) float64 matrix."""
+
+    N = 1000
+    UNIT = N * N * 8
+
+    def _pool(self) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(14)
+        labels = rng.integers(0, 64, size=self.N)
+        assert np.bincount(labels).max() - 1 > np.log2(self.N)
+        vectors = rng.normal(size=(self.N, 16))
+        return vectors @ vectors.T, labels
+
+    def test_evaluate_holds_no_full_order(self):
+        gram, labels = self._pool()
+        sims = gram.copy()
+        np.fill_diagonal(sims, -np.inf)
+        ids = tuple(map(str, range(self.N)))
+        ranking = Ranking(ids, sims, np.arange(self.N))
+        writers = dict(zip(ids, map(str, labels)))
+        assert traced_peak(lambda: evaluate(ranking, writers)) < 1.5 * self.UNIT
+
+    def test_pool_retrieval_map_holds_one_similarity_matrix(self):
+        gram, labels = self._pool()
+        assert traced_peak(lambda: _pool_retrieval_map(gram, labels)) < 2.5 * self.UNIT
 
 
 class TestReportSerialization:
