@@ -44,12 +44,10 @@ def pool_page(encodings: np.ndarray) -> np.ndarray:
     return unit.sum(axis=0)
 
 
-def power_normalize(v: np.ndarray, alpha: float = POWER_ALPHA) -> np.ndarray:
-    """sign(x) |x|^alpha componentwise, then l2; zero maps to zero."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError("alpha must lie in (0, 1]")
+def power_normalize(v: np.ndarray) -> np.ndarray:
+    """sign(x) |x|^POWER_ALPHA componentwise, then l2; zero maps to zero."""
     v = np.asarray(v, dtype=np.float64)
-    powered = np.sign(v) * np.abs(v) ** alpha
+    powered = np.sign(v) * np.abs(v) ** POWER_ALPHA
     norm = np.linalg.norm(powered)
     return powered / norm if norm > 0.0 else powered
 
@@ -57,8 +55,8 @@ def power_normalize(v: np.ndarray, alpha: float = POWER_ALPHA) -> np.ndarray:
 def whiten_pages(
     raw_vectors: np.ndarray,
     target_dim: int,
-    page_ids: list[str] | None = None,
-    writer_ids: list[str] | None = None,
+    page_ids: list[str],
+    writer_ids: list[str],
     pca: PcaModel | None = None,
 ) -> tuple[list[PageEmbedding], PcaModel]:
     """Whiten pooled page vectors and l2-normalize each result.
@@ -90,8 +88,6 @@ def whiten_pages(
         idx = int(np.flatnonzero(norms == 0.0)[0])
         raise ValidationError(f"page {idx} collapsed to zero after whitening")
     unit = transformed / norms[:, None]
-    page_ids = page_ids or [str(i) for i in range(n)]
-    writer_ids = writer_ids or ["" for _ in range(n)]
     if len(page_ids) != n or len(writer_ids) != n:
         raise ValidationError("page_ids/writer_ids must parallel the vectors")
     embeddings = [
@@ -106,7 +102,6 @@ def aggregate_pages(
     page_ids: list[str],
     writer_ids: list[str],
     target_dim: int,
-    alpha: float = POWER_ALPHA,
     pca: PcaModel | None = None,
 ) -> tuple[list[PageEmbedding], PcaModel]:
     """Full aggregation: pool each page, power-normalize, whiten, l2."""
@@ -114,7 +109,7 @@ def aggregate_pages(
         raise ValidationError("no pages to aggregate")
     if not (len(per_page_encodings) == len(page_ids) == len(writer_ids)):
         raise ValidationError("page lists must be parallel")
-    pooled = [power_normalize(pool_page(e), alpha) for e in per_page_encodings]
+    pooled = [power_normalize(pool_page(e)) for e in per_page_encodings]
     return whiten_pages(
         np.array(pooled), target_dim, page_ids=page_ids, writer_ids=writer_ids, pca=pca
     )

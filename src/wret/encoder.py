@@ -87,13 +87,11 @@ class Codebook:
         return self.centers.shape[1]
 
 
-def _as_rows(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    rows = x[None, :] if single else x
+def _as_rows(x: np.ndarray, dim: int, what: str) -> np.ndarray:
+    rows = np.asarray(x, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValidationError(f"{what} expects dimension {dim}, got shape {x.shape}")
-    return rows, single
+        raise ValidationError(f"{what} expects an (n, {dim}) matrix, got shape {rows.shape}")
+    return rows
 
 
 def init_backbone(dims: tuple[int, ...] = (32, 64, 64), seed: int = 0) -> Backbone:
@@ -119,27 +117,23 @@ def backbone_forward(
 ) -> np.ndarray | tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Apply the layer stack. With return_cache, also return per-layer
     (input, pre-activation) pairs for the backward pass."""
-    rows, single = _as_rows(d, b.input_dim, "backbone_forward")
+    h = _as_rows(d, b.input_dim, "backbone_forward")
     cache = []
-    h = rows
     for layer in b.layers:
         pre = h @ layer.weight.T + layer.bias
         if return_cache:
             cache.append((h, pre))
         h = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
-    out = h[0] if single else h
-    return (out, cache) if return_cache else out
+    return (h, cache) if return_cache else h
 
 
 def soft_assign(cb: Codebook, x: np.ndarray) -> np.ndarray:
     """Softmax over per-cluster affine logits; rows sum to 1."""
-    rows, single = _as_rows(x, cb.dim, "soft_assign")
-    logits = rows @ cb.weights.T + cb.bias
+    logits = _as_rows(x, cb.dim, "soft_assign") @ cb.weights.T + cb.bias
     # Max subtraction keeps exp() in range for large logits.
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    alpha = e / e.sum(axis=1, keepdims=True)
-    return alpha[0] if single else alpha
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def encode_patches(
@@ -150,7 +144,7 @@ def encode_patches(
     With return_cache, also return the intermediates the backward pass
     needs: x (the inputs), alpha (soft assignments) and resid (x minus
     each center)."""
-    rows, _ = _as_rows(xs, cb.dim, "encode_patches")
+    rows = _as_rows(xs, cb.dim, "encode_patches")
     alpha = soft_assign(cb, rows)
     resid = rows[:, None, :] - cb.centers[None, :, :]
     v = alpha[:, :, None] * resid
@@ -202,7 +196,7 @@ def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     Pairs whose squared distance cancels or whose row's squared norm
     underflows are formed as encode_patches forms them and added apart.
     """
-    rows, _ = _as_rows(xs, cb.dim, "pool_patches")
+    rows = _as_rows(xs, cb.dim, "pool_patches")
     if rows.shape[0] == 0:
         raise ValidationError("pool_patches needs at least one patch")
     coef, sqnorm, i, k, v = _weighted_residuals(cb, rows)
@@ -226,7 +220,7 @@ def encoding_gram(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
     formed from the difference (w_ik = 0) adds e . w_jk (x_j - c_k) to
     row and column i, and e . e' for each such row e' of the same cluster.
     """
-    rows, _ = _as_rows(backbone_forward(b, xs), cb.dim, "encoding_gram")
+    rows = _as_rows(backbone_forward(b, xs), cb.dim, "encoding_gram")
     w, _, i, k, e = _weighted_residuals(cb, rows)
     q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
     qw = q @ w.T
@@ -247,7 +241,7 @@ def encode_flat(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
 def encode_vlad_hard(centers: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Classic VLAD: sum residuals to the nearest center, ties to lowest index."""
     centers = np.asarray(centers, dtype=np.float64)
-    rows, _ = _as_rows(xs, centers.shape[1], "encode_vlad_hard")
+    rows = _as_rows(xs, centers.shape[1], "encode_vlad_hard")
     if rows.shape[0] == 0:
         raise ValidationError("encode_vlad_hard needs at least one descriptor")
     sq = (
@@ -265,12 +259,11 @@ def encode_vlad_hard(centers: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def flatten_encoding(v: np.ndarray) -> np.ndarray:
-    """Row-major flattening over clusters; the fixed downstream contract."""
-    if v.ndim == 2:
-        return np.ascontiguousarray(v).reshape(-1)
-    if v.ndim == 3:
-        return np.ascontiguousarray(v).reshape(v.shape[0], -1)
-    raise ValidationError(f"expected an encoding matrix or stack, got ndim {v.ndim}")
+    """(n, n_clusters, dim) stack to (n, n_clusters * dim) rows, row-major
+    over clusters; the fixed downstream contract."""
+    if v.ndim != 3:
+        raise ValidationError(f"expected an (n, n_clusters, dim) stack, got ndim {v.ndim}")
+    return np.ascontiguousarray(v).reshape(v.shape[0], -1)
 
 
 def init_codebook(n_clusters: int, dim: int, seed: int) -> Codebook:

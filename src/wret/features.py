@@ -2,8 +2,9 @@
 pseudo-labeling and the ambiguity filter that drops descriptors sitting near
 cluster borders.
 
-All functions accept a single descriptor ``(d,)`` or a batch ``(n, d)`` and
-are pure; fitted models are immutable.
+Descriptors arrive as an ``(n, d)`` matrix, one row each; a lone
+descriptor is a one-row matrix. All functions are pure; fitted models are
+immutable.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ KMEANS_MAX_ITER = 300
 NEAREST_CHUNK = 1024
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValidationError(f"expected a vector or a matrix of descriptors, got ndim={arr.ndim}")
+    if arr.ndim != 2:
+        raise ValidationError(f"expected an (n, d) matrix of descriptors, got ndim={arr.ndim}")
+    return arr
 
 
 def hellinger_normalize(d: np.ndarray) -> np.ndarray:
@@ -37,7 +36,7 @@ def hellinger_normalize(d: np.ndarray) -> np.ndarray:
     is; the result is one new array, divided in place inside the square
     roots' buffer.
     """
-    batch, squeeze = _as_batch(d)
+    batch = _as_batch(d)
     if not np.all(np.isfinite(batch)):
         raise ValidationError("descriptor contains non-finite entries")
     if np.any(batch < 0):
@@ -46,7 +45,7 @@ def hellinger_normalize(d: np.ndarray) -> np.ndarray:
     norms = out.sum(axis=1, keepdims=True)
     np.divide(out, norms, out=out, where=norms > 0)
     out[norms[:, 0] == 0.0] = 0.0  # an all-zero row may hold -0.0
-    return out[0] if squeeze else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,13 +122,12 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
 
 
 def pca_transform(model: PcaModel, d: np.ndarray) -> np.ndarray:
-    batch, squeeze = _as_batch(d)
+    batch = _as_batch(d)
     if batch.shape[1] != model.d_in:
         raise ValidationError(
             f"descriptor dimension {batch.shape[1]} does not match model d_in={model.d_in}"
         )
-    out = (batch - model.mean) @ model.basis.T * model.scale
-    return out[0] if squeeze else out
+    return (batch - model.mean) @ model.basis.T * model.scale
 
 
 @dataclass(frozen=True)
@@ -202,19 +200,13 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def fit_kmeans(
-    data: np.ndarray,
-    n_clusters: int,
-    seed: int,
-    debug: bool = False,
-) -> ClusterModel:
+def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
     """Lloyd iterations from k-means++ seeding.
 
     Stops when the largest per-center movement falls below ``KMEANS_TOL`` or
     after ``KMEANS_MAX_ITER`` iterations. Every cluster left empty by an
     assignment is re-seeded at the worst-served point. Deterministic for a
-    given seed; the returned model's ``run`` counts what happened. With
-    ``debug`` the per-iteration inertia is asserted non-increasing.
+    given seed; the returned model's ``run`` counts what happened.
     """
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
@@ -231,18 +223,11 @@ def fit_kmeans(
     # Per-dimension columns, so each center sum is one weighted bincount
     # adding member rows in index order, as a masked mean does.
     columns = x.T.copy()
-    prev_inertia = np.inf
     iterations = reseeds = 0
     converged = False
     while iterations < KMEANS_MAX_ITER and not converged:
         iterations += 1
         assign, dmin = _nearest(x, xsq, centers)
-        if debug:
-            inertia = float(dmin.sum())
-            assert inertia <= prev_inertia + 1e-9 * max(1.0, prev_inertia), (
-                f"inertia increased: {prev_inertia} -> {inertia}"
-            )
-            prev_inertia = inertia
         counts = np.bincount(assign, minlength=n_clusters)
         sums = np.stack(
             [np.bincount(assign, weights=col, minlength=n_clusters) for col in columns], axis=1
@@ -268,16 +253,16 @@ def fit_kmeans(
 class PseudoLabeledSet:
     """Descriptor indices kept with their cluster label, plus the rejects."""
 
-    items: tuple[tuple[int, int], ...]  # (descriptor index, cluster label)
-    rejected: tuple[int, ...]
+    items: np.ndarray  # (m, 2) int64 rows (descriptor index, cluster label)
+    rejected: np.ndarray  # (r,) int64 descriptor indices
 
     @property
     def kept_indices(self) -> np.ndarray:
-        return np.array([i for i, _ in self.items], dtype=np.int64)
+        return self.items[:, 0]
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([lab for _, lab in self.items], dtype=np.int64)
+        return self.items[:, 1]
 
 
 def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> PseudoLabeledSet:
@@ -291,7 +276,7 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
         raise ValidationError(f"rho must be in (0, 1], got {rho}")
     if model.n_clusters < 2:
         raise ValidationError("assign_and_filter needs a model with >= 2 centers")
-    batch, _ = _as_batch(data)
+    batch = _as_batch(data)
     if batch.shape[1] != model.centers.shape[1]:
         raise ValidationError(
             f"descriptor dimension {batch.shape[1]} does not match centers"
@@ -311,6 +296,7 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))
     kept = ratio <= rho
-    items = tuple((int(i), int(nearest[i])) for i in rows[kept])
-    rejected = tuple(int(i) for i in rows[~kept])
-    return PseudoLabeledSet(items=items, rejected=rejected)
+    return PseudoLabeledSet(
+        items=np.column_stack([rows[kept], nearest[kept]]).astype(np.int64),
+        rejected=rows[~kept].astype(np.int64),
+    )

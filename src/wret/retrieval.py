@@ -102,19 +102,20 @@ def rank_rows(
     are returned.
 
     One unstable sort per row gives the unique order wherever the sorted
-    keys strictly increase; only rows with an exact tie (signed zeros
-    included), a NaN or a -inf score are sorted again by (score, tie_rank).
-    A leave-one-out top k below n - 1 partitions each row at its (k+1)-th
-    key and orders the k columns in front as explicit candidates. Rows
-    whose k-th and (k+1)-th keys are not strictly apart (a tie, a NaN, or
-    a -inf score next to the row's own column) are ranked in full.
+    keys strictly increase; only rows with an exact tie (signed zeros and
+    two -inf scores included) or a NaN are sorted again by (score,
+    tie_rank). A leave-one-out top k below n - 1 partitions each row at
+    its (k+1)-th key and orders the k columns in front as explicit
+    candidates. Rows whose k-th and (k+1)-th keys are not strictly apart
+    (a tie, a NaN, or a -inf score next to the row's own column) are
+    ranked in full.
     """
     n = len(scores)
     if candidates is None:
-        # The row's own column sorts last behind +inf and is dropped.
-        keys = -scores
-        np.fill_diagonal(keys, np.inf)
         if k is not None and k < n - 1:
+            # The row's own column sorts last behind +inf.
+            keys = -scores
+            np.fill_diagonal(keys, np.inf)
             part = np.argpartition(keys, k, axis=1)
             # Ascending columns, so equal (score, tie_rank) keep column order.
             top = np.sort(part[:, :k], axis=1)
@@ -126,23 +127,17 @@ def rank_rows(
                 full = rank_rows(scores[redo], tie_rank, candidates=_leave_one_out(redo, n))
                 order[redo] = full[:, :k]
             return order
-    else:
-        keys = -np.take_along_axis(scores, candidates, axis=1)
+        candidates = _leave_one_out(np.arange(n), n)
+    keys = -np.take_along_axis(scores, candidates, axis=1)
     m = keys.shape[1]
     order = np.argsort(keys, axis=1)
     # A flat gather: take_along_axis is slower at this size.
     ranked = keys.ravel()[order + m * np.arange(n)[:, None]]
     redo = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
-    if candidates is None:
-        order = order[:, :-1].copy()  # contiguous, for the callers' gathers
-        sub = _leave_one_out(redo, n)
-        sub_keys = np.take_along_axis(keys[redo], sub, axis=1)
-    else:
-        order = np.take_along_axis(candidates, order, axis=1)
-        sub = candidates[redo]
-        sub_keys = keys[redo]
+    order = np.take_along_axis(candidates, order, axis=1)
     if len(redo):
-        tied = np.lexsort((tie_rank[sub], sub_keys), axis=1)
+        sub = candidates[redo]
+        tied = np.lexsort((tie_rank[sub], keys[redo]), axis=1)
         order[redo] = np.take_along_axis(sub, tied, axis=1)
     return order if k is None else order[:, :k]
 

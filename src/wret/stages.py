@@ -223,7 +223,7 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
                 "descriptors": reduced,
                 "kept": labeled.kept_indices,
                 "labels": labeled.labels,
-                "rejected": np.array(labeled.rejected, dtype=np.int64),
+                "rejected": labeled.rejected,
             },
         )
         report = {
@@ -233,8 +233,8 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
             "inertia": float(kmeans.inertia),
             "iterations": kmeans.run.iterations,
             "n_descriptors": n_descriptors,
-            "n_kept": int(len(labeled.items)),
-            "n_rejected": int(len(labeled.rejected)),
+            "n_kept": len(labeled.items),
+            "n_rejected": len(labeled.rejected),
             "seed": cfg.seed,
         }
         write_json(report_path, report)
@@ -256,9 +256,7 @@ def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
         and all(np.all((a >= 0) & (a < len(descriptors))) for a in (kept, rejected))
     ):
         raise ArtifactIOError(f"{path} has label arrays that do not index its descriptors")
-    labeled = PseudoLabeledSet(
-        items=tuple(zip(kept.tolist(), labels.tolist())), rejected=tuple(rejected.tolist())
-    )
+    labeled = PseudoLabeledSet(items=np.column_stack([kept, labels]), rejected=rejected)
     return labeled, descriptors, meta
 
 

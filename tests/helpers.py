@@ -21,7 +21,7 @@ from wret.encoder import (
     encode_patches,
     flatten_encoding,
 )
-from wret.retrieval import Ranking, RetrievalReport, rank_rows
+from wret.retrieval import Ranking, RetrievalReport
 from wret.trainer import TripletBatch
 
 def traced_peak(fn: Callable[[], object]) -> int:
@@ -346,7 +346,7 @@ def evaluate_oracle(
     """retrieval.evaluate over the full ranking's (n, n - 1) hits matrix."""
     ids = ranking.page_ids
     _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
-    hits = labels[ranking.order] == labels[:, None]
+    hits = labels[rank_rows_oracle(ranking.sims, ranking.tie_rank)] == labels[:, None]
     ap = average_precisions_oracle(hits)
     isolated = ~hits.any(axis=1)
     first = np.where(isolated, 0, np.argmax(hits, axis=1) + 1)
@@ -369,7 +369,7 @@ def pool_retrieval_map_oracle(gram: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
     safe = np.where(norms > 0.0, norms, 1.0)
-    order = rank_rows(gram / safe[:, None] / safe, np.arange(n))
+    order = rank_rows_oracle(gram / safe[:, None] / safe, np.arange(n))
     hits = labels[order] == labels[:, None]
     aps = average_precisions_oracle(hits)[hits.any(axis=1)]
     return float(np.mean(aps)) if len(aps) else 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wret.aggregation import (
+    POWER_ALPHA,
     PageEmbedding,
     aggregate_pages,
     pool_page,
@@ -9,6 +10,13 @@ from wret.aggregation import (
     whiten_pages,
 )
 from wret.errors import ValidationError
+
+
+def _whiten(raw, target_dim, pca=None):
+    """whiten_pages with page ids "0", "1", ... and writer ids "w0", "w1", ..."""
+    n = len(raw)
+    ids = [str(i) for i in range(n)]
+    return whiten_pages(raw, target_dim, ids, [f"w{i}" for i in range(n)], pca=pca)
 
 
 class TestPoolPage:
@@ -54,42 +62,30 @@ class TestPoolPage:
 
 
 class TestPowerNormalize:
-    def test_alpha_one_is_plain_l2(self):
-        v = np.array([3.0, -4.0])
-        np.testing.assert_allclose(power_normalize(v, 1.0), [0.6, -0.8], atol=1e-15)
-
     def test_closed_form_component(self):
+        assert POWER_ALPHA == 0.4
         # 32^0.4 = 2^2 = 4; check the pre-l2 value via a 1-component vector,
         # where l2 normalization only keeps the sign.
         v = np.array([-32.0, 0.0])
-        out = power_normalize(v, 0.4)
-        np.testing.assert_allclose(out, [-1.0, 0.0], atol=1e-15)
-        # Two equal components expose the powered magnitude ratio directly.
-        pair = power_normalize(np.array([-32.0, 32.0]), 0.4)
-        np.testing.assert_allclose(np.abs(pair), [1 / np.sqrt(2)] * 2, atol=1e-12)
+        np.testing.assert_allclose(power_normalize(v), [-1.0, 0.0], atol=1e-15)
+        # 32^0.4 = 4 against 1^0.4 = 1: the powered ratio survives the l2.
+        pair = power_normalize(np.array([32.0, -1.0]))
+        np.testing.assert_allclose(pair, np.array([4.0, -1.0]) / np.sqrt(17.0), atol=1e-12)
 
     def test_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(power_normalize(np.zeros(3), 0.4), np.zeros(3))
+        np.testing.assert_array_equal(power_normalize(np.zeros(3)), np.zeros(3))
 
     def test_odd_function(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=8)
-        np.testing.assert_allclose(
-            power_normalize(-v, 0.4), -power_normalize(v, 0.4), atol=1e-12
-        )
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValidationError):
-            power_normalize(np.ones(2), 0.0)
-        with pytest.raises(ValidationError):
-            power_normalize(np.ones(2), 1.5)
+        np.testing.assert_allclose(power_normalize(-v), -power_normalize(v), atol=1e-12)
 
 
 class TestWhitenPages:
     def test_unit_norms_and_unit_variance(self):
         rng = np.random.default_rng(3)
         raw = rng.normal(size=(40, 10)) @ rng.normal(size=(10, 10))
-        pages, model = whiten_pages(raw, target_dim=6)
+        pages, model = _whiten(raw, target_dim=6)
         vectors = np.array([p.vector for p in pages])
         assert np.all(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 1e-9)
         # Pre-normalization transform has unit variance per component.
@@ -101,7 +97,7 @@ class TestWhitenPages:
 
     def test_three_pages_plane_exact(self):
         raw = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        pages, model = whiten_pages(raw, target_dim=2)
+        pages, model = _whiten(raw, target_dim=2)
         assert len(pages) == 3
         # Rank-2 data in 3-D reconstructs exactly from 2 components.
         from wret.features import pca_transform
@@ -113,7 +109,7 @@ class TestWhitenPages:
     def test_components_match_eigendecomposition_oracle(self):
         rng = np.random.default_rng(4)
         raw = rng.normal(size=(60, 5))
-        _, model = whiten_pages(raw, target_dim=3)
+        _, model = _whiten(raw, target_dim=3)
         centered = raw - raw.mean(axis=0)
         cov = centered.T @ centered / (len(raw) - 1)
         eigvals, eigvecs = np.linalg.eigh(cov)
@@ -124,21 +120,28 @@ class TestWhitenPages:
 
     def test_target_dim_too_large(self):
         with pytest.raises(ValidationError):
-            whiten_pages(np.eye(4), target_dim=4)
+            _whiten(np.eye(4), target_dim=4)
 
     def test_too_few_pages(self):
         with pytest.raises(ValidationError):
-            whiten_pages(np.zeros((2, 3)), target_dim=1)
+            _whiten(np.zeros((2, 3)), target_dim=1)
 
     def test_prefit_model_is_applied(self):
         rng = np.random.default_rng(5)
         train_raw = rng.normal(size=(30, 6))
-        _, model = whiten_pages(train_raw, target_dim=4)
+        _, model = _whiten(train_raw, target_dim=4)
         test_raw = rng.normal(size=(10, 6))
-        pages, model_back = whiten_pages(test_raw, target_dim=4, pca=model)
+        pages, model_back = _whiten(test_raw, target_dim=4, pca=model)
         assert model_back is model
         vectors = np.array([p.vector for p in pages])
         assert np.all(np.abs(np.linalg.norm(vectors, axis=1) - 1.0) <= 1e-9)
+
+    @pytest.mark.parametrize("empty", ["page_ids", "writer_ids"])
+    def test_empty_id_list_is_rejected(self, empty):
+        raw = np.random.default_rng(7).normal(size=(6, 4))
+        ids = {"page_ids": [f"p{i}" for i in range(6)], "writer_ids": ["w"] * 6, empty: []}
+        with pytest.raises(ValidationError, match="must parallel the vectors"):
+            whiten_pages(raw, 2, **ids)
 
 
 class TestAggregatePages:

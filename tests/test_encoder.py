@@ -29,13 +29,13 @@ def _identity_backbone(dim: int) -> Backbone:
 
 class TestBackbone:
     def test_identity_backbone(self):
-        d = np.array([1.0, -2.0, 3.0])
+        d = np.array([[1.0, -2.0, 3.0]])
         np.testing.assert_array_equal(backbone_forward(_identity_backbone(3), d), d)
 
     def test_relu_kills_negated_positives(self):
         layer = Layer(weight=-np.eye(3), bias=np.zeros(3), activation="relu")
-        out = backbone_forward(Backbone(layers=(layer,)), np.array([1.0, 2.0, 0.5]))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out = backbone_forward(Backbone(layers=(layer,)), np.array([[1.0, 2.0, 0.5]]))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     def test_two_layer_matrix_product_oracle(self):
         w1 = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 1.0]])
@@ -52,7 +52,7 @@ class TestBackbone:
         # Hand oracle: explicit affine + relu chain.
         h1 = np.maximum(w1 @ x + b1, 0.0)
         expected = w2 @ h1 + b2
-        np.testing.assert_allclose(backbone_forward(bb, x), expected, atol=1e-9)
+        np.testing.assert_allclose(backbone_forward(bb, x[None, :])[0], expected, atol=1e-9)
 
     def test_batch_matches_per_row(self):
         bb = init_backbone((4, 6, 5), seed=7)
@@ -60,12 +60,13 @@ class TestBackbone:
         batch = rng.normal(size=(8, 4))
         out = backbone_forward(bb, batch)
         for i in range(8):
-            # BLAS may differ by 1 ulp between matrix and vector paths.
-            np.testing.assert_allclose(out[i], backbone_forward(bb, batch[i]), rtol=1e-13)
+            # BLAS may differ by 1 ulp between the batch and a one-row product.
+            row = backbone_forward(bb, batch[i : i + 1])[0]
+            np.testing.assert_allclose(out[i], row, rtol=1e-13)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            backbone_forward(_identity_backbone(3), np.zeros(4))
+            backbone_forward(_identity_backbone(3), np.zeros((1, 4)))
 
     def test_non_chaining_layers_rejected(self):
         with pytest.raises(ValidationError):
@@ -98,14 +99,14 @@ class TestSoftAssign:
             bias=np.zeros(4),
             mode="netrvlad",
         )
-        out = soft_assign(cb, np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out, np.full(4, 0.25), atol=1e-15)
+        out = soft_assign(cb, np.array([[1.0, 2.0, 3.0]]))
+        np.testing.assert_allclose(out, np.full((1, 4), 0.25), atol=1e-15)
 
     def test_single_cluster(self):
         cb = Codebook(
             centers=np.zeros((1, 2)), weights=np.ones((1, 2)), bias=np.zeros(1), mode="netrvlad"
         )
-        np.testing.assert_array_equal(soft_assign(cb, np.array([3.0, -1.0])), [1.0])
+        np.testing.assert_array_equal(soft_assign(cb, np.array([[3.0, -1.0]])), [[1.0]])
 
     def test_scalar_softmax_oracle(self):
         # Logits [1, 0]: softmax = [e/(e+1), 1/(e+1)].
@@ -115,9 +116,9 @@ class TestSoftAssign:
             bias=np.zeros(2),
             mode="netrvlad",
         )
-        out = soft_assign(cb, np.array([1.0]))
+        out = soft_assign(cb, np.array([[1.0]]))
         e = np.e
-        np.testing.assert_allclose(out, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
+        np.testing.assert_allclose(out, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
 
     def test_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(1)
@@ -127,7 +128,7 @@ class TestSoftAssign:
             bias=rng.normal(size=5),
             mode="netrvlad",
         )
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         alpha = soft_assign(cb, x)
         assert abs(alpha.sum() - 1.0) < 1e-12
         shifted = Codebook(
@@ -144,9 +145,9 @@ class TestSoftAssign:
             bias=np.zeros(2),
             mode="netrvlad",
         )
-        out = soft_assign(cb, np.array([1.0]))
+        out = soft_assign(cb, np.array([[1.0]]))
         assert np.isfinite(out).all()
-        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-12)
 
 
 class TestEncodePatch:
@@ -157,7 +158,7 @@ class TestEncodePatch:
             bias=np.zeros(1),
             mode="netrvlad",
         )
-        x = np.array([2.0, 1.0])
+        x = np.array([[2.0, 1.0]])
         np.testing.assert_allclose(encode_patches(cb, x)[0], [[1.5, 1.5]], atol=1e-12)
 
     def test_one_hot_assignment_at_center(self):
@@ -170,15 +171,15 @@ class TestEncodePatch:
             bias=-tau * np.sum(centers**2, axis=1),
             mode="netrvlad",
         )
-        v = encode_patches(cb, centers[0])[0]
+        v = encode_patches(cb, centers[:1])[0]
         assert np.max(np.abs(v)) < 1e-9
 
     def test_netrvlad_hand_oracle(self):
         cb = _simple_codebook()
         x = np.array([0.5, 2.0])
-        alpha = soft_assign(cb, x)
+        alpha = soft_assign(cb, x[None, :])[0]
         expected = np.array([alpha[0] * (x - cb.centers[0]), alpha[1] * (x - cb.centers[1])])
-        np.testing.assert_allclose(encode_patches(cb, x)[0], expected, atol=1e-9)
+        np.testing.assert_allclose(encode_patches(cb, x[None, :])[0], expected, atol=1e-9)
 
     def test_netrvlad_no_hidden_normalization(self):
         cb = Codebook(
@@ -188,8 +189,8 @@ class TestEncodePatch:
             mode="netrvlad",
         )
         x = np.array([2.0, 3.0])
-        v1 = encode_patches(cb, x)[0]
-        v2 = encode_patches(cb, 2 * x)[0]
+        v1 = encode_patches(cb, x[None, :])[0]
+        v2 = encode_patches(cb, 2 * x[None, :])[0]
         # Zero weights: alpha is constant 1/2, so rows are plain scaled residuals.
         np.testing.assert_allclose(v2, 0.5 * (2 * x[None, :] - cb.centers), atol=1e-12)
         np.testing.assert_allclose(v2 - v1, np.tile(0.5 * x, (2, 1)), atol=1e-12)
@@ -201,7 +202,7 @@ class TestEncodePatch:
             weights=np.ones((2, 2)),
             bias=np.array([0.0, np.log(3.0)]),
         )
-        v = encode_patches(cb, np.zeros(2))[0]
+        v = encode_patches(cb, np.zeros((1, 2)))[0]
         np.testing.assert_allclose(v, -np.array([[0.25], [0.75]]) * cb.centers, atol=1e-12)
 
     def test_batch_matches_single(self):
@@ -210,7 +211,7 @@ class TestEncodePatch:
         cb = _simple_codebook()
         stack = encode_patches(cb, xs)
         for i in range(6):
-            np.testing.assert_array_equal(stack[i], encode_patches(cb, xs[i])[0])
+            np.testing.assert_array_equal(stack[i], encode_patches(cb, xs[i : i + 1])[0])
         # The cached variant runs the same forward pass.
         np.testing.assert_array_equal(encode_patches(cb, xs, return_cache=True)[0], stack)
 
@@ -395,20 +396,53 @@ class TestHardVlad:
 
 
 class TestFlattening:
-    def test_round_trip_bitwise(self):
+    def test_row_major_over_clusters(self):
         rng = np.random.default_rng(4)
-        v = rng.normal(size=(3, 5))
+        v = rng.normal(size=(1, 3, 5))
         flat = flatten_encoding(v)
-        assert flat.shape == (15,)
+        assert flat.shape == (1, 15)
         # Row-major: first 5 entries are cluster 0's row.
-        np.testing.assert_array_equal(flat[:5], v[0])
+        np.testing.assert_array_equal(flat[0, :5], v[0, 0])
 
     def test_stack_flattening(self):
         rng = np.random.default_rng(5)
         stack = rng.normal(size=(4, 3, 5))
         flat = flatten_encoding(stack)
         assert flat.shape == (4, 15)
-        np.testing.assert_array_equal(flat[2], flatten_encoding(stack[2]))
+        np.testing.assert_array_equal(flat[2], np.concatenate(stack[2]))
+
+    def test_single_encoding_matrix_rejected(self):
+        with pytest.raises(ValidationError, match="ndim 2"):
+            flatten_encoding(np.zeros((3, 5)))
+
+
+class TestOneRowIsAMatrix:
+    """A lone descriptor is a (1, d) matrix; a 1-d vector is refused."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: backbone_forward(_identity_backbone(2), x),
+            lambda x: soft_assign(_simple_codebook(), x),
+            lambda x: encode_patches(_simple_codebook(), x),
+            lambda x: pool_patches(_simple_codebook(), x),
+            lambda x: encoding_gram(_identity_backbone(2), _simple_codebook(), x),
+            lambda x: encode_vlad_hard(_simple_codebook().centers, x),
+        ],
+        ids=[
+            "backbone_forward",
+            "soft_assign",
+            "encode_patches",
+            "pool_patches",
+            "encoding_gram",
+            "encode_vlad_hard",
+        ],
+    )
+    def test_vector_rejected_one_row_accepted(self, call):
+        x = np.array([0.5, 2.0])
+        with pytest.raises(ValidationError, match=r"\(n, 2\) matrix, got shape \(2,\)"):
+            call(x)
+        assert len(call(x[None, :])) >= 1
 
 
 class TestInitCodebook:

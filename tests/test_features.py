@@ -11,6 +11,7 @@ from wret.features import (
     ClusterModel,
     KmeansRun,
     PcaModel,
+    PseudoLabeledSet,
     assign_and_filter,
     fit_kmeans,
     fit_pca,
@@ -21,32 +22,36 @@ from wret.features import (
 
 class TestHellinger:
     def test_zero_input_gives_zero_output(self):
-        out = hellinger_normalize(np.zeros(8))
-        assert np.array_equal(out, np.zeros(8))
+        out = hellinger_normalize(np.zeros((1, 8)))
+        assert np.array_equal(out, np.zeros((1, 8)))
 
     def test_hand_oracle(self):
         # sqrt([4, 1]) = [2, 1]; l1 norm 3.
-        out = hellinger_normalize(np.array([4.0, 1.0]))
-        np.testing.assert_allclose(out, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+        out = hellinger_normalize(np.array([[4.0, 1.0]]))
+        np.testing.assert_allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], rtol=0, atol=1e-15)
 
     def test_symmetry_forces_uniform(self):
-        out = hellinger_normalize(np.ones(4))
-        np.testing.assert_allclose(out, np.full(4, 0.25), rtol=0, atol=1e-15)
+        out = hellinger_normalize(np.ones((1, 4)))
+        np.testing.assert_allclose(out, np.full((1, 4), 0.25), rtol=0, atol=1e-15)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValidationError):
-            hellinger_normalize(np.array([1.0, -0.5]))
+            hellinger_normalize(np.array([[1.0, -0.5]]))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValidationError):
-            hellinger_normalize(np.array([1.0, np.nan]))
+            hellinger_normalize(np.array([[1.0, np.nan]]))
+
+    def test_descriptor_vector_rejected(self):
+        with pytest.raises(ValidationError, match="got ndim=1"):
+            hellinger_normalize(np.array([4.0, 1.0]))
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(0)
         batch = rng.uniform(0, 5, size=(10, 6))
         out = hellinger_normalize(batch)
         for i in range(10):
-            np.testing.assert_array_equal(out[i], hellinger_normalize(batch[i]))
+            np.testing.assert_array_equal(out[i], hellinger_normalize(batch[i : i + 1])[0])
 
     def test_bitwise_the_divide_into_zeros_formula(self):
         """One buffer, divided in place, gives the values of a separate
@@ -70,7 +75,7 @@ class TestHellinger:
     @settings(max_examples=200, deadline=None)
     def test_l1_norm_is_one_for_nonzero_input(self, values):
         vec = np.array(values)
-        out = hellinger_normalize(vec)
+        out = hellinger_normalize(vec[None, :])[0]
         if np.any(vec > 0):
             assert abs(np.abs(out).sum() - 1.0) < 1e-12
         else:
@@ -195,12 +200,12 @@ class TestPcaTransform:
         rng = np.random.default_rng(7)
         data = rng.normal(size=(25, 3))
         model = fit_pca(data, target_dim=2)
-        out = pca_transform(model, data.mean(axis=0))
-        np.testing.assert_allclose(out, np.zeros(2), atol=1e-12)
+        out = pca_transform(model, data.mean(axis=0, keepdims=True))
+        np.testing.assert_allclose(out, np.zeros((1, 2)), atol=1e-12)
 
     def test_identity_model(self):
         model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
-        vec = np.array([1.0, -2.0, 0.5])
+        vec = np.array([[1.0, -2.0, 0.5]])
         np.testing.assert_array_equal(pca_transform(model, vec), vec)
 
     def test_matrix_product_oracle(self):
@@ -216,12 +221,17 @@ class TestPcaTransform:
             for j in range(5):
                 acc += model.basis[i, j] * centered[j]
             expected.append(model.scale[i] * acc)
-        np.testing.assert_allclose(pca_transform(model, vec), expected, atol=1e-9)
+        np.testing.assert_allclose(pca_transform(model, vec[None, :])[0], expected, atol=1e-9)
 
     def test_dimension_mismatch(self):
         model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
         with pytest.raises(ValidationError):
-            pca_transform(model, np.zeros(4))
+            pca_transform(model, np.zeros((1, 4)))
+
+    def test_descriptor_vector_rejected(self):
+        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
+        with pytest.raises(ValidationError, match="got ndim=1"):
+            pca_transform(model, np.zeros(3))
 
 
 def _lloyd_oracle(points: np.ndarray, init: np.ndarray, iters: int = 100) -> np.ndarray:
@@ -270,10 +280,23 @@ class TestFitKmeans:
         assert np.array_equal(a.centers, b.centers)
         assert a.inertia == b.inertia
 
-    def test_debug_asserts_monotone_inertia(self):
-        rng = np.random.default_rng(10)
-        data = rng.normal(size=(120, 4))
-        fit_kmeans(data, n_clusters=6, seed=1, debug=True)
+    def test_inertia_never_increases(self, monkeypatch):
+        """Every assignment pass, the final one included, serves the points
+        at least as well as the one before."""
+        inertias = []
+        real = features._nearest
+
+        def recorded(x, xsq, centers):
+            assign, dmin = real(x, xsq, centers)
+            inertias.append(float(dmin.sum()))
+            return assign, dmin
+
+        monkeypatch.setattr(features, "_nearest", recorded)
+        data = np.random.default_rng(10).normal(size=(120, 4))
+        model = fit_kmeans(data, n_clusters=6, seed=1)
+        assert len(inertias) == model.run.iterations + 1 > 2
+        for before, after in zip(inertias, inertias[1:]):
+            assert after <= before + 1e-9 * max(1.0, before)
 
     def test_fewer_points_than_clusters(self):
         with pytest.raises(ValidationError):
@@ -292,14 +315,17 @@ class TestFitKmeansMatchesPlainLloyd:
 
     @staticmethod
     def _assert_bitwise(x: np.ndarray, k: int, seed: int) -> ClusterModel:
-        model = fit_kmeans(x, n_clusters=k, seed=seed, debug=True)
+        model = fit_kmeans(x, n_clusters=k, seed=seed)
         centers, inertia, iterations, converged, reseeds = kmeans_oracle(x, k, seed)
         assert model.centers.tobytes() == centers.tobytes()
         assert model.inertia == inertia
         assert model.run == KmeansRun(iterations, converged, reseeds)
         for rho in (0.6, 0.9, 1.0):
-            got = assign_and_filter(model, x, rho)
-            assert (got.items, got.rejected) == assign_and_filter_oracle(centers, x, rho)
+            items, rejected = assign_and_filter_oracle(centers, x, rho)
+            assert _lists(assign_and_filter(model, x, rho)) == (
+                [list(pair) for pair in items],
+                list(rejected),
+            )
         return model
 
     @pytest.mark.parametrize(
@@ -330,31 +356,38 @@ class TestFitKmeansMatchesPlainLloyd:
         assert model.run.empty_reseeds > 0
 
 
+def _lists(result: PseudoLabeledSet) -> tuple[list[list[int]], list[int]]:
+    """The (m, 2) int64 items and int64 rejects as nested lists."""
+    assert result.items.dtype == result.rejected.dtype == np.int64
+    assert result.items.shape == (len(result.items), 2) and result.rejected.ndim == 1
+    return result.items.tolist(), result.rejected.tolist()
+
+
 class TestAssignAndFilter:
     def _line_model(self) -> ClusterModel:
         return ClusterModel(centers=np.array([[0.0], [10.0]]), inertia=0.0)
 
     def test_equidistant_rejected(self):
         result = assign_and_filter(self._line_model(), np.array([[5.0]]), rho=0.9)
-        assert result.items == ()
-        assert result.rejected == (0,)
+        assert _lists(result) == ([], [0])
 
     def test_on_center_kept(self):
         result = assign_and_filter(self._line_model(), np.array([[10.0]]), rho=0.9)
-        assert result.items == ((0, 1),)
+        assert _lists(result) == ([[0, 1]], [])
 
     def test_scalar_hand_oracle(self):
         # 4.8: ratio 4.8/5.2 ~ 0.923 > 0.9 rejected; 4.5: 4.5/5.5 ~ 0.818 kept.
         result = assign_and_filter(self._line_model(), np.array([[4.8], [4.5]]), rho=0.9)
-        assert result.rejected == (0,)
-        assert result.items == ((1, 0),)
+        assert _lists(result) == ([[1, 0]], [0])
+        np.testing.assert_array_equal(result.kept_indices, [1])
+        np.testing.assert_array_equal(result.labels, [0])
 
     def test_ratio_exactly_rho_kept(self):
         # d at 4.7368421...: ratio exactly 0.9 -> kept per the strict-> reject rule.
         d1, d2 = 4.5, 5.0
         model = ClusterModel(centers=np.array([[0.0], [d1 + d2]]), inertia=0.0)
         result = assign_and_filter(model, np.array([[d1]]), rho=d1 / d2)
-        assert result.items == ((0, 0),)
+        assert _lists(result) == ([[0, 0]], [])
 
     def test_rho_one_keeps_everything(self):
         rng = np.random.default_rng(11)
@@ -362,18 +395,18 @@ class TestAssignAndFilter:
         data = rng.normal(size=(50, 2))
         result = assign_and_filter(model, data, rho=1.0)
         assert len(result.items) + len(result.rejected) == 50
-        assert result.rejected == ()  # generic data has no exact ties
+        assert len(result.rejected) == 0  # generic data has no exact ties
         pair = ClusterModel(centers=np.array([[0.0], [2.0]]), inertia=0.0)
         mid = assign_and_filter(pair, np.array([[1.0]]), rho=1.0)
-        assert mid.items == ((0, 0),)  # ratio == rho is kept, lower index wins the tie
+        assert _lists(mid) == ([[0, 0]], [])  # ratio == rho is kept, lower index wins the tie
 
     def test_equidistant_centers_keep_lowest_index(self):
         # Three centers at squared distance exactly 25 from (1, 2), one at 100.
         centers = np.array([[7.0, 10.0], [6.0, 2.0], [4.0, 6.0], [5.0, 5.0]])
         model = ClusterModel(centers=centers, inertia=0.0)
         point = np.array([[1.0, 2.0]])
-        assert assign_and_filter(model, point, rho=1.0).items == ((0, 1),)
-        assert assign_and_filter(model, point, rho=0.99).rejected == (0,)
+        assert _lists(assign_and_filter(model, point, rho=1.0)) == ([[0, 1]], [])
+        assert _lists(assign_and_filter(model, point, rho=0.99)) == ([], [0])
 
     def test_partition_for_all_rho(self):
         rng = np.random.default_rng(12)
@@ -381,15 +414,20 @@ class TestAssignAndFilter:
         data = rng.normal(size=(80, 3))
         for rho in (0.2, 0.5, 0.9, 1.0):
             result = assign_and_filter(model, data, rho=rho)
-            kept = {i for i, _ in result.items}
-            assert kept.isdisjoint(result.rejected)
-            assert kept | set(result.rejected) == set(range(80))
-            assert all(lab < 4 for _, lab in result.items)
+            items, rejected = _lists(result)
+            kept = {i for i, _ in items}
+            assert kept.isdisjoint(rejected)
+            assert kept | set(rejected) == set(range(80))
+            assert all(lab < 4 for _, lab in items)
 
     def test_single_center_model_rejected(self):
         model = ClusterModel(centers=np.array([[0.0]]), inertia=0.0)
         with pytest.raises(ValidationError):
             assign_and_filter(model, np.array([[1.0]]), rho=0.9)
+
+    def test_descriptor_vector_rejected(self):
+        with pytest.raises(ValidationError, match="got ndim=1"):
+            assign_and_filter(self._line_model(), np.array([1.0]), rho=0.9)
 
     def test_rho_out_of_range(self):
         with pytest.raises(ValidationError):

@@ -389,8 +389,9 @@ def _two_blob_dataset(n_per: int = 60, dim: int = 8, seed: int = 0):
     a = rng.normal(0, 1.0, size=(n_per, dim)) + 0.5
     b = rng.normal(0, 1.0, size=(n_per, dim)) - 0.5
     data = np.vstack([a, b])
-    items = tuple((i, 0 if i < n_per else 1) for i in range(2 * n_per))
-    return PseudoLabeledSet(items=items, rejected=()), data
+    rows = np.arange(2 * n_per)
+    items = np.column_stack([rows, rows >= n_per]).astype(np.int64)
+    return PseudoLabeledSet(items=items, rejected=np.array([], dtype=np.int64)), data
 
 
 class TestSampler:
