@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .features import as_matrix
 
 ACTIVATIONS = ("relu", "identity")
 MODES = ("netrvlad",)
@@ -87,13 +88,6 @@ class Codebook:
         return self.centers.shape[1]
 
 
-def _as_rows(x: np.ndarray, dim: int, what: str) -> np.ndarray:
-    rows = np.asarray(x, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValidationError(f"{what} expects an (n, {dim}) matrix, got shape {rows.shape}")
-    return rows
-
-
 def init_backbone(dims: tuple[int, ...] = (32, 64, 64), seed: int = 0) -> Backbone:
     """Random backbone with relu layers, weights uniform in +-1/sqrt(fan_in)."""
     if len(dims) < 2:
@@ -117,7 +111,7 @@ def backbone_forward(
 ) -> np.ndarray | tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Apply the layer stack. With return_cache, also return per-layer
     (input, pre-activation) pairs for the backward pass."""
-    h = _as_rows(d, b.input_dim, "backbone_forward")
+    h = as_matrix(d, "backbone_forward", b.input_dim)
     cache = []
     for layer in b.layers:
         pre = h @ layer.weight.T + layer.bias
@@ -129,7 +123,7 @@ def backbone_forward(
 
 def soft_assign(cb: Codebook, x: np.ndarray) -> np.ndarray:
     """Softmax over per-cluster affine logits; rows sum to 1."""
-    logits = _as_rows(x, cb.dim, "soft_assign") @ cb.weights.T + cb.bias
+    logits = as_matrix(x, "soft_assign", cb.dim) @ cb.weights.T + cb.bias
     # Max subtraction keeps exp() in range for large logits.
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -144,7 +138,7 @@ def encode_patches(
     With return_cache, also return the intermediates the backward pass
     needs: x (the inputs), alpha (soft assignments) and resid (x minus
     each center)."""
-    rows = _as_rows(xs, cb.dim, "encode_patches")
+    rows = as_matrix(xs, "encode_patches", cb.dim)
     alpha = soft_assign(cb, rows)
     resid = rows[:, None, :] - cb.centers[None, :, :]
     v = alpha[:, :, None] * resid
@@ -196,7 +190,7 @@ def pool_patches(cb: Codebook, xs: np.ndarray) -> np.ndarray:
     Pairs whose squared distance cancels or whose row's squared norm
     underflows are formed as encode_patches forms them and added apart.
     """
-    rows = _as_rows(xs, cb.dim, "pool_patches")
+    rows = as_matrix(xs, "pool_patches", cb.dim)
     if rows.shape[0] == 0:
         raise ValidationError("pool_patches needs at least one patch")
     coef, sqnorm, i, k, v = _weighted_residuals(cb, rows)
@@ -220,7 +214,7 @@ def encoding_gram(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
     formed from the difference (w_ik = 0) adds e . w_jk (x_j - c_k) to
     row and column i, and e . e' for each such row e' of the same cluster.
     """
-    rows = _as_rows(backbone_forward(b, xs), cb.dim, "encoding_gram")
+    rows = as_matrix(backbone_forward(b, xs), "encoding_gram", cb.dim)
     w, _, i, k, e = _weighted_residuals(cb, rows)
     q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
     qw = q @ w.T
@@ -241,7 +235,7 @@ def encode_flat(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
 def encode_vlad_hard(centers: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Classic VLAD: sum residuals to the nearest center, ties to lowest index."""
     centers = np.asarray(centers, dtype=np.float64)
-    rows = _as_rows(xs, centers.shape[1], "encode_vlad_hard")
+    rows = as_matrix(xs, "encode_vlad_hard", centers.shape[1])
     if rows.shape[0] == 0:
         raise ValidationError("encode_vlad_hard needs at least one descriptor")
     sq = (

@@ -21,10 +21,12 @@ KMEANS_MAX_ITER = 300
 NEAREST_CHUNK = 1024
 
 
-def _as_batch(x: np.ndarray) -> np.ndarray:
+def as_matrix(x: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
+    """``x`` as a float64 ``(n, d)`` matrix, with ``d == dim`` when given."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected an (n, d) matrix of descriptors, got ndim={arr.ndim}")
+    if arr.ndim != 2 or (dim is not None and arr.shape[1] != dim):
+        width = "d" if dim is None else dim
+        raise ValidationError(f"{what} expects an (n, {width}) matrix, got shape {arr.shape}")
     return arr
 
 
@@ -36,7 +38,7 @@ def hellinger_normalize(d: np.ndarray) -> np.ndarray:
     is; the result is one new array, divided in place inside the square
     roots' buffer.
     """
-    batch = _as_batch(d)
+    batch = as_matrix(d, "hellinger_normalize")
     if not np.all(np.isfinite(batch)):
         raise ValidationError("descriptor contains non-finite entries")
     if np.any(batch < 0):
@@ -122,11 +124,7 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
 
 
 def pca_transform(model: PcaModel, d: np.ndarray) -> np.ndarray:
-    batch = _as_batch(d)
-    if batch.shape[1] != model.d_in:
-        raise ValidationError(
-            f"descriptor dimension {batch.shape[1]} does not match model d_in={model.d_in}"
-        )
+    batch = as_matrix(d, "pca_transform", model.d_in)
     return (batch - model.mean) @ model.basis.T * model.scale
 
 
@@ -276,11 +274,7 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
         raise ValidationError(f"rho must be in (0, 1], got {rho}")
     if model.n_clusters < 2:
         raise ValidationError("assign_and_filter needs a model with >= 2 centers")
-    batch = _as_batch(data)
-    if batch.shape[1] != model.centers.shape[1]:
-        raise ValidationError(
-            f"descriptor dimension {batch.shape[1]} does not match centers"
-        )
+    batch = as_matrix(data, "assign_and_filter", model.centers.shape[1])
     centers = model.centers
     sq = _squared_distances(
         batch, np.sum(batch * batch, axis=1), centers, np.sum(centers * centers, axis=1)

@@ -43,7 +43,7 @@ class TestHellinger:
             hellinger_normalize(np.array([[1.0, np.nan]]))
 
     def test_descriptor_vector_rejected(self):
-        with pytest.raises(ValidationError, match="got ndim=1"):
+        with pytest.raises(ValidationError, match=r"\(n, d\) matrix, got shape \(2,\)"):
             hellinger_normalize(np.array([4.0, 1.0]))
 
     def test_batch_matches_per_row(self):
@@ -230,7 +230,7 @@ class TestPcaTransform:
 
     def test_descriptor_vector_rejected(self):
         model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
-        with pytest.raises(ValidationError, match="got ndim=1"):
+        with pytest.raises(ValidationError, match=r"\(n, 3\) matrix, got shape \(3,\)"):
             pca_transform(model, np.zeros(3))
 
 
@@ -249,6 +249,27 @@ def _lloyd_oracle(points: np.ndarray, init: np.ndarray, iters: int = 100) -> np.
             break
         centers = new
     return centers
+
+
+def _fit_checking_inertia(x: np.ndarray, k: int, seed: int) -> ClusterModel:
+    """fit_kmeans, recording the inertia of every assignment pass: one per
+    iteration plus the final one, none serving the points worse than the
+    pass before it."""
+    inertias = []
+    real = features._nearest
+
+    def recorded(x, xsq, centers):
+        assign, dmin = real(x, xsq, centers)
+        inertias.append(float(dmin.sum()))
+        return assign, dmin
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(features, "_nearest", recorded)
+        model = fit_kmeans(x, n_clusters=k, seed=seed)
+    assert len(inertias) == model.run.iterations + 1
+    for before, after in zip(inertias, inertias[1:]):
+        assert after <= before + 1e-9 * max(1.0, before), f"inertia rose: {before} -> {after}"
+    return model
 
 
 class TestFitKmeans:
@@ -280,23 +301,10 @@ class TestFitKmeans:
         assert np.array_equal(a.centers, b.centers)
         assert a.inertia == b.inertia
 
-    def test_inertia_never_increases(self, monkeypatch):
-        """Every assignment pass, the final one included, serves the points
-        at least as well as the one before."""
-        inertias = []
-        real = features._nearest
-
-        def recorded(x, xsq, centers):
-            assign, dmin = real(x, xsq, centers)
-            inertias.append(float(dmin.sum()))
-            return assign, dmin
-
-        monkeypatch.setattr(features, "_nearest", recorded)
+    def test_inertia_never_increases(self):
         data = np.random.default_rng(10).normal(size=(120, 4))
-        model = fit_kmeans(data, n_clusters=6, seed=1)
-        assert len(inertias) == model.run.iterations + 1 > 2
-        for before, after in zip(inertias, inertias[1:]):
-            assert after <= before + 1e-9 * max(1.0, before)
+        model = _fit_checking_inertia(data, 6, 1)
+        assert model.run.iterations > 1
 
     def test_fewer_points_than_clusters(self):
         with pytest.raises(ValidationError):
@@ -315,7 +323,7 @@ class TestFitKmeansMatchesPlainLloyd:
 
     @staticmethod
     def _assert_bitwise(x: np.ndarray, k: int, seed: int) -> ClusterModel:
-        model = fit_kmeans(x, n_clusters=k, seed=seed)
+        model = _fit_checking_inertia(x, k, seed)
         centers, inertia, iterations, converged, reseeds = kmeans_oracle(x, k, seed)
         assert model.centers.tobytes() == centers.tobytes()
         assert model.inertia == inertia
@@ -426,7 +434,7 @@ class TestAssignAndFilter:
             assign_and_filter(model, np.array([[1.0]]), rho=0.9)
 
     def test_descriptor_vector_rejected(self):
-        with pytest.raises(ValidationError, match="got ndim=1"):
+        with pytest.raises(ValidationError, match=r"\(n, 1\) matrix, got shape \(1,\)"):
             assign_and_filter(self._line_model(), np.array([1.0]), rho=0.9)
 
     def test_rho_out_of_range(self):

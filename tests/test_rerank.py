@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -159,26 +158,6 @@ class TestSgr:
     def test_k_too_large_rejected(self):
         with pytest.raises(ValidationError):
             sgr(_ring_pages(3), RerankConfig(method="sgr", k=3, layers=1, gamma=0.4))
-
-    @pytest.mark.parametrize("layers", [1, 3])
-    def test_graph_is_only_read(self, monkeypatch, layers):
-        """Read-only graph arrays: an in-place write to the vertex features
-        raises, and the result is bitwise the writable graph's."""
-        pages = _ring_pages(12, seed=4)
-        cfg = RerankConfig(method="sgr", k=3, layers=layers, gamma=0.4)
-        want = np.array([p.vector for p in sgr(pages, cfg)])
-        real = build_similarity_graph
-
-        def frozen(pages, gamma):
-            graph = real(pages, gamma)
-            for arr in (graph.similarity, graph.adjacency):
-                arr.flags.writeable = False
-            return graph
-
-        rerank_module = importlib.import_module("wret.rerank")
-        monkeypatch.setattr(rerank_module, "build_similarity_graph", frozen)
-        got = np.array([p.vector for p in sgr(pages, cfg)])
-        assert got.tobytes() == want.tobytes()
 
 
 class TestKrnnQe:
