@@ -217,8 +217,11 @@ def encoding_gram(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
     rows = as_matrix(backbone_forward(b, xs), "encoding_gram", cb.dim)
     w, _, i, k, e = _weighted_residuals(cb, rows)
     q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
+    gram = rows @ rows.T
+    gram *= w @ w.T
     qw = q @ w.T
-    gram = (rows @ rows.T) * (w @ w.T) + qw + qw.T
+    gram += qw
+    gram += qw.T
     if len(i):
         cross = np.zeros_like(gram)
         np.add.at(cross, i, w[:, k].T * (e @ rows.T - np.sum(e * cb.centers[k], axis=1)[:, None]))

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 from wret.aggregation import pool_page
 from wret.encoder import (
@@ -9,6 +10,7 @@ from wret.encoder import (
     Codebook,
     Layer,
     TINY_SQNORM,
+    _weighted_residuals,
     backbone_forward,
     encode_flat,
     encode_patches,
@@ -328,6 +330,16 @@ class TestEncodingGram:
             cb, xs = _random_page(rng, placed, k, n)
             _assert_grams_alike(cb, xs)
             _assert_grams_alike(cb, xs[rng.integers(0, len(xs), size=len(xs) + 3)])  # duplicates
+
+    def test_holds_two_pool_sized_arrays(self):
+        """tracemalloc peak above the inputs: the Gram and one (n, n)
+        temporary, with no row formed from the difference."""
+        n = 400
+        bb = init_backbone((8, 16), seed=0)
+        cb = init_codebook(4, 16, seed=1)
+        xs = np.random.default_rng(15).normal(size=(n, 8))
+        assert len(_weighted_residuals(cb, backbone_forward(bb, xs))[2]) == 0
+        assert traced_peak(lambda: encoding_gram(bb, cb, xs)) < 2.5 * n * n * 8
 
     def test_patch_on_a_center_and_next_to_it(self):
         cb = Codebook(
