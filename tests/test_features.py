@@ -251,7 +251,7 @@ def _lloyd_oracle(points: np.ndarray, init: np.ndarray, iters: int = 100) -> np.
     return centers
 
 
-def _fit_checking_inertia(x: np.ndarray, k: int, seed: int) -> ClusterModel:
+def _fit_checking_inertia(data: np.ndarray, k: int, seed: int) -> ClusterModel:
     """fit_kmeans, recording the inertia of every assignment pass: one per
     iteration plus the final one, none serving the points worse than the
     pass before it."""
@@ -265,7 +265,7 @@ def _fit_checking_inertia(x: np.ndarray, k: int, seed: int) -> ClusterModel:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(features, "_nearest", recorded)
-        model = fit_kmeans(x, n_clusters=k, seed=seed)
+        model = fit_kmeans(data, n_clusters=k, seed=seed)
     assert len(inertias) == model.run.iterations + 1
     for before, after in zip(inertias, inertias[1:]):
         assert after <= before + 1e-9 * max(1.0, before), f"inertia rose: {before} -> {after}"
