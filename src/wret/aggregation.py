@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .features import PcaModel, fit_pca, pca_transform
+from .features import PcaModel, as_matrix, fit_pca, pca_transform
 
 POWER_ALPHA = 0.4
 
@@ -26,6 +26,16 @@ class PageEmbedding:
             raise ValidationError(f"page {self.page_id}: embedding must be a finite vector")
 
 
+def page_matrix(pages: list[PageEmbedding]) -> np.ndarray:
+    """The pages' vectors as one float64 (n, dim) matrix, row i from page i."""
+    if not pages:
+        raise ValidationError("need a nonempty page collection")
+    dims = {p.vector.shape[0] for p in pages}
+    if len(dims) != 1:
+        raise ValidationError(f"embeddings have mixed dimensions {sorted(dims)}")
+    return np.array([p.vector for p in pages], dtype=np.float64)
+
+
 def pool_page(encodings: np.ndarray) -> np.ndarray:
     """l2-normalize each flattened patch encoding, then sum in row order.
 
@@ -33,9 +43,9 @@ def pool_page(encodings: np.ndarray) -> np.ndarray:
     patches are added in order; its pairwise summation applies only along
     the contiguous axis, hence the C-ordered unit rows.
     """
-    encodings = np.asarray(encodings, dtype=np.float64)
-    if encodings.ndim != 2 or encodings.shape[0] == 0:
-        raise ValidationError("pool_page needs a nonempty (n, dim) encoding matrix")
+    encodings = as_matrix(encodings, "pool_page")
+    if encodings.shape[0] == 0:
+        raise ValidationError("pool_page needs at least one patch encoding")
     norms = np.linalg.norm(encodings, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if len(zero):
@@ -65,9 +75,7 @@ def whiten_pages(
     prefit model applies it instead (the training-collection variant),
     which must then project to target_dim.
     """
-    raw = np.asarray(raw_vectors, dtype=np.float64)
-    if raw.ndim != 2:
-        raise ValidationError("raw page vectors must form a 2-d matrix")
+    raw = as_matrix(raw_vectors, "whiten_pages")
     n = raw.shape[0]
     if pca is None:
         if n <= 2:

@@ -85,9 +85,7 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
     whitening would divide by a zero variance and the projection would be
     meaningless.
     """
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValidationError("fit_pca expects a (n, d) matrix")
+    x = as_matrix(data, "fit_pca")
     n, d = x.shape
     if not np.all(np.isfinite(x)):
         raise ValidationError("fit_pca input contains non-finite entries")
@@ -206,9 +204,7 @@ def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
     assignment is re-seeded at the worst-served point. Deterministic for a
     given seed; the returned model's ``run`` counts what happened.
     """
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValidationError("fit_kmeans expects a (n, d) matrix")
+    x = as_matrix(data, "fit_kmeans")
     if n_clusters < 1:
         raise ValidationError("n_clusters must be >= 1")
     if x.shape[0] < n_clusters:

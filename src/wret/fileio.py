@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import PageEmbedding
+from .aggregation import PageEmbedding, page_matrix
 from .encoder import Backbone, Codebook, Layer
 from .errors import ArtifactIOError, ValidationError
 from .features import ClusterModel, PcaModel
@@ -165,19 +165,14 @@ def read_descriptors(path: Path | str) -> np.ndarray:
 def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash: str) -> None:
     """Write a page-embedding dump: JSON sidecar plus binary blob."""
     json_path = Path(json_path)
-    if not pages:
-        raise ValidationError("embedding dump needs at least one page")
-    dims = {p.vector.shape[0] for p in pages}
-    if len(dims) != 1:
-        raise ValidationError(f"embeddings have mixed dimensions {sorted(dims)}")
-    dim = dims.pop()
+    vectors = page_matrix(pages)
     blob_path = json_path.with_suffix(".bin")
-    _write_matrix(blob_path, MAGIC_EMBEDDINGS, np.array([p.vector for p in pages]), "<f8")
+    _write_matrix(blob_path, MAGIC_EMBEDDINGS, vectors, "<f8")
     sidecar = {
         "blob": blob_path.name,
         "config_hash": cfg_hash,
         "count": len(pages),
-        "dim": dim,
+        "dim": vectors.shape[1],
         "pages": [
             {"page_id": p.page_id, "writer_id": p.writer_id} for p in pages
         ],

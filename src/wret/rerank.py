@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import PageEmbedding
+from .aggregation import PageEmbedding, page_matrix
 from .errors import ValidationError
 from .retrieval import rank_rows
 
@@ -46,12 +46,7 @@ class RerankConfig:
 
 
 def _unit_matrix(pages: list[PageEmbedding]) -> np.ndarray:
-    if not pages:
-        raise ValidationError("need a nonempty embedding collection")
-    dims = {p.vector.shape[0] for p in pages}
-    if len(dims) != 1:
-        raise ValidationError(f"embeddings have mixed dimensions {sorted(dims)}")
-    vectors = np.array([p.vector for p in pages], dtype=np.float64)
+    vectors = page_matrix(pages)
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         worst = int(np.argmax(np.abs(norms - 1.0)))

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .aggregation import PageEmbedding
+from .aggregation import PageEmbedding, page_matrix
 from .errors import ValidationError
 
 # Rows per leave-one-out sort in evaluate: bounds its (rows, n) temporaries.
@@ -161,7 +161,7 @@ def rank_all(pages: list[PageEmbedding]) -> Ranking:
     ids = [p.page_id for p in pages]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate page_id in the collection")
-    vectors = np.array([p.vector for p in pages], dtype=np.float64)
+    vectors = page_matrix(pages)
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms == 0.0):
         raise ValidationError("zero embedding cannot be ranked")

@@ -176,7 +176,7 @@ def run_synth(spec: SynthSpec, out_dir: Path | str) -> Path:
             report_path,
             {
                 "config_hash": _stage_hash("synth", asdict(spec)),
-                "n_pages": len(load_manifest(manifest_path).pages),
+                "n_pages": sum(spec.page_counts()),
                 "n_writers": spec.n_writers,
                 "seed": spec.seed,
             },
@@ -366,6 +366,8 @@ def run_evaluate(
         write_json(report_path, report)
         if per_query:
             write_atomic(csv_path, report_to_csv(result).encode("utf-8"))
+        else:  # an earlier run's per-query file would not match this report
+            csv_path.unlink(missing_ok=True)
     return report
 
 

@@ -27,7 +27,7 @@ from .encoder import (
     init_codebook,
 )
 from .errors import TrainingError, ValidationError
-from .features import PseudoLabeledSet
+from .features import PseudoLabeledSet, as_matrix
 from .retrieval import Ranking, evaluate
 from .seeds import derive_seed
 
@@ -299,15 +299,12 @@ def _stratified_split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class split; each class sends floor(fraction * size) items to
     the validation side. Returns (train_idx, val_idx), both sorted."""
-    train_idx: list[int] = []
-    val_idx: list[int] = []
-    for label in np.unique(labels):
-        members = np.flatnonzero(labels == label)
-        k = int(fraction * len(members))
-        perm = rng.permutation(members)
-        val_idx.extend(perm[:k].tolist())
-        train_idx.extend(perm[k:].tolist())
-    return np.array(sorted(train_idx), dtype=int), np.array(sorted(val_idx), dtype=int)
+    _, counts = np.unique(labels, return_counts=True)
+    by_class = np.split(np.argsort(labels, kind="stable"), np.cumsum(counts)[:-1])
+    perms = [rng.permutation(members) for members in by_class]
+    to_val = np.concatenate([np.arange(len(p)) < int(fraction * len(p)) for p in perms])
+    drawn = np.concatenate(perms)
+    return np.sort(drawn[~to_val]), np.sort(drawn[to_val])
 
 
 def _epoch_batches(
@@ -319,19 +316,16 @@ def _epoch_batches(
     classes; a class retires once it cannot fill a full group."""
     per = cfg.per_class
     n_classes = cfg.batch_size // per
-    queues = {c: list(rng.permutation(items)) for c, items in sorted(class_items.items())}
+    perms = [rng.permutation(items) for _, items in sorted(class_items.items())]
+    left = np.array([len(perm) for perm in perms])  # undrawn items: each permutation's tail
     batches: list[np.ndarray] = []
     while True:
-        active = sorted(c for c, q in queues.items() if len(q) >= per)
+        active = np.flatnonzero(left >= per)
         if len(active) < n_classes:
             return batches
-        picked = rng.choice(len(active), size=n_classes, replace=False)
-        batch: list[int] = []
-        for ci in sorted(picked.tolist()):
-            c = active[ci]
-            batch.extend(int(i) for i in queues[c][:per])
-            del queues[c][:per]
-        batches.append(np.array(batch, dtype=int))
+        picked = active[np.sort(rng.choice(len(active), size=n_classes, replace=False))]
+        batches.append(np.concatenate([perms[c][-left[c] :][:per] for c in picked]))
+        left[picked] -= per
 
 
 def _pool_retrieval_map(gram: np.ndarray, labels: np.ndarray) -> float:
@@ -352,20 +346,14 @@ def _pool_retrieval_map(gram: np.ndarray, labels: np.ndarray) -> float:
 
 
 def train(
-    labeled: PseudoLabeledSet,
-    descriptors: np.ndarray,
-    cfg: TrainConfig,
-    backbone: Backbone | None = None,
-    codebook: Codebook | None = None,
+    labeled: PseudoLabeledSet, descriptors: np.ndarray, cfg: TrainConfig
 ) -> tuple[Backbone, Codebook, TrainReport]:
     """Run the full training loop; returns the best-validation snapshot.
 
     descriptors holds the full preprocessed matrix; labeled selects the
     kept rows and their pseudo-classes. Fully deterministic per cfg.seed.
     """
-    descriptors = np.asarray(descriptors, dtype=np.float64)
-    if descriptors.ndim != 2:
-        raise ValidationError("descriptors must be a 2-d matrix")
+    descriptors = as_matrix(descriptors, "train")
     data = descriptors[labeled.kept_indices]
     labels = labeled.labels
     if len(data) == 0:
@@ -377,32 +365,27 @@ def train(
         keep = split_rng.choice(len(val_idx), size=VAL_POOL_CAP, replace=False)
         val_idx = val_idx[np.sort(keep)]
     train_labels = labels[train_idx]
+    classes, counts = np.unique(train_labels, return_counts=True)
     class_items = {
-        int(c): train_idx[train_labels == c]
-        for c in np.unique(train_labels)
-        if int((train_labels == c).sum()) >= cfg.per_class
+        int(c): train_idx[train_labels == c] for c in classes[counts >= cfg.per_class]
     }
-    needed = max(2, cfg.batch_size // cfg.per_class)
+    needed = cfg.batch_size // cfg.per_class
     if len(class_items) < needed:
         raise ValidationError(
             f"insufficient classes: {len(class_items)} with >= per_class members "
             f"after the validation split, but each batch needs {needed}"
         )
 
-    if backbone is None:
-        dims = cfg.backbone_dims or (descriptors.shape[1], 64, 64)
-        if dims[0] != descriptors.shape[1]:
-            raise ValidationError("backbone input dimension must match the descriptors")
-        backbone = init_backbone(tuple(dims), seed=derive_seed(cfg.seed, "train/backbone"))
-    if codebook is None:
-        codebook = init_codebook(
-            cfg.n_clusters, backbone.output_dim, seed=derive_seed(cfg.seed, "train/codebook")
-        )
-    if codebook.dim != backbone.output_dim:
-        raise ValidationError("codebook dimension must match the backbone output")
+    dims = cfg.backbone_dims or (descriptors.shape[1], 64, 64)
+    if dims[0] != descriptors.shape[1]:
+        raise ValidationError("backbone input dimension must match the descriptors")
+    backbone = init_backbone(tuple(dims), seed=derive_seed(cfg.seed, "train/backbone"))
+    codebook = init_codebook(
+        cfg.n_clusters, backbone.output_dim, seed=derive_seed(cfg.seed, "train/codebook")
+    )
 
-    # Adam trains copies in place; the untouched inputs are the snapshot
-    # until an epoch scores.
+    # Adam trains copies in place; the untouched initial models are the
+    # snapshot until an epoch scores.
     best_snapshot = (backbone, codebook)
     backbone, codebook = _copy_models(backbone, codebook)
     adam = _Adam(backbone, codebook)
@@ -445,12 +428,9 @@ def train(
             adam.step(grads, lr)
             batch_losses.append(loss)
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
-        if len(val_idx) >= 2:
-            val_map = _pool_retrieval_map(
-                encoding_gram(backbone, codebook, data[val_idx]), labels[val_idx]
-            )
-        else:
-            val_map = 0.0
+        val_map = _pool_retrieval_map(
+            encoding_gram(backbone, codebook, data[val_idx]), labels[val_idx]
+        )
         losses.append(epoch_loss)
         triplet_counts.append(admitted)
         val_maps.append(val_map)

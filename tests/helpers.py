@@ -1,8 +1,8 @@
 """Shared test machinery: a traced-memory probe, an independent
 triplet-loss objective, a central finite-difference harness for checking
 analytic gradients, and plain-loop oracles that the vectorized k-means,
-assignment, mining, ranking and retrieval scoring must match bitwise and
-the pair-weight triplet gradient must match to rounding."""
+assignment, training sampler, mining, ranking and retrieval scoring must
+match bitwise and the pair-weight triplet gradient must match to rounding."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from wret.encoder import (
     flatten_encoding,
 )
 from wret.retrieval import Ranking, RetrievalReport
-from wret.trainer import TripletBatch
+from wret.trainer import TrainConfig, TripletBatch
 
 def traced_peak(fn: Callable[[], object]) -> int:
     """Peak bytes allocated while fn runs, above what was allocated before.
@@ -266,6 +266,42 @@ def mine_oracle(
         if d_an < d_ap - m:
             triplets.append((a, p, neg))
     return tuple(triplets)
+
+
+def stratified_split_oracle(
+    labels: np.ndarray, fraction: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """trainer._stratified_split over Python lists, one class at a time."""
+    train_idx: list[int] = []
+    val_idx: list[int] = []
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        k = int(fraction * len(members))
+        perm = rng.permutation(members)
+        val_idx.extend(perm[:k].tolist())
+        train_idx.extend(perm[k:].tolist())
+    return np.array(sorted(train_idx), dtype=int), np.array(sorted(val_idx), dtype=int)
+
+
+def epoch_batches_oracle(
+    class_items: dict[int, np.ndarray], cfg: TrainConfig, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """trainer._epoch_batches with a Python list as each class's queue."""
+    per = cfg.per_class
+    n_classes = cfg.batch_size // per
+    queues = {c: list(rng.permutation(items)) for c, items in sorted(class_items.items())}
+    batches: list[np.ndarray] = []
+    while True:
+        active = sorted(c for c, q in queues.items() if len(q) >= per)
+        if len(active) < n_classes:
+            return batches
+        picked = rng.choice(len(active), size=n_classes, replace=False)
+        batch: list[int] = []
+        for ci in sorted(picked.tolist()):
+            c = active[ci]
+            batch.extend(int(i) for i in queues[c][:per])
+            del queues[c][:per]
+        batches.append(np.array(batch, dtype=int))
 
 
 def backward_oracle(

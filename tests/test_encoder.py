@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import traced_peak
 
-from wret.aggregation import pool_page
+from wret.aggregation import pool_page, whiten_pages
 from wret.encoder import (
     Backbone,
     Codebook,
@@ -23,6 +23,8 @@ from wret.encoder import (
     soft_assign,
 )
 from wret.errors import ValidationError
+from wret.features import PseudoLabeledSet, fit_kmeans, fit_pca
+from wret.trainer import TrainConfig, train
 
 
 def _identity_backbone(dim: int) -> Backbone:
@@ -455,6 +457,25 @@ class TestOneRowIsAMatrix:
         with pytest.raises(ValidationError, match=r"\(n, 2\) matrix, got shape \(2,\)"):
             call(x)
         assert len(call(x[None, :])) >= 1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: fit_pca(x, target_dim=1),
+            lambda x: fit_kmeans(x, n_clusters=1, seed=0),
+            lambda x: whiten_pages(x, 1, ["p0", "p1"], ["w0", "w1"]),
+            pool_page,
+            lambda x: train(
+                PseudoLabeledSet(np.array([[0, 0], [1, 1]]), np.array([], dtype=np.int64)),
+                x,
+                TrainConfig(batch_size=4, per_class=2),
+            ),
+        ],
+        ids=["fit_pca", "fit_kmeans", "whiten_pages", "pool_page", "train"],
+    )
+    def test_vector_rejected_where_rows_are_samples(self, call):
+        with pytest.raises(ValidationError, match=r"\(n, d\) matrix, got shape \(2,\)"):
+            call(np.array([0.5, 2.0]))
 
 
 class TestInitCodebook:

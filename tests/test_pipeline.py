@@ -191,6 +191,18 @@ class TestEmbeddingDumps:
         back, meta = read_embeddings(path)
         assert meta["seed"] == 0 and [p.page_id for p in back] == ["p0", "p1", "p2"]
 
+    def test_empty_dump_rejected(self, tmp_path):
+        with pytest.raises(ValidationError):
+            write_embeddings(tmp_path / "emb.json", [], "h")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mixed_dimensions_rejected(self, tmp_path):
+        pages = self._pages()
+        pages.append(PageEmbedding(page_id="p3", writer_id="w1", vector=np.ones(4)))
+        with pytest.raises(ValidationError, match=r"mixed dimensions \[4, 6\]"):
+            write_embeddings(tmp_path / "emb.json", pages, "h")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_blob(self, tmp_path):
         path = tmp_path / "emb.json"
         write_embeddings(path, self._pages(), "h")
@@ -777,6 +789,12 @@ class TestStages:
         csv_text = (tmp_path / "eval_per_query.csv").read_text()
         assert csv_text.splitlines()[0] == "query,ap,top1_hit,first_relevant_rank"
         assert len(csv_text.splitlines()) == 13
+
+    def test_evaluate_without_per_query_removes_an_earlier_csv(self, workspace, tmp_path):
+        run_evaluate(workspace["embeddings"], tmp_path, per_query=True)
+        assert (tmp_path / "eval_per_query.csv").exists()
+        run_evaluate(workspace["embeddings"], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["eval_report.json"]
 
     def test_evaluate_two_isolated_pages(self, tmp_path):
         vecs = np.array([[1.0, 0.0], [0.0, 1.0]])

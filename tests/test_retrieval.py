@@ -110,6 +110,16 @@ class TestRankAll:
         with pytest.raises(ValidationError):
             rank_all(_pages(np.ones((1, 3))))
 
+    def test_empty_collection_rejected(self):
+        with pytest.raises(ValidationError):
+            rank_all([])
+
+    def test_mixed_dimensions_rejected(self):
+        pages = _pages(np.eye(3))
+        pages.append(PageEmbedding(page_id="p003", writer_id="w", vector=np.ones(2)))
+        with pytest.raises(ValidationError, match=r"mixed dimensions \[2, 3\]"):
+            rank_all(pages)
+
 
 def _ranking_input(kind: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, n) scores and per-column tie ranks of one kind of ranking input."""

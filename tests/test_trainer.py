@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from helpers import (
     backward_oracle,
+    epoch_batches_oracle,
     max_relative_fd_error,
     mine_oracle,
     named_param_arrays,
     random_gradcheck_config,
     rebuild_with,
+    stratified_split_oracle,
     triplet_objective,
 )
 
@@ -418,6 +420,57 @@ class TestSampler:
             assert seen.isdisjoint(batch.tolist())
             seen.update(batch.tolist())
 
+    @pytest.mark.parametrize(
+        "batch_size, per_class, sizes, seed",
+        [
+            (12, 3, (20, 21, 14, 20, 8), 3),  # classes retire mid-epoch
+            (8, 4, (4, 9, 13, 4, 7), 0),  # two classes of exactly per_class items
+            (6, 2, (2, 3, 5, 11, 2, 2, 40), 7),
+            (16, 8, (8, 8, 30), 11),
+            (4, 2, (2, 2), 1),  # one batch, then both classes are spent
+        ],
+    )
+    def test_matches_list_oracle_over_epochs(self, batch_size, per_class, sizes, seed):
+        cfg = TrainConfig(batch_size=batch_size, per_class=per_class)
+        shuffled = np.random.default_rng(100 + seed).permutation(sum(sizes))
+        bounds = np.cumsum(sizes)[:-1]
+        # Non-consecutive labels inserted out of order, members not contiguous.
+        labels = [3 * c + 1 for c in range(len(sizes))][::-1]
+        class_items = {
+            label: np.sort(members)
+            for label, members in zip(labels, np.split(shuffled, bounds)[::-1])
+        }
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = _epoch_batches(class_items, cfg, rng)
+            want = epoch_batches_oracle(class_items, cfg, oracle_rng)
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "sizes, fraction, seed",
+        [
+            ((20, 21, 14, 20, 8), 0.1, 0),
+            ((1, 2, 3, 50), 0.5, 4),  # classes too small to send any item
+            ((7, 7, 7), 0.3, 9),
+            ((1000,), 0.25, 2),
+        ],
+    )
+    def test_split_matches_list_oracle(self, sizes, fraction, seed):
+        labels = np.repeat(np.arange(len(sizes)) * 5 + 2, sizes)
+        labels = np.random.default_rng(200 + seed).permutation(labels)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = _stratified_split(labels, fraction, rng)
+            want = stratified_split_oracle(labels, fraction, oracle_rng)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
 
 class TestTrain:
     def test_single_epoch_schedule_boundary(self):
@@ -505,10 +558,12 @@ class TestTrain:
         with pytest.raises(ValidationError, match="insufficient classes"):
             train(labeled, data, cfg)
 
-    def test_starting_models_are_left_unchanged(self):
+    def test_starting_models_are_left_unchanged(self, monkeypatch):
         labeled, data = _two_blob_dataset()
         backbone = init_backbone((8, 16, 8), seed=9)
         codebook = init_codebook(4, 8, seed=9)
+        monkeypatch.setattr(trainer, "init_backbone", lambda dims, seed: backbone)
+        monkeypatch.setattr(trainer, "init_codebook", lambda k, dim, seed: codebook)
 
         def param_bytes():
             arrays = [a for layer in backbone.layers for a in (layer.weight, layer.bias)]
@@ -520,7 +575,7 @@ class TestTrain:
             batch_size=8, per_class=4, epochs_max=2, patience=2,
             n_clusters=4, seed=1, learning_rate=1e-2,
         )
-        bb, cb, report = train(labeled, data, cfg, backbone=backbone, codebook=codebook)
+        bb, cb, report = train(labeled, data, cfg)
         assert sum(report.triplets) > 0  # Adam ran
         assert param_bytes() == before
         assert not np.array_equal(cb.centers, codebook.centers)
