@@ -314,19 +314,20 @@ def run_encode(
         pca = load_pca(pca_path)
         backbone = load_backbone(backbone_path)
         codebook = load_codebook(codebook_path)
-        pooled = []
+        # One row per page, filled in place: no per-page vectors to stack.
+        pooled = np.empty((len(manifest.pages), codebook.n_clusters * codebook.dim))
         page_ids = []
         writer_ids = []
-        for record, data in load_page_descriptors(manifest):
+        for i, (record, data) in enumerate(load_page_descriptors(manifest)):
             if len(data) == 0:
                 raise ValidationError(f"page {record.page_id} has no descriptors")
             reduced = pca_transform(pca, hellinger_normalize(data.astype(np.float64)))
             embedded = backbone_forward(backbone, reduced)
-            pooled.append(power_normalize(pool_patches(codebook, embedded)))
+            pooled[i] = power_normalize(pool_patches(codebook, embedded))
             page_ids.append(record.page_id)
             writer_ids.append(record.writer_id)
         pages, page_pca = whiten_pages(
-            np.array(pooled), cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
+            pooled, cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
         )
         hashed = asdict(cfg)
         if cfg.page_pca is not None:
