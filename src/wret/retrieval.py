@@ -30,9 +30,11 @@ class RankedList:
 class Ranking(Sequence):
     """Leave-one-out ranking of a whole collection. `sims` holds the cosine
     similarities with the diagonal at -inf, so a page never counts as a
-    candidate for itself. Row q of `order` holds the gallery indices for
-    query page_ids[q], best first; it is sorted on first use. Each item
-    is that query's RankedList."""
+    candidate for itself; equal similarities rank by ascending `tie_rank`,
+    a permutation of range(n). Row q of `order` holds the gallery indices
+    for query page_ids[q], best first; it is sorted on first use, and
+    `evaluate` scores from `sims` without it. Each item is that query's
+    RankedList."""
 
     page_ids: tuple[str, ...]
     sims: np.ndarray  # (n, n)
@@ -173,6 +175,29 @@ def rank_all(pages: list[PageEmbedding]) -> Ranking:
     return Ranking(page_ids=tuple(ids), sims=sims, tie_rank=id_rank)
 
 
+def _lower_bound(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each of the ascending `rows` (NaN last) and each of that row's
+    `keys`, the number of entries that sort before the key, as
+    np.searchsorted(row, keys, "left") gives it per row. A branchless
+    binary search: one gather on the (rows, width) keys per round,
+    ceil(log2(n)) rounds."""
+    m, n = rows.shape
+    flat = rows.ravel()
+    start = n * np.arange(m)[:, None]
+    pos = np.repeat(start, keys.shape[1], axis=1)
+
+    def before(values: np.ndarray) -> np.ndarray:
+        # A number not at or above the key; NaN keys sort after every number.
+        return (values == values) & ~(values >= keys)
+
+    size = n
+    while size > 1:
+        half = size // 2
+        pos += half * before(flat[pos + half])
+        size -= half
+    return pos - start + before(flat[pos])
+
+
 def evaluate(
     ranking: Ranking,
     writers: dict[str, str],
@@ -180,50 +205,57 @@ def evaluate(
 ) -> RetrievalReport:
     """Score a ranking against writer identities.
 
-    Where every query has at most log2(n) relevant pages and none of them
-    scores NaN, a relevant page's rank is one plus the number of gallery
-    pages scored strictly higher or scored equal with a lower page id, as
-    the full ranking breaks ties: O(n^2) per relevant page. Otherwise every
-    row is ranked in full, O(n^2 log n) once, RANK_BLOCK rows at a time,
-    so no (n, n - 1) order is held; `ranking.order` is left unbuilt."""
+    A relevant page's rank is one plus the number of gallery pages that the
+    full ranking puts ahead of it: those scored strictly higher, and those
+    scored equal (NaN equal to NaN, below every number) with a lower page
+    id. RANK_BLOCK rows at a time, each row's negated scores are sorted,
+    values only, with the row's own column as NaN so that it sorts last
+    and is never counted, and a binary search gives each relevant page the
+    number of higher scores. Where another page shares a relevant score,
+    one pass over the row per tied score adds the equal pages with a lower
+    page id. O(n^2 log n) for any number of relevant pages; no (n, n - 1)
+    order is built, and `ranking.order` is left unbuilt."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
             raise ValidationError(f"page {page} has no writer identity")
     _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
     n = len(ids)
-    counts = np.bincount(labels)[labels] - 1
-    sims, tie_rank = ranking.sims, ranking.tie_rank
-    width = max(1, counts.max(initial=0))
-    padding = np.arange(width) >= counts[:, None]
-    if width <= np.log2(n):
-        same = labels[:, None] == labels
-        np.fill_diagonal(same, False)
-        relevant, _ = true_columns(same)
-        scores = np.take_along_axis(sims, relevant, axis=1)
-    if width > np.log2(n) or np.isnan(scores[~padding]).any():
-        ranks = np.ones((n, width), dtype=np.intp)
-        for lo in range(0, n, RANK_BLOCK):
-            hi = min(lo + RANK_BLOCK, n)
-            candidates = _leave_one_out(np.arange(lo, hi), n)
-            order = rank_rows(sims[lo:hi], tie_rank, candidates=candidates)
-            cols = true_columns(labels[order] == labels[lo:hi, None])[0]
-            ranks[lo:hi, : cols.shape[1]] = cols + 1
-    else:
-        ranks = np.empty((n, width), dtype=np.intp)
-        for c, j in enumerate(relevant.T):
-            s = scores[:, c, None]
-            ranks[:, c] = np.count_nonzero(sims > s, axis=1) + 1
-            equal = sims == s
-            # Rows where another column shares the score: the equal columns
-            # with a lower tie_rank rank ahead; the row's own column never.
-            t = np.flatnonzero(np.count_nonzero(equal, axis=1) > 1)
-            if len(t):
-                ahead = equal[t] & (tie_rank < tie_rank[j[t], None])
-                ahead[np.arange(len(t)), t] = False
-                ranks[t, c] += np.count_nonzero(ahead, axis=1)
-        ranks[padding] = n  # padding sorts last
-        ranks.sort(axis=1)
+    same = labels[:, None] == labels
+    np.fill_diagonal(same, False)
+    relevant, counts = true_columns(same)
+    padding = np.arange(relevant.shape[1]) >= counts[:, None]
+    tie_rank = ranking.tie_rank
+    by_tie = np.argsort(tie_rank)  # the columns in tie order
+    ranks = np.empty(relevant.shape, dtype=np.intp)
+    for lo in range(0, n, RANK_BLOCK):
+        hi = min(lo + RANK_BLOCK, n)
+        keys = -ranking.sims[lo:hi]
+        keys[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
+        rel = np.take_along_axis(keys, relevant[lo:hi], axis=1)
+        ordered = np.sort(keys, axis=1)
+        below = _lower_bound(ordered, rel)
+        ranks[lo:hi] = below + 1
+        # A relevant key sits at `below` in its sorted row; an equal key
+        # after it is a tie (a NaN key ties the own column at least). Only
+        # a padding slot naming the own column can sit last.
+        after = np.take_along_axis(ordered, np.minimum(below + 1, n - 1), axis=1)
+        r, c = np.nonzero(~padding[lo:hi] & ((after == rel) | np.isnan(rel)))
+        # One pass per row and tied score, named by the score's flat index
+        # in `ordered`: prefix counts of the equal keys in tie order.
+        groups, group_of = np.unique(r * n + below[r, c], return_inverse=True)
+        for g in range(0, len(groups), RANK_BLOCK):
+            rows, at = np.divmod(groups[g : g + RANK_BLOCK], n)
+            score = ordered[rows, at, None]
+            row = keys[rows][:, by_tie]
+            equal = (row == score) | (np.isnan(row) & np.isnan(score))
+            equal[np.arange(len(rows)), tie_rank[lo + rows]] = False
+            ahead = np.cumsum(equal, axis=1) - equal
+            p = np.flatnonzero(group_of // RANK_BLOCK == g // RANK_BLOCK)
+            j = relevant[lo + r[p], c[p]]
+            ranks[lo + r[p], c[p]] += ahead[group_of[p] - g, tie_rank[j]]
+    ranks[padding] = n  # padding sorts last
+    ranks.sort(axis=1)
     ap = average_precisions(ranks, counts)
     isolated = counts == 0
     first = np.where(isolated, 0, ranks[:, 0])

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValidationError("per_class must be >= 2 so positives exist")
         if self.batch_size < 2 * self.per_class:
             raise ValidationError("batch_size must cover at least two classes")
+        if self.batch_size % self.per_class:
+            raise ValidationError("batch_size must be a multiple of per_class")
         if self.epochs_max < 1 or self.warmup_epochs < 0 or self.patience < 1:
             raise ValidationError("epoch counts out of range")
         if self.max_steps is not None and self.max_steps < 1:

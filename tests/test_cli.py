@@ -180,3 +180,11 @@ def test_non_finite_config_value_rejected_up_front(tmp_path, capsys, command, fi
     assert cli.entrypoint([*command, "--out", str(out)]) == 1
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_batch_size_not_a_multiple_of_per_class_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["train", "--labels", "labels.wrmd", "--batch-size", "12", "--per-class", "5"]
+    assert cli.entrypoint([*argv, "--out", str(out)]) == 1
+    assert "batch_size must be a multiple of per_class" in capsys.readouterr().err
+    assert not out.exists()

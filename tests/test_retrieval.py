@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from helpers import evaluate_oracle, pool_retrieval_map_oracle, rank_rows_oracle, traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wret import retrieval
 from wret.aggregation import PageEmbedding
@@ -257,10 +259,10 @@ class TestNoFullSortWithoutTies:
         hard_graph_rerank(distinct, 4, 1, 2)
         # p000's relevant p001 ties with p002: exact ties are counted too.
         evaluate(rank_all(tied), dict(zip(("p000", "p001", "p002"), "aab")))
+        # A NaN relevant score ties the other NaN scores of its row.
         sims = np.array([[0.0, np.nan, 0.5], [np.nan, 0.0, 0.2], [0.5, 0.2, 0.0]])
         nan = _ranking(sims, 0)
-        with pytest.raises(Refused):
-            evaluate(nan, dict(zip(nan.page_ids, "aab")))
+        evaluate(nan, dict(zip(nan.page_ids, "aab")))
 
     def test_tied_rows_evaluate_without_rank_rows(self, monkeypatch):
         """Tied, NaN-free rows with at most log2(n) relevant pages take
@@ -292,22 +294,41 @@ class TestNoFullSortWithoutTies:
         assert tied_rows > 100
 
     def test_wide_and_nan_inputs_sort_once(self, monkeypatch):
-        """Above log2(n) relevant pages (50 pages of 7 writers), or with a
-        NaN relevant score, evaluate sorts every row once; a NaN irrelevant
-        score alone does not make it sort."""
-        calls = _record_sorted_rows(monkeypatch)
+        """Narrow or wide relevant sets (50 pages of 7 writers), with or
+        without a NaN relevant score: evaluate sorts every row once, in
+        blocks, and never reaches rank_rows."""
+        shapes = _record_sorts(monkeypatch)
         rng = np.random.default_rng(9)
         wide = _pages(rng.normal(size=(50, 8)), [f"w{i % 7}" for i in range(50)])
         evaluate(rank_all(wide), {p.page_id: p.writer_id for p in wide})
-        _assert_sorted_once(calls, 50)
-        calls.clear()
-        nan, writers = _width_case(50, _widest_counted(50), "nan_relevant", seed=9)
-        evaluate(nan, writers)
-        _assert_sorted_once(calls, 50)
-        calls.clear()
-        narrow, writers = _width_case(50, _widest_counted(50), "nan_irrelevant", seed=9)
-        evaluate(narrow, writers)
-        assert calls == []
+        _assert_sorted_in_blocks(shapes, 50)
+        for kind in ("nan_relevant", "nan_irrelevant", "distinct"):
+            shapes.clear()
+            ranking, writers = _width_case(50, _widest_counted(50), kind, seed=9)
+            evaluate(ranking, writers)
+            _assert_sorted_in_blocks(shapes, 50)
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 1000])
+    def test_matches_searchsorted(self, n):
+        """Rows of repeated values (both zeros, both infinities, trailing
+        NaN), a row of distinct values, an all-NaN row and a row without
+        NaN; keys from the rows' values and between them, NaN included."""
+        rng = np.random.default_rng(n)
+        values = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
+        rows = rng.choice(values, size=(6, n))
+        rows[0] = rng.normal(size=n)
+        rows[0, rng.random(n) < 0.2] = np.nan
+        rows[1] = np.nan
+        rows[2] = rng.choice(values[:-1], size=n)
+        rows = np.sort(rows, axis=1)
+        pool = np.concatenate([values, [-9.0, -1.0, 0.25, 9.0], rows[0]])
+        for width in range(1, n + 1) if n <= 8 else (1, 2, n // 2, n):
+            keys = rng.choice(pool, size=(len(rows), width))
+            got = retrieval._lower_bound(rows, keys)
+            want = np.array([np.searchsorted(row, k, "left") for row, k in zip(rows, keys)])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _ap(hits: np.ndarray) -> np.ndarray:
@@ -445,7 +466,7 @@ def _writer_sizes(rng: np.random.Generator, total: int, most: int = 20) -> list[
 
 
 def _widest_counted(n: int) -> int:
-    """The most relevant pages per query that evaluate still counts."""
+    """floor(log2(n)): the relevant pages per query of the narrow cases."""
     return int(np.floor(np.log2(n)))
 
 
@@ -501,30 +522,29 @@ def _width_case(n: int, width: int, kind: str, seed: int) -> tuple[Ranking, dict
     return ranking, dict(zip(ranking.page_ids, (f"w{c}" for c in labels)))
 
 
-def _record_sorted_rows(monkeypatch) -> list[np.ndarray]:
-    """Patch retrieval.rank_rows to record the rows that each leave-one-out
-    call ranks: all rows of a default call, or the one column each row of
-    an explicit (m, n - 1) candidate matrix leaves out."""
-    calls: list[np.ndarray] = []
-    real = retrieval.rank_rows
+def _record_sorts(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch np.sort to record the shape of every array it sorts, and
+    retrieval.rank_rows to fail if reached."""
+    shapes: list[tuple[int, ...]] = []
+    real = np.sort
 
-    def recorded(scores, tie_rank, candidates=None, k=None):
-        n = len(tie_rank)
-        if candidates is None and k is None:
-            calls.append(np.arange(len(scores)))
-        elif candidates is not None and candidates.shape[1] == n - 1:
-            calls.append(n * (n - 1) // 2 - candidates.sum(axis=1))
-        return real(scores, tie_rank, candidates, k)
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(retrieval, "rank_rows", recorded)
-    return calls
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank_rows reached")
+
+    monkeypatch.setattr(np, "sort", recorded)
+    monkeypatch.setattr(retrieval, "rank_rows", refuse)
+    return shapes
 
 
-def _assert_sorted_once(calls: list[np.ndarray], n: int) -> None:
-    """Each of the n rows was ranked by exactly one call, and no call
-    ranked more than RANK_BLOCK rows."""
-    assert calls and all(len(rows) <= RANK_BLOCK for rows in calls)
-    assert np.array_equal(np.sort(np.concatenate(calls)), np.arange(n))
+def _assert_sorted_in_blocks(shapes: list[tuple[int, ...]], n: int) -> None:
+    """Each of the n rows of scores was sorted once, by sorts of at most
+    RANK_BLOCK rows."""
+    assert shapes and all(len(s) == 2 and s[0] <= RANK_BLOCK and s[1] == n for s in shapes)
+    assert sum(s[0] for s in shapes) == n
 
 
 WIDTH_KINDS = ("distinct", "ties", "nan_irrelevant", "nan_relevant")
@@ -534,20 +554,18 @@ class TestEvaluateMatchesHitsMatrix:
     @pytest.mark.parametrize("n", [2, 3, 8, 50, 1000])
     @pytest.mark.parametrize("above", [False, True])
     def test_both_sides_of_the_width_rule(self, monkeypatch, n, above):
-        """Up to log2(n) relevant pages per query evaluate counts ranks,
-        one more sorts every row once, in blocks; a NaN relevant score
-        sorts too. Both match the hits-matrix oracle exactly."""
+        """At log2(n) relevant pages per query and one more, with and
+        without ties and NaN scores, evaluate sorts every row once, in
+        blocks, without rank_rows, and matches the hits-matrix oracle
+        exactly."""
         width = min(_widest_counted(n) + above, n - 1)
-        calls = _record_sorted_rows(monkeypatch)
+        shapes = _record_sorts(monkeypatch)
         for kind in WIDTH_KINDS:
             for score_isolated in (False, True):
                 ranking, writers = _width_case(n, width, kind, seed=n + 10 * above)
-                calls.clear()
+                shapes.clear()
                 got = evaluate(ranking, writers, score_isolated_as_zero=score_isolated)
-                if width > np.log2(n) or kind == "nan_relevant":
-                    _assert_sorted_once(calls, n)
-                else:
-                    assert calls == []
+                _assert_sorted_in_blocks(shapes, n)
                 want = evaluate_oracle(_fresh(ranking), writers, score_isolated)
                 assert list(got.per_query_ap) == list(want.per_query_ap)
                 assert (
@@ -558,6 +576,31 @@ class TestEvaluateMatchesHitsMatrix:
                 assert got.first_relevant_rank == want.first_relevant_rank
                 assert got.isolated_queries == want.isolated_queries
                 assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_small_rankings(self, data):
+        """Small rankings over a few exact values (both zeros, -inf, NaN)
+        and arbitrary ones, any writer split."""
+        n = data.draw(st.integers(2, 9))
+        score = st.one_of(
+            st.sampled_from([-1.0, -0.0, 0.0, 0.5, -np.inf, np.nan]), st.floats(-1.0, 1.0)
+        )
+        sims = np.array(data.draw(st.lists(score, min_size=n * n, max_size=n * n)))
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        score_isolated = data.draw(st.booleans())
+        ranking = _ranking(sims.reshape(n, n), data.draw(st.integers(0, 1000)))
+        writers = dict(zip(ranking.page_ids, map(str, labels)))
+        got = evaluate(ranking, writers, score_isolated_as_zero=score_isolated)
+        want = evaluate_oracle(ranking, writers, score_isolated_as_zero=score_isolated)
+        assert list(got.per_query_ap) == list(want.per_query_ap)
+        assert (
+            np.array(list(got.per_query_ap.values())).tobytes()
+            == np.array(list(want.per_query_ap.values())).tobytes()
+        )
+        assert got.first_relevant_rank == want.first_relevant_rank
+        assert got.isolated_queries == want.isolated_queries
+        assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
 
     @pytest.mark.parametrize("score_isolated", [False, True])
     def test_reports_equal(self, score_isolated):
@@ -591,28 +634,26 @@ class TestEvaluateMatchesHitsMatrix:
         "n,size", [(2, 2), (8, 3), (60, 4), (60, 15), (300, 5), (300, 19), (1000, 8), (1000, 24)]
     )
     def test_pool_retrieval_map_on_narrow_and_wide_classes(self, monkeypatch, n, size):
-        """Each item has size - 1 relevant ones: up to log2(n) the pool's
-        score is counted, above it every row is sorted once. The all-zero
-        pool ties every pair."""
-        calls = _record_sorted_rows(monkeypatch)
+        """Each item has size - 1 relevant ones, below and above log2(n):
+        every row of the pool is sorted once, in blocks. The all-zero pool
+        ties every pair."""
+        shapes = _record_sorts(monkeypatch)
         rng = np.random.default_rng(n + size)
         labels = rng.permutation(np.arange(n) // size)
         for vectors in (rng.normal(size=(n, 8)), np.zeros((n, 8))):
             vectors[rng.random(n) < 0.1] = 0.0
             gram = vectors @ vectors.T
-            calls.clear()
+            shapes.clear()
             got = _pool_retrieval_map(gram, labels)
-            if size - 1 > np.log2(n):
-                _assert_sorted_once(calls, n)
-            else:
-                assert calls == []
+            _assert_sorted_in_blocks(shapes, n)
             assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
 
 
 class TestPeakMemory:
     """tracemalloc peaks above the inputs on a 1000-item pool of 64
-    pseudo-classes, whose width sends evaluate down the sort path; the
-    unit is one (n, n) float64 matrix."""
+    pseudo-classes (wider than log2(n) relevant items per query) and on
+    a gallery of 200 writers x 5 pages; the unit is one (n, n) float64
+    matrix."""
 
     N = 1000
     UNIT = N * N * 8
@@ -631,6 +672,13 @@ class TestPeakMemory:
         ids = tuple(map(str, range(self.N)))
         ranking = Ranking(ids, sims, np.arange(self.N))
         writers = dict(zip(ids, map(str, labels)))
+        assert traced_peak(lambda: evaluate(ranking, writers)) < 1.5 * self.UNIT
+
+    def test_narrow_gallery_holds_no_full_order(self):
+        vectors = np.random.default_rng(15).normal(size=(self.N, 16))
+        labels = np.arange(self.N) // 5
+        ranking = rank_all(_pages(vectors, [f"w{c:03d}" for c in labels]))
+        writers = dict(zip(ranking.page_ids, map(str, labels)))
         assert traced_peak(lambda: evaluate(ranking, writers)) < 1.5 * self.UNIT
 
     def test_pool_retrieval_map_holds_one_similarity_matrix(self):

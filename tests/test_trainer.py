@@ -397,6 +397,11 @@ def _two_blob_dataset(n_per: int = 60, dim: int = 8, seed: int = 0):
 
 
 class TestSampler:
+    def test_batch_size_not_a_multiple_of_per_class_rejected(self):
+        with pytest.raises(ValidationError, match="batch_size must be a multiple of per_class"):
+            TrainConfig(batch_size=12, per_class=5)
+        assert TrainConfig(batch_size=10, per_class=5).batch_size == 10
+
     def test_batches_are_class_balanced(self):
         rng = np.random.default_rng(3)
         cfg = TrainConfig(batch_size=12, per_class=3)
