@@ -182,6 +182,7 @@ def _lower_bound(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
     binary search: one gather on the (rows, width) keys per round,
     ceil(log2(n)) rounds."""
     m, n = rows.shape
+    # Flat gathers: take_along_axis doubles the search time at these sizes.
     flat = rows.ravel()
     start = n * np.arange(m)[:, None]
     pos = np.repeat(start, keys.shape[1], axis=1)
