@@ -183,7 +183,11 @@ def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash
 def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
     json_path = Path(json_path)
     sidecar = read_json(json_path)
-    blob_path = json_path.parent / typed_entry(json_path, sidecar, "blob", str)
+    blob = typed_entry(json_path, sidecar, "blob", str)
+    # write_embeddings names a file beside the sidecar, never another path.
+    if blob in ("", "..") or Path(blob).name != blob:
+        raise ArtifactIOError(f"{json_path}: blob {blob!r} is not a bare file name")
+    blob_path = json_path.parent / blob
     sidecar_count = typed_entry(json_path, sidecar, "count", int)
     sidecar_dim = typed_entry(json_path, sidecar, "dim", int)
     ids = [

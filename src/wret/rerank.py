@@ -77,25 +77,20 @@ def _propagate(
     """h_i <- l2(h_i + sum_j w_ij h_j) over the (n, k) neighbors, `layers` times.
 
     Neighbor contributions are added in descending-weight order (ties by
-    ascending index) so the sum is bitwise permutation-equivariant."""
+    ascending index) so the sum is bitwise permutation-equivariant.
+    `features` is only read: each layer sums into a new array and
+    normalizes it in place."""
     neighbors = rank_rows(weights, np.arange(len(weights)), candidates=neighbors)
     w = np.take_along_axis(weights, neighbors, axis=1)
-    h = features.copy()
+    h = features
     for _ in range(layers):
         nxt = h.copy()
         for c in range(neighbors.shape[1]):
             nxt += w[:, c, None] * h[neighbors[:, c]]
         norms = np.linalg.norm(nxt, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        h = nxt / safe[:, None]
+        nxt /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        h = nxt
     return h
-
-
-def _membership(neighbors: np.ndarray) -> np.ndarray:
-    """Boolean (n, n) matrix: member[i, j] iff j is among neighbors[i]."""
-    member = np.zeros((len(neighbors), len(neighbors)), dtype=bool)
-    np.put_along_axis(member, neighbors, True, axis=1)
-    return member
 
 
 def _with_vectors(pages: list[PageEmbedding], vectors: np.ndarray) -> list[PageEmbedding]:
@@ -134,9 +129,10 @@ def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
     neighbors = rank_rows(sims, np.arange(n), k=k)
-    member = _membership(neighbors)
-    # reciprocal[i, c]: vertex i is among the neighbors of its c-th neighbor
-    reciprocal = np.take_along_axis(member.T, neighbors, axis=1)
+    # reciprocal[i, c]: vertex i is among the neighbors of its c-th
+    # neighbor; the edge i -> j is named i * n + j.
+    rows = np.arange(n)[:, None]
+    reciprocal = np.isin(neighbors * n + rows, rows * n + neighbors)
     # non-members point at an appended zero row and sort last
     groups = np.sort(np.column_stack([np.arange(n), np.where(reciprocal, neighbors, n)]), axis=1)
     padded = np.vstack([unit, np.zeros(unit.shape[1])])
@@ -154,7 +150,9 @@ def hard_graph_rerank(
 ) -> list[PageEmbedding]:
     """Discrete-adjacency baseline: A_ij is 1 for mutual k1-NN, 1/2 for
     one-directional, 0 otherwise (A_ii = 1); rows of A are the features,
-    aggregation uses the k2 most cosine-similar vertices weighted by A."""
+    aggregation uses the k2 most cosine-similar vertices weighted by A.
+    A is built from the (n, k1) neighbor lists: 1/2 per k1-NN edge, plus
+    its transpose, so a mutual pair sums to exactly 1."""
     n = len(pages)
     if not 1 <= k2 <= k1 < n:
         raise ValidationError("need k2 <= k1 < page count")
@@ -163,8 +161,9 @@ def hard_graph_rerank(
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
     order = rank_rows(sims, np.arange(n), k=k1)
-    fwd = _membership(order)
-    adjacency = np.where(fwd & fwd.T, 1.0, np.where(fwd | fwd.T, 0.5, 0.0))
+    adjacency = np.zeros((n, n))
+    np.put_along_axis(adjacency, order, 0.5, axis=1)
+    adjacency += adjacency.T
     np.fill_diagonal(adjacency, 1.0)
     neighbors = order[:, :k2]
     refined = _propagate(adjacency, neighbors, adjacency, layers)

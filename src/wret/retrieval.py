@@ -80,17 +80,6 @@ def _leave_one_out(rows: np.ndarray, n: int) -> np.ndarray:
     return cols + (cols >= rows[:, None])
 
 
-def true_columns(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's True columns in ascending order, left-aligned in an
-    (n, max(1, most per row)) matrix padded with 0, and the per-row count."""
-    # Row-major, so ascending within a row; np.nonzero is slower on 2-D.
-    rows, cols = np.divmod(np.flatnonzero(mask), mask.shape[1])
-    counts = np.bincount(rows, minlength=len(mask))
-    out = np.zeros((len(mask), max(1, int(counts.max(initial=0)))), dtype=np.intp)
-    out[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
-    return out, counts
-
-
 def rank_rows(
     scores: np.ndarray,
     tie_rank: np.ndarray,
@@ -103,14 +92,13 @@ def rank_rows(
     leave-one-out ranking. With k (>= 1) only each row's first k columns
     are returned.
 
-    One unstable sort per row gives the unique order wherever the sorted
-    keys strictly increase; only rows with an exact tie (signed zeros and
-    two -inf scores included) or a NaN are sorted again by (score,
-    tie_rank). A leave-one-out top k below n - 1 partitions each row at
-    its (k+1)-th key and orders the k columns in front as explicit
-    candidates. Rows whose k-th and (k+1)-th keys are not strictly apart
-    (a tie, a NaN, or a -inf score next to the row's own column) are
-    ranked in full.
+    Each row's candidates are put in ascending tie_rank order first, so
+    that one stable sort of the negated scores leaves equal scores
+    (signed zeros, two -inf scores and NaN included) in tie order. A
+    leave-one-out top k below n - 1 partitions each row at its (k+1)-th
+    key and orders the k columns in front as explicit candidates. Rows
+    whose k-th and (k+1)-th keys are not strictly apart (a tie, a NaN, or
+    a -inf score next to the row's own column) are ranked in full.
     """
     n = len(scores)
     if candidates is None:
@@ -130,17 +118,10 @@ def rank_rows(
                 order[redo] = full[:, :k]
             return order
         candidates = _leave_one_out(np.arange(n), n)
+    by_tie = np.argsort(tie_rank[candidates], axis=1, kind="stable")
+    candidates = np.take_along_axis(candidates, by_tie, axis=1)
     keys = -np.take_along_axis(scores, candidates, axis=1)
-    m = keys.shape[1]
-    order = np.argsort(keys, axis=1)
-    # A flat gather: take_along_axis is slower at this size.
-    ranked = keys.ravel()[order + m * np.arange(n)[:, None]]
-    redo = np.flatnonzero(~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1))
-    order = np.take_along_axis(candidates, order, axis=1)
-    if len(redo):
-        sub = candidates[redo]
-        tied = np.lexsort((tie_rank[sub], keys[redo]), axis=1)
-        order[redo] = np.take_along_axis(sub, tied, axis=1)
+    order = np.take_along_axis(candidates, np.argsort(keys, axis=1, kind="stable"), axis=1)
     return order if k is None else order[:, :k]
 
 
@@ -222,9 +203,16 @@ def evaluate(
             raise ValidationError(f"page {page} has no writer identity")
     _, labels = np.unique([writers[p] for p in ids], return_inverse=True)
     n = len(ids)
-    same = labels[:, None] == labels
-    np.fill_diagonal(same, False)
-    relevant, counts = true_columns(same)
+    # Each row's relevant columns in ascending order: the members of its
+    # class, from one stable argsort of the labels, with the row skipped.
+    # Padding slots past a row's count name some valid column.
+    sizes = np.bincount(labels)
+    counts = sizes[labels] - 1
+    members = np.argsort(labels, kind="stable")
+    start = (np.cumsum(sizes) - sizes)[labels]
+    slot = np.arange(max(1, int(counts.max(initial=0))))
+    slot = slot + (slot >= (np.argsort(members) - start)[:, None])
+    relevant = members[np.minimum(start[:, None] + slot, n - 1)]
     padding = np.arange(relevant.shape[1]) >= counts[:, None]
     tie_rank = ranking.tie_rank
     by_tie = np.argsort(tie_rank)  # the columns in tie order

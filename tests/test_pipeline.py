@@ -203,6 +203,21 @@ class TestEmbeddingDumps:
             write_embeddings(tmp_path / "emb.json", pages, "h")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "blob", ["../A/embeddings.bin", "sub/emb.bin", "/abs/emb.bin", "..", ".", ""]
+    )
+    def test_blob_outside_the_sidecars_directory_rejected(self, tmp_path, blob):
+        # Another run's blob, reachable by a relative path, must not load
+        # under this sidecar's page ids.
+        (tmp_path / "A").mkdir()
+        write_embeddings(tmp_path / "A" / "embeddings.json", self._pages(), "a")
+        path = tmp_path / "B" / "embeddings.json"
+        path.parent.mkdir()
+        write_embeddings(path, self._pages(), "b")
+        write_json(path, {**read_json(path), "blob": blob})
+        with pytest.raises(ArtifactIOError, match=r"embeddings\.json: blob .* not a bare file name"):
+            read_embeddings(path)
+
     def test_missing_blob(self, tmp_path):
         path = tmp_path / "emb.json"
         write_embeddings(path, self._pages(), "h")
@@ -1329,6 +1344,20 @@ class TestCli:
         code = entrypoint(["evaluate", "--embeddings", str(sidecar), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "expected type" in capsys.readouterr().err
+
+    def test_embeddings_blob_in_another_directory_exits_two(self, workspace, tmp_path, capsys):
+        sidecar = tmp_path / "B" / "embeddings.json"
+        sidecar.parent.mkdir()
+        doc = json.loads(workspace["embeddings"].read_text())
+        sidecar.write_text(json.dumps({**doc, "blob": "../A/embeddings.bin"}))
+        (tmp_path / "A").mkdir()
+        (tmp_path / "A" / "embeddings.bin").write_bytes(
+            workspace["embeddings"].with_suffix(".bin").read_bytes()
+        )
+        code = entrypoint(["evaluate", "--embeddings", str(sidecar), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "not a bare file name" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "page",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
@@ -309,6 +310,25 @@ class TestHardGraph:
             hard_graph_rerank(pages, k1=2, k2=3, layers=1)  # k2 > k1
         with pytest.raises(ValidationError):
             hard_graph_rerank(pages, k1=4, k2=1, layers=1)  # k1 >= n
+
+
+class TestPeakMemory:
+    """tracemalloc peaks above the inputs at n = 400; the unit is one
+    (n, n) float64 matrix. Neither reranker copies its features, and
+    hard_graph builds its adjacency from neighbor lists, not from (n, n)
+    membership masks."""
+
+    N = 400
+    UNIT = N * N * 8
+
+    def test_sgr(self):
+        pages = _ring_pages(self.N, seed=9)
+        cfg = RerankConfig(method="sgr", k=2, layers=1)
+        assert traced_peak(lambda: sgr(pages, cfg)) < 5.5 * self.UNIT
+
+    def test_hard_graph(self):
+        pages = _ring_pages(self.N, seed=9)
+        assert traced_peak(lambda: hard_graph_rerank(pages, 4, 2, 1)) < 5.5 * self.UNIT
 
 
 class TestDispatch:

@@ -20,7 +20,6 @@ from wret.retrieval import (
     rank_rows,
     report_to_csv,
     report_to_json,
-    true_columns,
 )
 from wret.trainer import _pool_retrieval_map
 
@@ -176,20 +175,30 @@ class TestRankRowsMatchesLexsort:
         assert got.shape == want.shape == candidates.shape
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_only_rows_with_ties_take_the_two_key_sort(self, monkeypatch):
-        class TwoKeySort(Exception):
-            pass
-
-        def refuse(*args, **kwargs):
-            raise TwoKeySort
-
-        distinct = _pages(np.random.default_rng(8).normal(size=(50, 8)))
-        # p001 and p002 are exactly equally similar to p000.
-        tied = _pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
-        monkeypatch.setattr(np, "lexsort", refuse)
-        rank_all(distinct).order
-        with pytest.raises(TwoKeySort):
-            rank_all(tied).order
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_small_inputs(self, data):
+        """Leave-one-out, top-k and explicit candidates over a few exact
+        values (both zeros, both infinities, NaN) and arbitrary ones, with
+        tie ranks that may repeat."""
+        n = data.draw(st.integers(2, 8))
+        score = st.one_of(
+            st.sampled_from([-1.0, -0.0, 0.0, 0.5, np.inf, -np.inf, np.nan]),
+            st.floats(-1.0, 1.0),
+        )
+        scores = np.array(data.draw(st.lists(score, min_size=n * n, max_size=n * n)))
+        scores = scores.reshape(n, n)
+        tie_rank = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        full = rank_rows_oracle(scores, tie_rank)
+        got = rank_rows(scores, tie_rank)
+        assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
+        k = data.draw(st.integers(1, n + 1))
+        assert rank_rows(scores, tie_rank, k=k).tobytes() == full[:, :k].tobytes()
+        m = data.draw(st.integers(1, n))
+        candidates = np.array([data.draw(st.permutations(range(n)))[:m] for _ in range(n)])
+        got = rank_rows(scores, tie_rank, candidates=candidates)
+        want = rank_rows_oracle(scores, tie_rank, candidates=candidates)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _boundary_tied(n: int, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +342,10 @@ class TestLowerBound:
 
 def _ap(hits: np.ndarray) -> np.ndarray:
     """AP of each row of a relevance matrix ranked left to right."""
-    cols, counts = true_columns(hits)
-    return average_precisions(cols + 1, counts)
+    # A stable sort puts each row's hit positions first, in ascending order;
+    # the positions after them are at least 1 and are ignored.
+    ranks = np.argsort(~hits, axis=1, kind="stable") + 1
+    return average_precisions(ranks, hits.sum(axis=1))
 
 
 class TestAveragePrecision:
@@ -680,6 +691,15 @@ class TestPeakMemory:
         ranking = rank_all(_pages(vectors, [f"w{c:03d}" for c in labels]))
         writers = dict(zip(ranking.page_ids, map(str, labels)))
         assert traced_peak(lambda: evaluate(ranking, writers)) < 1.5 * self.UNIT
+
+    def test_gallery_holds_no_same_writer_mask(self):
+        """The relevant columns come from the labels, not from an (n, n)
+        mask."""
+        vectors = np.random.default_rng(15).normal(size=(self.N, 16))
+        labels = np.arange(self.N) // 5
+        ranking = rank_all(_pages(vectors, [f"w{c:03d}" for c in labels]))
+        writers = dict(zip(ranking.page_ids, map(str, labels)))
+        assert traced_peak(lambda: evaluate(ranking, writers)) < 0.27 * self.UNIT
 
     def test_pool_retrieval_map_holds_one_similarity_matrix(self):
         gram, labels = self._pool()
