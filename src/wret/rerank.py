@@ -130,9 +130,12 @@ def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
     sims = unit @ unit.T
     neighbors = rank_rows(sims, np.arange(n), k=k)
     # reciprocal[i, c]: vertex i is among the neighbors of its c-th
-    # neighbor; the edge i -> j is named i * n + j.
+    # neighbor. The edge i -> j is named i * n + j; sorting each row's
+    # neighbors sorts every edge, so one binary search finds each reverse.
     rows = np.arange(n)[:, None]
-    reciprocal = np.isin(neighbors * n + rows, rows * n + neighbors)
+    edges = (np.sort(neighbors, axis=1) + rows * n).ravel()
+    back = neighbors * n + rows
+    reciprocal = edges[np.minimum(np.searchsorted(edges, back), edges.size - 1)] == back
     # non-members point at an appended zero row and sort last
     groups = np.sort(np.column_stack([np.arange(n), np.where(reciprocal, neighbors, n)]), axis=1)
     padded = np.vstack([unit, np.zeros(unit.shape[1])])
@@ -151,8 +154,8 @@ def hard_graph_rerank(
     """Discrete-adjacency baseline: A_ij is 1 for mutual k1-NN, 1/2 for
     one-directional, 0 otherwise (A_ii = 1); rows of A are the features,
     aggregation uses the k2 most cosine-similar vertices weighted by A.
-    A is built from the (n, k1) neighbor lists: 1/2 per k1-NN edge, plus
-    its transpose, so a mutual pair sums to exactly 1."""
+    A is built from the (n, k1) neighbor lists: 1/2 per k1-NN edge in
+    each direction, so a mutual pair sums to exactly 1."""
     n = len(pages)
     if not 1 <= k2 <= k1 < n:
         raise ValidationError("need k2 <= k1 < page count")
@@ -162,8 +165,10 @@ def hard_graph_rerank(
     sims = unit @ unit.T
     order = rank_rows(sims, np.arange(n), k=k1)
     adjacency = np.zeros((n, n))
-    np.put_along_axis(adjacency, order, 0.5, axis=1)
-    adjacency += adjacency.T
+    rows = np.arange(n)[:, None]
+    adjacency[rows, order] = 0.5
+    # Each (j, i) pair occurs once, so the buffered += adds every edge.
+    adjacency[order, rows] += 0.5
     np.fill_diagonal(adjacency, 1.0)
     neighbors = order[:, :k2]
     refined = _propagate(adjacency, neighbors, adjacency, layers)
