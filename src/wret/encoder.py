@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .features import as_matrix
+from .features import as_matrix, row_blocks
+from .retrieval import RANK_BLOCK
 
 ACTIVATIONS = ("relu", "identity")
 MODES = ("netrvlad",)
@@ -218,10 +219,16 @@ def encoding_gram(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
     w, _, i, k, e = _weighted_residuals(cb, rows)
     q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
     gram = rows @ rows.T
-    gram *= w @ w.T
-    qw = q @ w.T
-    gram += qw
-    gram += qw.T
+    # The other terms in row_blocks of RANK_BLOCK rows, so beside the Gram
+    # only (rows, n) blocks are held. Q W^T's transpose is read as a
+    # column block of the same product. numpy forms a whole W W^T with a
+    # symmetric BLAS kernel; from 2 * RANK_BLOCK rows up, its row blocks
+    # equal it bitwise when n is a multiple of 8 and may differ in the
+    # last digit otherwise (OpenBLAS 0.3.31).
+    for block in row_blocks(len(rows), RANK_BLOCK):
+        gram[block] *= w[block] @ w.T
+        gram[block] += q[block] @ w.T
+        gram[block] += (q @ w[block].T).T
     if len(i):
         cross = np.zeros_like(gram)
         np.add.at(cross, i, w[:, k].T * (e @ rows.T - np.sum(e * cb.centers[k], axis=1)[:, None]))

@@ -30,6 +30,17 @@ def as_matrix(x: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:
     return arr
 
 
+def row_blocks(n: int, rows: int) -> list[slice]:
+    """Consecutive slices over range(n), each `rows` long except the last,
+    which also takes the remainder: no block is shorter than `rows` unless
+    n is. A product over a few rows may take another BLAS kernel than the
+    whole product (numpy takes a matrix-vector one for a single row) and
+    round differently, so a short tail block would not give the whole
+    product's rows bitwise."""
+    edges = [0, *range(rows, n - rows + 1, rows), n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def hellinger_normalize(d: np.ndarray) -> np.ndarray:
     """Elementwise square root followed by l1 normalization.
 
@@ -122,8 +133,15 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
 
 
 def pca_transform(model: PcaModel, d: np.ndarray) -> np.ndarray:
+    """``scale * (basis @ (x - mean))`` for every row, in ``row_blocks`` of
+    ``NEAREST_CHUNK`` rows into one (n, d_out) result: no centered copy of
+    the whole input is formed."""
     batch = as_matrix(d, "pca_transform", model.d_in)
-    return (batch - model.mean) @ model.basis.T * model.scale
+    out = np.empty((len(batch), model.d_out))
+    for rows in row_blocks(len(batch), NEAREST_CHUNK):
+        np.matmul(batch[rows] - model.mean, model.basis.T, out=out[rows])
+        out[rows] *= model.scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -179,7 +197,15 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    # One (n, d) buffer holds every (x - c)^2 in turn.
+    diff = np.empty_like(x)
+
+    def squared_distances_to(center: np.ndarray) -> np.ndarray:
+        np.subtract(x, center, out=diff)
+        np.square(diff, out=diff)
+        return np.sum(diff, axis=1)
+
+    d2 = squared_distances_to(centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -192,7 +218,7 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centers[i] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+        np.minimum(d2, squared_distances_to(centers[i]), out=d2)
     return centers
 
 
@@ -272,17 +298,24 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
         raise ValidationError("assign_and_filter needs a model with >= 2 centers")
     batch = as_matrix(data, "assign_and_filter", model.centers.shape[1])
     centers = model.centers
-    sq = _squared_distances(
-        batch, np.sum(batch * batch, axis=1), centers, np.sum(centers * centers, axis=1)
-    )
-    # argmin resolves distance ties toward the lower center index; masking
-    # the nearest center leaves the second nearest under the same rule.
+    csq = np.sum(centers * centers, axis=1)
+    nearest = np.empty(len(batch), dtype=np.intp)
+    d1 = np.empty(len(batch))
+    d2 = np.empty(len(batch))
+    # A (rows, k) block of distances at a time, never the whole (n, k) matrix.
+    for block in row_blocks(len(batch), NEAREST_CHUNK):
+        x = batch[block]
+        sq = _squared_distances(x, np.sum(x * x, axis=1), centers, csq)
+        # argmin resolves distance ties toward the lower center index;
+        # masking the nearest center leaves the second nearest under the
+        # same rule.
+        rows = np.arange(len(x))
+        first = np.argmin(sq, axis=1)
+        nearest[block] = first
+        d1[block] = np.sqrt(sq[rows, first])
+        sq[rows, first] = np.inf
+        d2[block] = np.sqrt(sq[rows, np.argmin(sq, axis=1)])
     rows = np.arange(len(batch))
-    nearest = np.argmin(sq, axis=1)
-    d1 = np.sqrt(sq[rows, nearest])
-    sq[rows, nearest] = np.inf
-    second = np.argmin(sq, axis=1)
-    d2 = np.sqrt(sq[rows, second])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))
     kept = ratio <= rho

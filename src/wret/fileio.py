@@ -57,14 +57,16 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def write_atomic(path: Path | str, data: bytes) -> None:
-    """Write data to a new file beside path and rename it to path, so path
-    holds its old bytes or all the new ones; a failed write is removed."""
+def write_atomic(path: Path | str, *chunks) -> None:
+    """Write the chunks (bytes or C-contiguous arrays) one after another to
+    a new file beside path and rename it to path, so path holds its old
+    bytes or all the new ones; a failed write is removed."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         with suppress(OSError):
@@ -211,7 +213,9 @@ def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
 
 
 def save_model(path: Path | str, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Persist named arrays with a JSON header; blob order follows the header."""
+    """Persist named arrays with a JSON header; blob order follows the header.
+    Each array is written from its own buffer, copied only when it is not
+    already C-contiguous in the stored little-endian dtype."""
     entries = []
     blobs = []
     for name, arr in arrays.items():
@@ -223,15 +227,11 @@ def save_model(path: Path | str, kind: str, meta: dict, arrays: dict[str, np.nda
         else:
             raise ValidationError(f"unsupported array dtype {arr.dtype} for {name}")
         entries.append({"dtype": dtype, "name": name, "shape": list(arr.shape)})
-        blobs.append(arr.astype(dtype).tobytes(order="C"))
+        blobs.append(np.ascontiguousarray(arr, dtype=dtype).ravel())
     header = canonical_json({"arrays": entries, "kind": kind, "meta": meta}).encode("utf-8")
-    out = bytearray()
-    out += MAGIC_MODEL
-    out += struct.pack("<IQ", FORMAT_VERSION, len(header))
-    out += header
-    for blob in blobs:
-        out += blob
-    write_atomic(path, bytes(out))
+    write_atomic(
+        path, MAGIC_MODEL + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header, *blobs
+    )
 
 
 def _valid_array_entry(entry) -> bool:
@@ -451,5 +451,6 @@ def load_page_descriptors(manifest: Manifest) -> list[tuple[PageRecord, np.ndarr
             raise ValidationError(
                 f"page {record.page_id} has dimension {data.shape[1]}, expected {dim}"
             )
-        out.append((record, data[:DESCRIPTOR_CAP]))
+        # A copy, so that a truncated page does not keep its whole buffer.
+        out.append((record, data[:DESCRIPTOR_CAP].copy() if len(data) > DESCRIPTOR_CAP else data))
     return out

@@ -14,7 +14,8 @@ import numpy as np
 from .aggregation import PageEmbedding, page_matrix
 from .errors import ValidationError
 
-# Rows per leave-one-out sort in evaluate: bounds its (rows, n) temporaries.
+# Rows per block of an (n, n) score matrix: bounds the (rows, n) temporaries
+# of evaluate, of rank_rows' top k and of encoder.encoding_gram.
 RANK_BLOCK = 64
 
 
@@ -96,21 +97,26 @@ def rank_rows(
     that one stable sort of the negated scores leaves equal scores
     (signed zeros, two -inf scores and NaN included) in tie order. A
     leave-one-out top k below n - 1 partitions each row at its (k+1)-th
-    key and orders the k columns in front as explicit candidates. Rows
-    whose k-th and (k+1)-th keys are not strictly apart (a tie, a NaN, or
-    a -inf score next to the row's own column) are ranked in full.
+    key, RANK_BLOCK rows at a time, and orders the k columns in front as
+    explicit candidates. Rows whose k-th and (k+1)-th keys are not
+    strictly apart (a tie, a NaN, or a -inf score next to the row's own
+    column) are ranked in full.
     """
     n = len(scores)
     if candidates is None:
         if k is not None and k < n - 1:
-            # The row's own column sorts last behind +inf.
-            keys = -scores
-            np.fill_diagonal(keys, np.inf)
-            part = np.argpartition(keys, k, axis=1)
-            # Ascending columns, so equal (score, tie_rank) keep column order.
-            top = np.sort(part[:, :k], axis=1)
-            kth = np.take_along_axis(keys, top, axis=1).max(axis=1)
-            apart = kth < np.take_along_axis(keys, part[:, k : k + 1], axis=1)[:, 0]
+            top = np.empty((n, k), dtype=np.intp)
+            apart = np.empty(n, dtype=bool)
+            for lo in range(0, n, RANK_BLOCK):
+                hi = min(lo + RANK_BLOCK, n)
+                # The row's own column sorts last behind +inf.
+                keys = -scores[lo:hi]
+                keys[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+                part = np.argpartition(keys, k, axis=1)
+                # Ascending columns, so equal (score, tie_rank) keep column order.
+                top[lo:hi] = np.sort(part[:, :k], axis=1)
+                kth = np.take_along_axis(keys, top[lo:hi], axis=1).max(axis=1)
+                apart[lo:hi] = kth < np.take_along_axis(keys, part[:, k : k + 1], axis=1)[:, 0]
             order = rank_rows(scores, tie_rank, candidates=top)
             redo = np.flatnonzero(~apart)
             if len(redo):

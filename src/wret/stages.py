@@ -192,13 +192,16 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
         ["pca.wrmd", "kmeans.wrmd", "labels.wrmd", "cluster_report.json"],
     ) as (pca_path, kmeans_path, labels_path, report_path):
         manifest = load_manifest(manifest_path)
-        # Each (n, d) float64 matrix is dropped once the next step has its input.
-        raw = np.concatenate(
-            [data for _, data in load_page_descriptors(manifest)], dtype=np.float64
-        )
-        n_descriptors = len(raw)
-        normalized = hellinger_normalize(raw)
-        del raw
+        # One (n, d) float64 matrix, filled page by page (the normalization
+        # is row-wise) and dropped once the reduced matrix is formed.
+        pages = [data for _, data in load_page_descriptors(manifest)]
+        n_descriptors = sum(len(data) for data in pages)
+        normalized = np.empty((n_descriptors, pages[0].shape[1]))
+        start = 0
+        for data in pages:
+            normalized[start : start + len(data)] = hellinger_normalize(data)
+            start += len(data)
+        del pages
         pca = fit_pca(normalized, cfg.target_dim, whiten=False)
         reduced = pca_transform(pca, normalized)
         del normalized

@@ -334,17 +334,19 @@ def _pool_retrieval_map(gram: np.ndarray, labels: np.ndarray) -> float:
     """Leave-one-out retrieval mAP over a pool, from the Gram matrix of its
     encodings: `evaluate` on the cosine ranking with ties by index (an
     all-zero encoding scores 0 against everything); relevance = same
-    label. Items whose label is unique in the pool are skipped."""
+    label. Items whose label is unique in the pool are skipped. The Gram
+    is turned into the similarities in place, so the caller's array is
+    consumed."""
     n = len(labels)
     if n < 2:
         return 0.0
     norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
     safe = np.where(norms > 0.0, norms, 1.0)
-    sims = gram / safe[:, None]
-    sims /= safe
-    np.fill_diagonal(sims, -np.inf)
+    gram /= safe[:, None]
+    gram /= safe
+    np.fill_diagonal(gram, -np.inf)
     ids = tuple(map(str, range(n)))
-    return evaluate(Ranking(ids, sims, np.arange(n)), dict(zip(ids, map(str, labels)))).map
+    return evaluate(Ranking(ids, gram, np.arange(n)), dict(zip(ids, map(str, labels)))).map
 
 
 def train(
@@ -356,9 +358,10 @@ def train(
     kept rows and their pseudo-classes. Fully deterministic per cfg.seed.
     """
     descriptors = as_matrix(descriptors, "train")
-    data = descriptors[labeled.kept_indices]
+    # Batches index the descriptors through the kept rows: no copy of them.
+    kept = labeled.kept_indices
     labels = labeled.labels
-    if len(data) == 0:
+    if len(kept) == 0:
         raise ValidationError("no labeled descriptors to train on")
 
     split_rng = np.random.default_rng(derive_seed(cfg.seed, "train/split"))
@@ -413,7 +416,7 @@ def train(
                 out_of_steps = True
                 break
             steps += 1
-            x = data[batch_idx]
+            x = descriptors[kept[batch_idx]]
             lab = labels[batch_idx]
             trips = mine_hard_triplets(encoding_gram(backbone, codebook, x), lab, cfg.margin)
             admitted += len(trips)
@@ -431,7 +434,7 @@ def train(
             batch_losses.append(loss)
         epoch_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
         val_map = _pool_retrieval_map(
-            encoding_gram(backbone, codebook, data[val_idx]), labels[val_idx]
+            encoding_gram(backbone, codebook, descriptors[kept[val_idx]]), labels[val_idx]
         )
         losses.append(epoch_loss)
         triplet_counts.append(admitted)

@@ -1,11 +1,14 @@
 """Shared test machinery: a traced-memory probe, an independent
 triplet-loss objective, a central finite-difference harness for checking
-analytic gradients, and plain-loop oracles that the vectorized k-means,
+analytic gradients, plain-loop oracles that the vectorized k-means,
 assignment, training sampler, mining, ranking and retrieval scoring must
-match bitwise and the pair-weight triplet gradient must match to rounding."""
+match bitwise and the pair-weight triplet gradient must match to rounding,
+and the whole-matrix formulas that the row-blocked PCA projection, Gram
+and model writer must match byte for byte."""
 
 from __future__ import annotations
 
+import struct
 import tracemalloc
 from collections.abc import Callable
 
@@ -16,11 +19,14 @@ from wret.encoder import (
     Backbone,
     Codebook,
     Layer,
+    _weighted_residuals,
     backbone_forward,
     encode_flat,
     encode_patches,
     flatten_encoding,
 )
+from wret.features import PcaModel
+from wret.fileio import FORMAT_VERSION, MAGIC_MODEL, canonical_json
 from wret.retrieval import Ranking, RetrievalReport
 from wret.trainer import TrainConfig, TripletBatch
 
@@ -223,6 +229,26 @@ def kmeans_oracle(
     return centers, inertia, iterations, converged, reseeds
 
 
+def kmeans_pp_init_oracle(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """features._kmeans_pp_init with a new (x - c) ** 2 array per center."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[int(rng.integers(n))]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            used = {tuple(c) for c in centers[:i]}
+            candidates = [j for j in range(n) if tuple(x[j]) not in used]
+            idx = candidates[int(rng.integers(len(candidates)))] if candidates else int(rng.integers(n))
+        else:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        centers[i] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centers[i]) ** 2, axis=1))
+    return centers
+
+
 def assign_and_filter_oracle(
     centers: np.ndarray, data: np.ndarray, rho: float
 ) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -409,3 +435,39 @@ def pool_retrieval_map_oracle(gram: np.ndarray, labels: np.ndarray) -> float:
     hits = labels[order] == labels[:, None]
     aps = average_precisions_oracle(hits)[hits.any(axis=1)]
     return float(np.mean(aps)) if len(aps) else 0.0
+
+
+def pca_transform_oracle(model: PcaModel, d: np.ndarray) -> np.ndarray:
+    """features.pca_transform on the whole matrix at once."""
+    return (np.asarray(d, dtype=np.float64) - model.mean) @ model.basis.T * model.scale
+
+
+def encoding_gram_oracle(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
+    """encoder.encoding_gram with every (n, n) term formed whole."""
+    rows = backbone_forward(b, np.asarray(xs, dtype=np.float64))
+    w, _, i, k, e = _weighted_residuals(cb, rows)
+    q = w * (0.5 * np.sum(cb.centers**2, axis=1) - rows @ cb.centers.T)
+    gram = rows @ rows.T
+    gram *= w @ w.T
+    qw = q @ w.T
+    gram += qw
+    gram += qw.T
+    if len(i):
+        cross = np.zeros_like(gram)
+        np.add.at(cross, i, w[:, k].T * (e @ rows.T - np.sum(e * cb.centers[k], axis=1)[:, None]))
+        gram += cross + cross.T
+        np.add.at(gram, (i[:, None], i), np.where(k[:, None] == k, e @ e.T, 0.0))
+    return gram
+
+
+def model_file_oracle(kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> bytes:
+    """The bytes of fileio.save_model's file, joined from `tobytes` copies."""
+    entries = []
+    out = bytearray()
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        dtype = "<f8" if arr.dtype == np.float64 else "<i8"
+        entries.append({"dtype": dtype, "name": name, "shape": list(arr.shape)})
+        out += arr.astype(dtype).tobytes(order="C")
+    header = canonical_json({"arrays": entries, "kind": kind, "meta": meta}).encode("utf-8")
+    return MAGIC_MODEL + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + bytes(out)

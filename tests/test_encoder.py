@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from helpers import traced_peak
+from helpers import encoding_gram_oracle, traced_peak
 
 from wret.aggregation import pool_page, whiten_pages
 from wret.encoder import (
@@ -24,6 +24,7 @@ from wret.encoder import (
 )
 from wret.errors import ValidationError
 from wret.features import PseudoLabeledSet, fit_kmeans, fit_pca
+from wret.retrieval import RANK_BLOCK
 from wret.trainer import TrainConfig, train
 
 
@@ -342,6 +343,40 @@ class TestEncodingGram:
         xs = np.random.default_rng(15).normal(size=(n, 8))
         assert len(_weighted_residuals(cb, backbone_forward(bb, xs))[2]) == 0
         assert traced_peak(lambda: encoding_gram(bb, cb, xs)) < 2.5 * n * n * 8
+
+    def test_holds_the_gram_and_row_blocks(self):
+        """Beside the Gram, only (rows, n) blocks of the other terms."""
+        n = 400
+        bb = init_backbone((8, 16), seed=0)
+        cb = init_codebook(4, 16, seed=1)
+        xs = np.random.default_rng(15).normal(size=(n, 8))
+        assert traced_peak(lambda: encoding_gram(bb, cb, xs)) < 1.6 * n * n * 8
+
+    @pytest.mark.parametrize(
+        "n", [1, RANK_BLOCK - 1, RANK_BLOCK, RANK_BLOCK + 1, 2 * RANK_BLOCK, 400, 1000]
+    )
+    @pytest.mark.parametrize("placed", ["none", "equal"])
+    def test_row_blocks_match_the_whole_products(self, placed, n):
+        """Byte for byte the Gram of the whole (n, n) products, with and
+        without rows formed from the difference."""
+        rng = np.random.default_rng([8, n, PLACED.index(placed)])
+        for k in (1, 4, 16):
+            cb, xs = _random_page(rng, placed, k, n)
+            bb = _identity_backbone(cb.dim)
+            assert encoding_gram(bb, cb, xs).tobytes() == encoding_gram_oracle(bb, cb, xs).tobytes()
+
+    @pytest.mark.parametrize("n", [2 * RANK_BLOCK + 1, 999])
+    def test_row_blocks_round_like_the_whole_products(self, n):
+        """From 2 * RANK_BLOCK rows up, with n not a multiple of 8, numpy's
+        symmetric kernel for the whole W W^T rounds some entries otherwise
+        than the row blocks' products (OpenBLAS): the Grams agree to
+        rounding, not bitwise."""
+        rng = np.random.default_rng([9, n])
+        cb, xs = _random_page(rng, "none", 16, n)
+        bb = _identity_backbone(cb.dim)
+        got, want = encoding_gram(bb, cb, xs), encoding_gram_oracle(bb, cb, xs)
+        norms = np.sqrt(np.abs(np.diag(want)))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.outer(norms, norms))
 
     def test_patch_on_a_center_and_next_to_it(self):
         cb = Codebook(

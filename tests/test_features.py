@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import assign_and_filter_oracle, kmeans_oracle, traced_peak
+from helpers import (
+    assign_and_filter_oracle,
+    kmeans_oracle,
+    kmeans_pp_init_oracle,
+    pca_transform_oracle,
+    traced_peak,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -228,6 +234,29 @@ class TestPcaTransform:
         with pytest.raises(ValidationError):
             pca_transform(model, np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("whiten", [False, True])
+    @pytest.mark.parametrize(
+        "n", [1, 400, NEAREST_CHUNK - 1, NEAREST_CHUNK, NEAREST_CHUNK + 1, 2 * NEAREST_CHUNK + 37]
+    )
+    def test_blocks_match_the_whole_matrix_product(self, n, whiten):
+        """Row blocks of NEAREST_CHUNK give the bytes of one product over
+        the whole matrix, float32 input included."""
+        rng = np.random.default_rng([16, n])
+        model = fit_pca(rng.normal(size=(300, 64)) * rng.uniform(0.5, 2.0, 64), 32, whiten)
+        for data in (rng.normal(size=(n, 64)), rng.random((n, 64)).astype(np.float32)):
+            got = pca_transform(model, data)
+            want = pca_transform_oracle(model, data)
+            assert got.shape == want.shape == (n, 32)
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_the_output_and_one_block(self):
+        """No centered copy of the whole input: the (n, 32) result and
+        one block's temporaries, in units of the (n, 64) input."""
+        rng = np.random.default_rng(17)
+        model = fit_pca(rng.normal(size=(300, 64)), 32)
+        data = rng.normal(size=(20 * NEAREST_CHUNK + 3, 64))
+        assert traced_peak(lambda: pca_transform(model, data)) < 0.6 * data.nbytes
+
     def test_descriptor_vector_rejected(self):
         model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
         with pytest.raises(ValidationError, match=r"\(n, 3\) matrix, got shape \(3,\)"):
@@ -353,6 +382,16 @@ class TestFitKmeansMatchesPlainLloyd:
         model = self._assert_bitwise(x, 5, 0)
         assert model.run.empty_reseeds > 0
 
+    @pytest.mark.parametrize("n, k, seed", [(1, 1, 0), (300, 7, 1), (2000, 40, 2)])
+    def test_plus_plus_init_matches_one_array_per_center(self, n, k, seed):
+        """The reused (n, d) buffer gives the centers and the draws of a
+        new (x - c) ** 2 per center."""
+        x = _mixture(seed, n)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = features._kmeans_pp_init(x, k, rng)
+        assert got.tobytes() == kmeans_pp_init_oracle(x, k, oracle_rng).tobytes()
+        assert rng.random() == oracle_rng.random()
+
     def test_center_that_serves_nobody_moves_to_the_worst_served_point(self, monkeypatch):
         def far_start(x, k, rng):
             centers = x[:k].copy()
@@ -427,6 +466,26 @@ class TestAssignAndFilter:
             assert kept.isdisjoint(rejected)
             assert kept | set(rejected) == set(range(80))
             assert all(lab < 4 for _, lab in items)
+
+    @pytest.mark.parametrize("n", [1, NEAREST_CHUNK - 1, NEAREST_CHUNK + 1, 3 * NEAREST_CHUNK])
+    def test_blocks_match_the_oracle(self, n):
+        rng = np.random.default_rng([18, n])
+        model = ClusterModel(centers=rng.normal(size=(9, 4)), inertia=0.0)
+        data = rng.normal(size=(n, 4))
+        for rho in (0.5, 0.9, 1.0):
+            items, rejected = assign_and_filter_oracle(model.centers, data, rho)
+            assert _lists(assign_and_filter(model, data, rho)) == (
+                [list(pair) for pair in items],
+                list(rejected),
+            )
+
+    def test_peak_memory_is_a_fraction_of_the_input(self):
+        """A (rows, k) distance block per NEAREST_CHUNK rows and a few
+        (n,) arrays, never the (n, k) distances or an (n, d) square."""
+        rng = np.random.default_rng(19)
+        model = ClusterModel(centers=rng.normal(size=(64, 32)), inertia=0.0)
+        data = rng.normal(size=(30001, 32))
+        assert traced_peak(lambda: assign_and_filter(model, data, 0.9)) < 0.5 * data.nbytes
 
     def test_single_center_model_rejected(self):
         model = ClusterModel(centers=np.array([[0.0]]), inertia=0.0)

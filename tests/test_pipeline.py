@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import model_file_oracle, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
 from wret import fileio, stages
-from wret.features import KmeansRun, PcaModel, fit_kmeans, fit_pca
+from wret.features import NEAREST_CHUNK, KmeansRun, PcaModel, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
     PageRecord,
@@ -277,6 +278,26 @@ class TestModelFiles:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ArtifactIOError, match="trailing"):
             load_model(path, "labels")
+
+    @pytest.mark.parametrize("n", [1, NEAREST_CHUNK - 1, NEAREST_CHUNK, NEAREST_CHUNK + 1, 400])
+    def test_file_bytes_match_the_joined_copies(self, tmp_path, n):
+        """Arrays written from their own buffers give the bytes of the old
+        writer, which joined `tobytes` copies: a C-contiguous float64
+        matrix, a strided int64 column, an empty array and a scalar."""
+        rng = np.random.default_rng(n)
+        items = rng.integers(0, 1 << 40, size=(n, 2))
+        arrays = {
+            "descriptors": rng.normal(size=(n, 32)),
+            "kept": items[:, 0],
+            "labels": items[:, 1],
+            "rejected": np.zeros((0,), dtype=np.int64),
+            "empty": np.zeros((0, 3)),
+            "scalar": np.float64(0.5),
+            "transposed": rng.normal(size=(3, n)).T,
+        }
+        meta = {"n": n, "rho": 0.9}
+        save_model(tmp_path / "m.wrmd", "labels", meta, arrays)
+        assert (tmp_path / "m.wrmd").read_bytes() == model_file_oracle("labels", meta, arrays)
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="dtype"):
@@ -556,6 +577,21 @@ def test_write_atomic_replaces_a_longer_file_whole(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_unwritable_later_chunk_leaves_no_partial_file(tmp_path, existing):
+    """The first chunk is written, the second is no C-contiguous buffer:
+    the target keeps its old bytes, or stays absent, and no temp file is
+    left."""
+    path = tmp_path / "artifact"
+    if existing:
+        fileio.write_atomic(path, b"old bytes")
+    with pytest.raises(ValueError, match="not C-contiguous"):
+        fileio.write_atomic(path, b"header", np.arange(10.0)[::2])
+    assert [p.name for p in tmp_path.iterdir()] == (["artifact"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old bytes"
+
+
 class TestManifests:
     def _write_pages(self, tmp_path, n=3):
         records = []
@@ -603,6 +639,18 @@ class TestManifests:
         [(record, capped)] = load_page_descriptors(manifest)
         assert record.page_id == "p0" and len(capped) == fileio.DESCRIPTOR_CAP
         np.testing.assert_array_equal(capped, data[: fileio.DESCRIPTOR_CAP])
+
+    def test_truncated_page_holds_only_its_kept_rows(self, tmp_path):
+        """A page cut to DESCRIPTOR_CAP rows does not keep the buffer of
+        every row read."""
+        data = np.ones((fileio.DESCRIPTOR_CAP + 3000, 4), dtype=np.float32)
+        write_descriptors(tmp_path / "big.wrds", data)
+        save_manifest(
+            tmp_path / "m.json", "demo", "test", [PageRecord("p0", "w0", "big.wrds")]
+        )
+        [(_, capped)] = load_page_descriptors(load_manifest(tmp_path / "m.json"))
+        owner = capped if capped.base is None else capped.base
+        assert owner.nbytes == fileio.DESCRIPTOR_CAP * 4 * 4
 
 
 class TestSynth:
@@ -676,6 +724,19 @@ class TestStages:
         fit = fit_kmeans(descriptors, 6, seed=derive_seed(SEED, "cluster/kmeans"))
         counted = (report["iterations"], report["converged"], report["empty_reseeds"])
         assert KmeansRun(*counted) == fit.run
+
+    def test_cluster_peak_memory(self, tmp_path):
+        """tracemalloc peak of the cluster stage above its start, in units
+        of one (n, 64) float64 descriptor matrix, with n not a multiple of
+        NEAREST_CHUNK: fit_pca's centered copy beside the normalized
+        matrix sets it at 2 units."""
+        spec = _tiny_spec(n_writers=8, pages_per_writer=5, descriptors_per_page=251, seed=23)
+        manifest = run_synth(spec, tmp_path / "data")
+        n = 8 * 5 * 251
+        assert n % NEAREST_CHUNK
+        cfg = ClusterConfig(n_clusters=16, target_dim=32, seed=SEED)
+        peak = traced_peak(lambda: run_cluster(manifest, tmp_path / "run", cfg))
+        assert peak < 2.2 * n * 64 * 8
 
     def test_cluster_deterministic(self, workspace, tmp_path):
         run_cluster(workspace["manifest"], tmp_path, workspace["ccfg"])

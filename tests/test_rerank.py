@@ -330,6 +330,11 @@ class TestPeakMemory:
         pages = _ring_pages(self.N, seed=9)
         assert traced_peak(lambda: hard_graph_rerank(pages, 4, 2, 1)) < 5.5 * self.UNIT
 
+    def test_krnn_qe_selects_its_neighbors_in_row_blocks(self):
+        """The similarities, and (RANK_BLOCK, n) blocks for the top k."""
+        pages = _ring_pages(self.N, seed=9)
+        assert traced_peak(lambda: krnn_qe(pages, 2)) < 1.8 * self.UNIT
+
 
 class TestDispatch:
     def test_rerank_routes_by_method(self):

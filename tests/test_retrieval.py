@@ -638,8 +638,9 @@ class TestEvaluateMatchesHitsMatrix:
             vectors[: n // 4] = vectors[rng.integers(0, n, size=n // 4)]
             labels = rng.integers(0, classes, size=n)
             gram = vectors @ vectors.T
-            got = _pool_retrieval_map(gram, labels)
-            assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
+            # The oracle first: _pool_retrieval_map consumes the Gram.
+            want = pool_retrieval_map_oracle(gram, labels)
+            assert repr(_pool_retrieval_map(gram, labels)) == repr(want)
 
     @pytest.mark.parametrize(
         "n,size", [(2, 2), (8, 3), (60, 4), (60, 15), (300, 5), (300, 19), (1000, 8), (1000, 24)]
@@ -654,10 +655,11 @@ class TestEvaluateMatchesHitsMatrix:
         for vectors in (rng.normal(size=(n, 8)), np.zeros((n, 8))):
             vectors[rng.random(n) < 0.1] = 0.0
             gram = vectors @ vectors.T
+            want = pool_retrieval_map_oracle(gram, labels)  # before the Gram is consumed
             shapes.clear()
             got = _pool_retrieval_map(gram, labels)
             _assert_sorted_in_blocks(shapes, n)
-            assert repr(got) == repr(pool_retrieval_map_oracle(gram, labels))
+            assert repr(got) == repr(want)
 
 
 class TestPeakMemory:
@@ -704,6 +706,10 @@ class TestPeakMemory:
     def test_pool_retrieval_map_holds_one_similarity_matrix(self):
         gram, labels = self._pool()
         assert traced_peak(lambda: _pool_retrieval_map(gram, labels)) < 2.5 * self.UNIT
+
+    def test_pool_retrieval_map_normalizes_the_gram_in_place(self):
+        gram, labels = self._pool()
+        assert traced_peak(lambda: _pool_retrieval_map(gram, labels)) < 0.5 * self.UNIT
 
 
 class TestReportSerialization:
