@@ -254,11 +254,9 @@ def encode_vlad_hard(centers: np.ndarray, xs: np.ndarray) -> np.ndarray:
         - 2.0 * rows @ centers.T
     )
     nearest = np.argmin(sq, axis=1)  # argmin returns the lowest index on ties
-    v = np.zeros((centers.shape[0], centers.shape[1]))
-    for k in range(centers.shape[0]):
-        mask = nearest == k
-        if np.any(mask):
-            v[k] = np.sum(rows[mask] - centers[k], axis=0)
+    v = np.zeros(centers.shape)
+    # add.at adds the residuals in row order, one pass over the rows.
+    np.add.at(v, nearest, rows - centers[nearest])
     return v
 
 

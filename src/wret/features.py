@@ -180,15 +180,14 @@ def _nearest(
     x: np.ndarray, xsq: np.ndarray, centers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center of every row (ties to the lower index) and its squared
-    distance, computed ``NEAREST_CHUNK`` rows at a time."""
+    distance, computed in ``row_blocks`` of ``NEAREST_CHUNK`` rows."""
     csq = np.sum(centers * centers, axis=1)
     assign = np.empty(len(x), dtype=np.intp)
     dmin = np.empty(len(x))
-    for lo in range(0, len(x), NEAREST_CHUNK):
-        hi = min(lo + NEAREST_CHUNK, len(x))
-        sq = _squared_distances(x[lo:hi], xsq[lo:hi], centers, csq)
-        np.argmin(sq, axis=1, out=assign[lo:hi])
-        dmin[lo:hi] = sq[np.arange(hi - lo), assign[lo:hi]]
+    for rows in row_blocks(len(x), NEAREST_CHUNK):
+        sq = _squared_distances(x[rows], xsq[rows], centers, csq)
+        np.argmin(sq, axis=1, out=assign[rows])
+        dmin[rows] = sq[np.arange(len(sq)), assign[rows]]
     return assign, dmin
 
 

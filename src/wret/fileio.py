@@ -122,9 +122,11 @@ def _model_checks(path: Path | str):
 
 
 def _write_matrix(path: Path, magic: bytes, matrix: np.ndarray, dtype: str) -> None:
+    """The header, then the matrix from its own buffer: copied only when
+    it is not already C-contiguous in the stored dtype."""
     count, dim = matrix.shape
     header = MATRIX_HEADER.pack(magic, FORMAT_VERSION, dim, count)
-    write_atomic(path, header + matrix.astype(dtype).tobytes(order="C"))
+    write_atomic(path, header, np.ascontiguousarray(matrix, dtype=dtype).ravel())
 
 
 def _read_matrix(path: Path, magic: bytes, dtype: str, what: str) -> np.ndarray:
@@ -151,7 +153,9 @@ def write_descriptors(path: Path | str, data: np.ndarray) -> None:
     data = np.asarray(data, dtype=np.float32)
     if data.ndim != 2 or data.shape[1] == 0:
         raise ValidationError("descriptor data must be a (count, dim) matrix")
-    if not np.all(np.isfinite(data)):
+    # NaN carries through min and max, so both are finite iff every entry
+    # is; unlike np.isfinite(data) this needs no mask of the page.
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValidationError("descriptor data must be finite")
     _write_matrix(Path(path), MAGIC_DESCRIPTORS, data, "<f4")
 

@@ -17,14 +17,6 @@ UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SimilarityGraph:
-    """Dense cosine similarities and their decayed adjacency."""
-
-    similarity: np.ndarray  # (n, n), s_ij = x_i . x_j
-    adjacency: np.ndarray  # (n, n), exp(-(1 - s_ij)^2 / gamma)
-
-
-@dataclass(frozen=True)
 class RerankConfig:
     """Parameters for one rerank pass; k1 only applies to hard_graph."""
 
@@ -57,15 +49,17 @@ def _unit_matrix(pages: list[PageEmbedding]) -> np.ndarray:
     return vectors
 
 
-def build_similarity_graph(pages: list[PageEmbedding], gamma: float) -> SimilarityGraph:
-    """Dense graph over the collection: s_ij = x_i . x_j and
-    A_ij = exp(-(1 - s_ij)^2 / gamma)."""
+def build_similarity_graph(
+    pages: list[PageEmbedding], gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense graph over the collection: the (n, n) similarities
+    s_ij = x_i . x_j and adjacency A_ij = exp(-(1 - s_ij)^2 / gamma)."""
     if gamma <= 0:
         raise ValidationError("gamma must be positive")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
     adjacency = np.exp(-((1.0 - sims) ** 2) / gamma)
-    return SimilarityGraph(similarity=sims, adjacency=adjacency)
+    return sims, adjacency
 
 
 def _propagate(
@@ -76,11 +70,10 @@ def _propagate(
 ) -> np.ndarray:
     """h_i <- l2(h_i + sum_j w_ij h_j) over the (n, k) neighbors, `layers` times.
 
-    Neighbor contributions are added in descending-weight order (ties by
-    ascending index) so the sum is bitwise permutation-equivariant.
-    `features` is only read: each layer sums into a new array and
-    normalizes it in place."""
-    neighbors = rank_rows(weights, np.arange(len(weights)), candidates=neighbors)
+    Neighbor contributions are added in the order given. Callers pass
+    each row's neighbors by descending weight, ties by ascending index,
+    so the sum is bitwise permutation-equivariant. `features` is only
+    read: each layer sums into a new array and normalizes it in place."""
     w = np.take_along_axis(weights, neighbors, axis=1)
     h = features
     for _ in range(layers):
@@ -103,14 +96,15 @@ def _with_vectors(pages: list[PageEmbedding], vectors: np.ndarray) -> list[PageE
 def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     """Similarity-graph reranking: adjacency rows become vertex features,
     then aggregation over the k nearest neighbors, weighted by similarity,
-    runs for cfg.layers rounds."""
+    runs for cfg.layers rounds. The neighbors are ranked by similarity,
+    which is also their weight, so they reach the propagation in order."""
     if cfg.method != "sgr":
         raise ValidationError("config method must be sgr")
     if len(pages) < cfg.k + 1:
         raise ValidationError("need at least k + 1 pages")
-    graph = build_similarity_graph(pages, cfg.gamma)
-    neighbors = rank_rows(graph.similarity, np.arange(len(pages)), k=cfg.k)
-    refined = _propagate(graph.adjacency, neighbors, graph.similarity, cfg.layers)
+    sims, adjacency = build_similarity_graph(pages, cfg.gamma)
+    neighbors = rank_rows(sims, np.arange(len(pages)), k=cfg.k)
+    refined = _propagate(adjacency, neighbors, sims, cfg.layers)
     return _with_vectors(pages, refined)
 
 
@@ -153,9 +147,10 @@ def hard_graph_rerank(
 ) -> list[PageEmbedding]:
     """Discrete-adjacency baseline: A_ij is 1 for mutual k1-NN, 1/2 for
     one-directional, 0 otherwise (A_ii = 1); rows of A are the features,
-    aggregation uses the k2 most cosine-similar vertices weighted by A.
-    A is built from the (n, k1) neighbor lists: 1/2 per k1-NN edge in
-    each direction, so a mutual pair sums to exactly 1."""
+    aggregation uses the k2 most cosine-similar vertices weighted by A,
+    added in descending A order (ties by ascending index). A is built
+    from the (n, k1) neighbor lists: 1/2 per k1-NN edge in each
+    direction, so a mutual pair sums to exactly 1."""
     n = len(pages)
     if not 1 <= k2 <= k1 < n:
         raise ValidationError("need k2 <= k1 < page count")
@@ -170,7 +165,7 @@ def hard_graph_rerank(
     # Each (j, i) pair occurs once, so the buffered += adds every edge.
     adjacency[order, rows] += 0.5
     np.fill_diagonal(adjacency, 1.0)
-    neighbors = order[:, :k2]
+    neighbors = rank_rows(adjacency, np.arange(n), candidates=order[:, :k2])
     refined = _propagate(adjacency, neighbors, adjacency, layers)
     return _with_vectors(pages, refined)
 

@@ -100,31 +100,23 @@ def nearest_centroid_accuracy(manifest: Manifest) -> float:
     """Leave-one-out writer classification on raw page means.
 
     Each page is classified by the nearest writer centroid computed
-    from all other pages. Writers need at least two pages each.
+    from all other pages: its own writer's centroid leaves the page out
+    of that writer's sum. Writers need at least two pages each.
     """
     loaded = load_page_descriptors(manifest)
     means = np.array([data.mean(axis=0) for _, data in loaded], dtype=np.float64)
-    writers = [record.writer_id for record, _ in loaded]
-    writer_set = sorted(set(writers))
-    counts = {w: writers.count(w) for w in writer_set}
-    for w, c in counts.items():
-        if c < 2:
-            raise ValidationError(f"writer {w} has a single page; oracle needs >= 2")
-    hits = 0
-    for i in range(len(loaded)):
-        best_writer = None
-        best_dist = np.inf
-        for w in writer_set:
-            rows = [
-                j for j in range(len(loaded)) if j != i and writers[j] == w
-            ]
-            if not rows:
-                continue
-            centroid = means[rows].mean(axis=0)
-            dist = float(np.linalg.norm(means[i] - centroid))
-            if dist < best_dist:
-                best_dist = dist
-                best_writer = w
-        if best_writer == writers[i]:
-            hits += 1
-    return hits / len(loaded)
+    names, writer = np.unique([record.writer_id for record, _ in loaded], return_inverse=True)
+    counts = np.bincount(writer)
+    if counts.min() < 2:
+        raise ValidationError(
+            f"writer {names[np.argmin(counts)]} has a single page; oracle needs >= 2"
+        )
+    sums = np.zeros((len(names), means.shape[1]))
+    np.add.at(sums, writer, means)
+    dist = np.empty((len(means), len(names)))
+    for w, total in enumerate(sums):
+        dist[:, w] = np.linalg.norm(means - total / counts[w], axis=1)
+    own = (sums[writer] - means) / (counts[writer] - 1)[:, None]
+    dist[np.arange(len(means)), writer] = np.linalg.norm(means - own, axis=1)
+    # argmin takes the first writer in sorted order on a tie.
+    return float(np.mean(np.argmin(dist, axis=1) == writer))

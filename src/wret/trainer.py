@@ -152,8 +152,10 @@ class Gradients:
 
 def _pairwise_distances(gram: np.ndarray) -> np.ndarray:
     sq = np.diag(gram)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    return np.sqrt(np.clip(d2, 0.0, None))
+    d2 = sq[:, None] + sq[None, :]
+    d2 -= 2.0 * gram
+    np.clip(d2, 0.0, None, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 def mine_hard_triplets(
@@ -165,22 +167,26 @@ def mine_hard_triplets(
     Per anchor: hardest positive (max distance, same label) and hardest
     negative (min distance, other label), ties to the lowest index. The
     candidate is emitted iff d_an < d_ap - m. Anchors ascend.
+
+    The distances are read masked: -inf where the pair is not a
+    positive, +inf where it shares the anchor's class. An anchor without
+    a positive besides itself gets d_ap = -inf, one without a negative
+    d_an = +inf, and neither passes the rule.
     """
     labels = np.asarray(labels)
     if len(labels) == 0:
         return ()
     dist = _pairwise_distances(np.asarray(gram, dtype=np.float64))
     same = labels[:, None] == labels[None, :]
-    pos = same.copy()
-    np.fill_diagonal(pos, False)
     anchors = np.arange(len(labels))
-    p = np.argmax(np.where(pos, dist, -np.inf), axis=1)
-    neg = np.argmin(np.where(same, np.inf, dist), axis=1)
-    d_ap = dist[anchors, p]
+    positives = np.where(same, dist, -np.inf)
+    positives[anchors, anchors] = -np.inf
+    p = np.argmax(positives, axis=1)
+    d_ap = positives[anchors, p]
+    np.putmask(dist, same, np.inf)
+    neg = np.argmin(dist, axis=1)
     d_an = dist[anchors, neg]
     admit = d_an < d_ap - m
-    # An anchor needs a positive besides itself and at least one negative.
-    admit &= pos.any(axis=1) & ~same.all(axis=1)
     return tuple((int(a), int(p[a]), int(neg[a])) for a in np.flatnonzero(admit))
 
 

@@ -280,6 +280,31 @@ def _lloyd_oracle(points: np.ndarray, init: np.ndarray, iters: int = 100) -> np.
     return centers
 
 
+class TestNearest:
+    @pytest.mark.parametrize("n", [1, NEAREST_CHUNK + 1, NEAREST_CHUNK + 2, 2 * NEAREST_CHUNK + 1])
+    def test_row_blocks_match_the_whole_product(self, monkeypatch, n):
+        """No block is shorter than NEAREST_CHUNK rows unless n is, so a
+        short tail takes no other BLAS kernel: the nearest centers and
+        distances are those of the whole (n, k) product, bitwise."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 32))
+        centers = rng.normal(size=(64, 32))
+        xsq = np.sum(x * x, axis=1)
+        sq = features._squared_distances(x, xsq, centers, np.sum(centers * centers, axis=1))
+        real = features._squared_distances
+        lengths = []
+
+        def recorded(rows, *rest):
+            lengths.append(len(rows))
+            return real(rows, *rest)
+
+        monkeypatch.setattr(features, "_squared_distances", recorded)
+        assign, dmin = features._nearest(x, xsq, centers)
+        assert sum(lengths) == n and min(lengths) >= min(n, NEAREST_CHUNK)
+        assert assign.tobytes() == np.argmin(sq, axis=1).tobytes()
+        assert dmin.tobytes() == sq[np.arange(n), assign].tobytes()
+
+
 def _fit_checking_inertia(data: np.ndarray, k: int, seed: int) -> ClusterModel:
     """fit_kmeans, recording the inertia of every assignment pass: one per
     iteration plus the final one, none serving the points worse than the

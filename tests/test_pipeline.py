@@ -18,7 +18,7 @@ from helpers import model_file_oracle, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wret.aggregation import PageEmbedding
+from wret.aggregation import PageEmbedding, page_matrix
 from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
@@ -146,6 +146,33 @@ class TestDescriptorFiles:
         with pytest.raises(ArtifactIOError, match="missing"):
             read_descriptors(tmp_path / "absent.wrds")
 
+    @pytest.mark.parametrize("layout", ["float32", "float64", "fortran", "sliced"])
+    def test_bytes_are_the_header_and_the_float32_rows(self, tmp_path, layout):
+        base = np.random.default_rng(4).normal(size=(9, 6))
+        data = {
+            "float32": base.astype(np.float32),
+            "float64": base,
+            "fortran": np.asfortranarray(base.astype(np.float32)),
+            "sliced": base[1::2, ::2],
+        }[layout]
+        write_descriptors(tmp_path / "d.wrds", data)
+        header = fileio.MATRIX_HEADER.pack(b"WRDS", fileio.FORMAT_VERSION, data.shape[1], len(data))
+        assert (tmp_path / "d.wrds").read_bytes() == header + data.astype("<f4").tobytes()
+
+    def test_float32_page_is_written_from_its_own_buffer(self, tmp_path):
+        """Neither a copy of the page nor a finiteness mask of it."""
+        page = np.random.default_rng(5).random((2000, 64)).astype(np.float32)
+        peak = traced_peak(lambda: write_descriptors(tmp_path / "d.wrds", page))
+        assert peak < 0.1 * page.nbytes
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, value):
+        data = np.ones((4, 3), dtype=np.float32)
+        data[2, 1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            write_descriptors(tmp_path / "d.wrds", data)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("count", [0, 5, 2**63])
     def test_rejects_zero_dim_header(self, tmp_path, count):
         path = tmp_path / "d.wrds"
@@ -225,6 +252,28 @@ class TestEmbeddingDumps:
         (tmp_path / "emb.bin").unlink()
         with pytest.raises(ArtifactIOError, match="missing"):
             read_embeddings(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blob_bytes_are_the_header_and_the_float64_rows(self, tmp_path, dtype):
+        # Page vectors are strided views of a Fortran-ordered matrix.
+        matrix = np.asfortranarray(np.random.default_rng(2).normal(size=(5, 14)), dtype=dtype)
+        pages = [
+            PageEmbedding(page_id=f"p{i}", writer_id="w", vector=row)
+            for i, row in enumerate(matrix[:, ::2])
+        ]
+        write_embeddings(tmp_path / "emb.json", pages, "h")
+        header = fileio.MATRIX_HEADER.pack(b"WREM", fileio.FORMAT_VERSION, 7, 5)
+        want = header + matrix[:, ::2].astype("<f8").tobytes()
+        assert (tmp_path / "emb.bin").read_bytes() == want
+
+    def test_holds_only_the_page_matrix(self, tmp_path):
+        """The (pages, dim) matrix is written from its own buffer; the
+        sidecar of 100 pages adds far less than a fifth of it."""
+        vectors = np.random.default_rng(3).normal(size=(100, 1000))
+        pages = [PageEmbedding(page_id=f"p{i}", writer_id="w", vector=v) for i, v in enumerate(vectors)]
+        matrix_peak = traced_peak(lambda: page_matrix(pages))
+        peak = traced_peak(lambda: write_embeddings(tmp_path / "emb.json", pages, "h"))
+        assert peak < matrix_peak + 0.2 * vectors.nbytes
 
 
 class TestModelFiles:
@@ -678,6 +727,26 @@ class TestSynth:
     def test_oracle_separability_at_ratio_four(self, tmp_path):
         manifest = load_manifest(synth_generate(_tiny_spec(seed=5), tmp_path))
         assert nearest_centroid_accuracy(manifest) > 0.99
+
+    def test_oracle_leaves_each_page_out_of_its_writers_centroid(self, tmp_path):
+        """Page means 0 and 2 (writer a), 4.5 and 10 (writer b). Page 4.5
+        is 5.5 from b's other page and 3.5 from a's centroid 1, so it is
+        misclassified; it would not be with itself in b's centroid. The
+        other three pages are nearest their own writer."""
+        records = []
+        for writer, values in (("a", (0.0, 2.0)), ("b", (4.5, 10.0))):
+            for p, value in enumerate(values):
+                rel = f"{writer}{p}.wrds"
+                write_descriptors(tmp_path / rel, np.full((2, 3), value, dtype=np.float32))
+                records.append(PageRecord(f"{writer}{p}", writer, rel))
+        save_manifest(tmp_path / "m.json", "demo", "test", records)
+        assert nearest_centroid_accuracy(load_manifest(tmp_path / "m.json")) == 0.75
+
+    def test_oracle_on_a_low_separability_spec(self, tmp_path):
+        # 10 of 20 pages, the value of the former per-pair loop
+        spec = _tiny_spec(n_writers=5, pages_per_writer=4, writer_style_strength=0.2, seed=3)
+        manifest = load_manifest(synth_generate(spec, tmp_path))
+        assert nearest_centroid_accuracy(manifest) == 0.5
 
     def test_oracle_needs_two_pages_per_writer(self, tmp_path):
         spec = _tiny_spec(pages_per_writer=(3, 3, 3, 1), seed=6)

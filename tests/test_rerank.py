@@ -8,6 +8,7 @@ from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
 from wret.rerank import (
     RerankConfig,
+    _propagate,
     build_similarity_graph,
     hard_graph_rerank,
     krnn_qe,
@@ -40,21 +41,21 @@ def _ring_pages(n: int, seed: int = 0) -> list[PageEmbedding]:
 class TestSimilarityGraph:
     def test_self_similarity_gives_unit_adjacency(self):
         pages = _ring_pages(4)
-        graph = build_similarity_graph(pages, gamma=0.4)
-        np.testing.assert_allclose(np.diag(graph.adjacency), np.ones(4), atol=1e-12)
-        np.testing.assert_allclose(graph.adjacency, graph.adjacency.T, atol=1e-12)
+        sims, adjacency = build_similarity_graph(pages, gamma=0.4)
+        np.testing.assert_allclose(np.diag(adjacency), np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(adjacency, adjacency.T, atol=1e-12)
 
     def test_orthogonal_scalar_oracle(self):
         pages = _unit_pages(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        graph = build_similarity_graph(pages, gamma=0.4)
-        assert graph.adjacency[0, 1] == pytest.approx(math.exp(-2.5), rel=1e-12)
+        sims, adjacency = build_similarity_graph(pages, gamma=0.4)
+        assert adjacency[0, 1] == pytest.approx(math.exp(-2.5), rel=1e-12)
 
     def test_flat_decay_limit(self):
         # Nonnegative components keep s >= 0, so (1 - s)^2 <= 1.
         rng = np.random.default_rng(0)
         pages = _unit_pages(rng.uniform(0.1, 1.0, size=(5, 4)))
-        graph = build_similarity_graph(pages, gamma=1e6)
-        assert np.all(np.abs(graph.adjacency - 1.0) < 1e-6)
+        sims, adjacency = build_similarity_graph(pages, gamma=1e6)
+        assert np.all(np.abs(adjacency - 1.0) < 1e-6)
 
     def test_monotonicity_in_s_and_gamma(self):
         for gamma in (0.1, 0.4, 1.0):
@@ -310,6 +311,59 @@ class TestHardGraph:
             hard_graph_rerank(pages, k1=2, k2=3, layers=1)  # k2 > k1
         with pytest.raises(ValidationError):
             hard_graph_rerank(pages, k1=4, k2=1, layers=1)  # k1 >= n
+
+
+class TestPropagationOrder:
+    """The rerankers hand the propagation each row's neighbors in
+    descending weight order, ties by ascending index, so its sums are
+    bitwise those of neighbors sorted by (-weight, index) here."""
+
+    @staticmethod
+    def _tied_grid_pages() -> list[PageEmbedding]:
+        # Small integer vectors: many pages repeat, so similarities tie.
+        rng = np.random.default_rng(12)
+        return _unit_pages(rng.integers(1, 4, size=(30, 3)).astype(float))
+
+    @staticmethod
+    def _nearest(sims: np.ndarray, k: int) -> list[list[int]]:
+        n = len(sims)
+        return [
+            sorted((j for j in range(n) if j != i), key=lambda j: (-sims[i, j], j))[:k]
+            for i in range(n)
+        ]
+
+    @staticmethod
+    def _by_weight(weights: np.ndarray, neighbors: list[list[int]]) -> np.ndarray:
+        return np.array(
+            [sorted(row, key=lambda j: (-weights[i, j], j)) for i, row in enumerate(neighbors)]
+        )
+
+    def test_sgr(self):
+        pages = self._tied_grid_pages()
+        cfg = RerankConfig(method="sgr", k=4, layers=2)
+        sims, adjacency = build_similarity_graph(pages, cfg.gamma)
+        neighbors = self._by_weight(sims, self._nearest(sims, cfg.k))
+        want = _propagate(adjacency, neighbors, sims, cfg.layers)
+        got = np.array([p.vector for p in sgr(pages, cfg)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_hard_graph_reorders_its_similarity_neighbors(self):
+        pages = self._tied_grid_pages()
+        k1, k2, layers = 5, 4, 2
+        sims, _ = build_similarity_graph(pages, gamma=0.4)
+        knn1 = self._nearest(sims, k1)
+        adj = np.eye(len(pages))
+        for i, row in enumerate(knn1):
+            for j in row:
+                adj[i, j] += 0.5
+                adj[j, i] += 0.5
+        nearest = [row[:k2] for row in knn1]
+        neighbors = self._by_weight(adj, nearest)
+        # The adjacency order differs from the similarity order somewhere.
+        assert neighbors.tolist() != nearest
+        want = _propagate(adj, neighbors, adj, layers)
+        got = np.array([p.vector for p in hard_graph_rerank(pages, k1, k2, layers)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPeakMemory:

@@ -231,6 +231,18 @@ class TestRankRowsTopK:
         want = rank_rows_oracle(scores, tie_rank)[:, :k]
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [RANK_BLOCK - 1, RANK_BLOCK + 1])
+    @pytest.mark.parametrize("kind", RANKING_KINDS)
+    def test_top_k_is_its_own_ranking(self, kind, n):
+        """Ranking a top k again over the same scores leaves every row as
+        it is, ties, signed zeros and NaN included: sgr hands its top k
+        to the propagation without a second sort."""
+        scores, tie_rank = _ranking_input(kind, n, seed=n + 3)
+        for k in (1, 2, 4, n - 2):
+            top = rank_rows(scores, tie_rank, k=k)
+            again = rank_rows(scores, tie_rank, candidates=top)
+            assert again.tobytes() == top.tobytes()
+
 
 def _unit(pages: list[PageEmbedding]) -> list[PageEmbedding]:
     return [

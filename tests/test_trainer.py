@@ -9,6 +9,7 @@ from helpers import (
     random_gradcheck_config,
     rebuild_with,
     stratified_split_oracle,
+    traced_peak,
     triplet_objective,
 )
 
@@ -93,6 +94,38 @@ class TestMining:
                 got = mine_hard_triplets(enc @ enc.T, labels, m)
                 assert got == mine_oracle(enc @ enc.T, labels, m)
         assert mine_hard_triplets(enc[:0] @ enc[:0].T, np.arange(0), 0.1) == ()
+
+    @pytest.mark.parametrize("m", [-100.0, 0.0, 0.1])
+    @pytest.mark.parametrize(
+        "case", ["singletons", "one_class", "two_same", "two_apart", "tied", "all_equal"]
+    )
+    def test_edge_cases_match_per_anchor_loop(self, case, m):
+        """Anchors without a positive (singletons) or without a negative
+        (one class) are never admitted, whatever the margin; equal
+        distances go to the lowest index."""
+        rng = np.random.default_rng(7)
+        enc, labels = {
+            "singletons": (rng.normal(size=(6, 3)), np.arange(6)),
+            "one_class": (rng.normal(size=(6, 3)), np.full(6, 4)),
+            "two_same": (rng.normal(size=(2, 3)), np.array([1, 1])),
+            "two_apart": (rng.normal(size=(2, 3)), np.array([0, 1])),
+            # The corners of a square: every distance is 1 or sqrt(2).
+            "tied": (np.array([[0.0, 0], [1, 0], [0, 1], [1, 1]]), np.array([0, 0, 1, 1])),
+            "all_equal": (np.ones((5, 2)), np.array([0, 0, 1, 1, 2])),
+        }[case]
+        gram = enc @ enc.T
+        assert mine_hard_triplets(gram, labels, m) == mine_oracle(gram, labels, m)
+
+    def test_holds_the_distances_and_one_masked_copy(self):
+        """At n = 400: the (n, n) distances, formed in place, one masked
+        copy of them and the same-class mask (2.2 units). A temporary per
+        arithmetic step or a second masked copy reaches 3."""
+        n = 400
+        rng = np.random.default_rng(8)
+        enc = rng.normal(size=(n, 16))
+        gram = enc @ enc.T
+        labels = rng.integers(0, 50, size=n)
+        assert traced_peak(lambda: mine_hard_triplets(gram, labels, 0.1)) < 2.5 * n * n * 8
 
 
 class TestMiningOnTheGram:
