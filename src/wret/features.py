@@ -3,8 +3,10 @@ pseudo-labeling and the ambiguity filter that drops descriptors sitting near
 cluster borders.
 
 Descriptors arrive as an ``(n, d)`` matrix, one row each; a lone
-descriptor is a one-row matrix. All functions are pure; fitted models are
-immutable.
+descriptor is a one-row matrix. Fitted models are immutable, and every
+function is pure except ``fit_transform_pca_in_place``, which centers the
+matrix it is handed in place so that the cluster stage holds no centered
+copy of its largest matrix.
 """
 
 from __future__ import annotations
@@ -84,29 +86,22 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel:
-    """Fit the top ``target_dim`` principal components of mean-centered data.
-
-    With at least as many samples as dimensions the components come from
-    the eigendecomposition of the (d, d) scatter matrix ``centeredᵀ·centered``,
-    so nothing of size n is held beyond the centered copy; with fewer (a
-    page PCA) they come from the SVD of the centered data. A direction
-    whose variance is at most ``max(n, d)·eps`` times the largest counts
-    as absent. Raises if fewer than ``target_dim`` directions remain:
-    whitening would divide by a zero variance and the projection would be
-    meaningless.
-    """
-    x = as_matrix(data, "fit_pca")
+def _check_fit_input(x: np.ndarray, target_dim: int, what: str) -> None:
     n, d = x.shape
     if not np.all(np.isfinite(x)):
-        raise ValidationError("fit_pca input contains non-finite entries")
+        raise ValidationError(f"{what} input contains non-finite entries")
     if target_dim < 1 or target_dim > d:
         raise ValidationError(f"target_dim must be in [1, {d}], got {target_dim}")
     if n <= target_dim:
         raise ValidationError(f"need more than target_dim={target_dim} samples, got {n}")
 
-    mean = x.mean(axis=0)
-    centered = x - mean
+
+def _fit_centered(
+    centered: np.ndarray, mean: np.ndarray, target_dim: int, whiten: bool
+) -> PcaModel:
+    """The PCA of data whose column means ``mean`` are already subtracted
+    in ``centered``, which is read and left as it is."""
+    n, d = centered.shape
     if n >= d:
         # Ascending eigenvalues of the (d, d) scatter matrix: the squared
         # singular values of the centered data.
@@ -132,16 +127,63 @@ def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel
     return PcaModel(mean=mean, basis=basis, scale=scale, whiten=whiten)
 
 
+def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel:
+    """Fit the top ``target_dim`` principal components of mean-centered data.
+
+    With at least as many samples as dimensions the components come from
+    the eigendecomposition of the (d, d) scatter matrix ``centeredᵀ·centered``,
+    so nothing of size n is held beyond the centered copy; with fewer (a
+    page PCA) they come from the SVD of the centered data. A direction
+    whose variance is at most ``max(n, d)·eps`` times the largest counts
+    as absent. Raises if fewer than ``target_dim`` directions remain:
+    whitening would divide by a zero variance and the projection would be
+    meaningless.
+    """
+    x = as_matrix(data, "fit_pca")
+    _check_fit_input(x, target_dim, "fit_pca")
+    mean = x.mean(axis=0)
+    return _fit_centered(x - mean, mean, target_dim, whiten)
+
+
+def fit_transform_pca_in_place(
+    x: np.ndarray, target_dim: int, whiten: bool = False
+) -> tuple[PcaModel, np.ndarray]:
+    """``fit_pca`` and ``pca_transform`` of the same rows without a centered
+    copy: takes over the float64 (n, d) array ``x``, subtracts its column
+    means in place (``x`` comes back centered), fits on it and returns the
+    model with the (n, target_dim) projection. Bitwise the model and
+    projection of the two calls on a C-ordered ``x``; it holds ``x`` beside
+    the projection, one unit less than ``fit_pca``'s copy of ``x``.
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64 and x.ndim == 2):
+        raise ValidationError(
+            "fit_transform_pca_in_place expects a float64 (n, d) array, got "
+            f"{getattr(x, 'dtype', type(x).__name__)} of shape {np.shape(x)}"
+        )
+    _check_fit_input(x, target_dim, "fit_transform_pca_in_place")
+    mean = x.mean(axis=0)
+    x -= mean
+    model = _fit_centered(x, mean, target_dim, whiten)
+    return model, _project_rows(model, x, centered=True)
+
+
+def _project_rows(model: PcaModel, x: np.ndarray, centered: bool) -> np.ndarray:
+    """``scale * (basis @ row)`` for every row of ``x``, after subtracting
+    ``model.mean`` unless ``x`` is ``centered`` already, in ``row_blocks``
+    of ``NEAREST_CHUNK`` rows into one (n, d_out) result."""
+    out = np.empty((len(x), model.d_out))
+    for rows in row_blocks(len(x), NEAREST_CHUNK):
+        # Inline, so that no block outlives its product.
+        np.matmul(x[rows] if centered else x[rows] - model.mean, model.basis.T, out=out[rows])
+        out[rows] *= model.scale
+    return out
+
+
 def pca_transform(model: PcaModel, d: np.ndarray) -> np.ndarray:
     """``scale * (basis @ (x - mean))`` for every row, in ``row_blocks`` of
     ``NEAREST_CHUNK`` rows into one (n, d_out) result: no centered copy of
     the whole input is formed."""
-    batch = as_matrix(d, "pca_transform", model.d_in)
-    out = np.empty((len(batch), model.d_out))
-    for rows in row_blocks(len(batch), NEAREST_CHUNK):
-        np.matmul(batch[rows] - model.mean, model.basis.T, out=out[rows])
-        out[rows] *= model.scale
-    return out
+    return _project_rows(model, as_matrix(d, "pca_transform", model.d_in), centered=False)
 
 
 @dataclass(frozen=True)

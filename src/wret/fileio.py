@@ -79,7 +79,9 @@ def write_json(path: Path | str, obj) -> None:
     write_atomic(path, text.encode("utf-8"))
 
 
-def _read_bytes(path: Path) -> bytes:
+def read_bytes(path: Path | str) -> bytes:
+    """The file's bytes; a missing file is an ArtifactIOError."""
+    path = Path(path)
     try:
         return path.read_bytes()
     except FileNotFoundError:
@@ -89,7 +91,7 @@ def _read_bytes(path: Path) -> bytes:
 def read_json(path: Path | str):
     path = Path(path)
     try:
-        text = _read_bytes(path).decode("utf-8")
+        text = read_bytes(path).decode("utf-8")
     except UnicodeDecodeError:
         raise ArtifactIOError(f"{path} is not UTF-8 text") from None
     try:
@@ -131,7 +133,7 @@ def _write_matrix(path: Path, magic: bytes, matrix: np.ndarray, dtype: str) -> N
 
 def _read_matrix(path: Path, magic: bytes, dtype: str, what: str) -> np.ndarray:
     """The (count, dim) matrix of a matrix file, in native byte order."""
-    raw = _read_bytes(path)
+    raw = read_bytes(path)
     if len(raw) < MATRIX_HEADER.size or raw[:4] != magic:
         raise ArtifactIOError(f"{path} is not {what}")
     _, version, dim, count = MATRIX_HEADER.unpack_from(raw)
@@ -249,10 +251,14 @@ def _valid_array_entry(entry) -> bool:
     )
 
 
-def load_model(path: Path | str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a model file that must hold a `kind` model; returns (meta, arrays)."""
+def load_model(
+    path: Path | str, kind: str, raw: bytes | None = None
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a model file that must hold a `kind` model; returns (meta, arrays).
+    `raw`, when given, is the file's content already read by the caller."""
     path = Path(path)
-    raw = _read_bytes(path)
+    if raw is None:
+        raw = read_bytes(path)
     if len(raw) < 16 or raw[:4] != MAGIC_MODEL:
         raise ArtifactIOError(f"{path} is not a model file")
     version, header_len = struct.unpack("<IQ", raw[4:16])
@@ -345,8 +351,8 @@ def save_pca(path: Path | str, model: PcaModel) -> None:
     save_model(path, "pca", {"whiten": bool(model.whiten)}, arrays)
 
 
-def load_pca(path: Path | str) -> PcaModel:
-    meta, arrays = load_model(path, "pca")
+def load_pca(path: Path | str, raw: bytes | None = None) -> PcaModel:
+    meta, arrays = load_model(path, "pca", raw)
     mean, basis, scale = (
         typed_entry(path, arrays, name, np.ndarray) for name in ("mean", "basis", "scale")
     )

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-# encode_patches, aggregate_pages: the traced run wraps them here; test_perfbench_layers pins that.
+# encode_patches, aggregate_pages, fit_pca: the traced run wraps them here;
+# test_perfbench_layers pins that.
 from .aggregation import aggregate_pages, power_normalize, whiten_pages  # noqa: F401
 from .encoder import backbone_forward, encode_patches, pool_patches  # noqa: F401
 from .errors import ArtifactIOError, ValidationError
@@ -38,7 +39,8 @@ from .features import (
     PseudoLabeledSet,
     assign_and_filter,
     fit_kmeans,
-    fit_pca,
+    fit_pca,  # noqa: F401
+    fit_transform_pca_in_place,
     hellinger_normalize,
     pca_transform,
 )
@@ -50,6 +52,7 @@ from .fileio import (
     load_model,
     load_page_descriptors,
     load_pca,
+    read_bytes,
     read_embeddings,
     save_backbone,
     save_codebook,
@@ -193,7 +196,8 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
     ) as (pca_path, kmeans_path, labels_path, report_path):
         manifest = load_manifest(manifest_path)
         # One (n, d) float64 matrix, filled page by page (the normalization
-        # is row-wise) and dropped once the reduced matrix is formed.
+        # is row-wise), centered in place by the PCA fit and dropped once
+        # the reduced matrix is formed.
         pages = [data for _, data in load_page_descriptors(manifest)]
         n_descriptors = sum(len(data) for data in pages)
         normalized = np.empty((n_descriptors, pages[0].shape[1]))
@@ -202,8 +206,7 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
             normalized[start : start + len(data)] = hellinger_normalize(data)
             start += len(data)
         del pages
-        pca = fit_pca(normalized, cfg.target_dim, whiten=False)
-        reduced = pca_transform(pca, normalized)
+        pca, reduced = fit_transform_pca_in_place(normalized, cfg.target_dim, whiten=False)
         del normalized
         kmeans = fit_kmeans(
             reduced, cfg.n_clusters, seed=derive_seed(cfg.seed, "cluster/kmeans")
@@ -312,7 +315,15 @@ def run_encode(
     with _stage(
         out_dir, inputs, ["embeddings.json", "embeddings.bin", "page_pca.wrmd"]
     ) as (embeddings_path, _, page_pca_path):
-        prefit = None if cfg.page_pca is None else load_pca(cfg.page_pca)
+        hashed = asdict(cfg)
+        prefit = None
+        if cfg.page_pca is not None:
+            raw = read_bytes(cfg.page_pca)
+            prefit = load_pca(cfg.page_pca, raw)
+            # The model's content, not its path: the same encode hashes alike
+            # from any directory, and a replaced model hashes differently.
+            # Hashing the bytes parsed here names the model that was used.
+            hashed["page_pca"] = hashlib.sha256(raw).hexdigest()
         manifest = load_manifest(manifest_path)
         pca = load_pca(pca_path)
         backbone = load_backbone(backbone_path)
@@ -332,11 +343,6 @@ def run_encode(
         pages, page_pca = whiten_pages(
             pooled, cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
         )
-        hashed = asdict(cfg)
-        if cfg.page_pca is not None:
-            # The model's content, not its path: the same encode hashes alike
-            # from any directory, and a replaced model hashes differently.
-            hashed["page_pca"] = hashlib.sha256(Path(cfg.page_pca).read_bytes()).hexdigest()
         cfg_hash = _stage_hash("encode", hashed)
         write_embeddings(embeddings_path, pages, cfg_hash)
         save_pca(page_pca_path, page_pca)

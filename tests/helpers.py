@@ -3,8 +3,9 @@ triplet-loss objective, a central finite-difference harness for checking
 analytic gradients, plain-loop oracles that the vectorized k-means,
 assignment, training sampler, mining, ranking and retrieval scoring must
 match bitwise and the pair-weight triplet gradient must match to rounding,
-and the whole-matrix formulas that the row-blocked PCA projection, Gram
-and model writer must match byte for byte."""
+the whole-matrix formulas that the row-blocked PCA projection, Gram
+and model writer must match byte for byte, and the copying PCA fit and
+projection that the in-place one must match byte for byte."""
 
 from __future__ import annotations
 
@@ -440,6 +441,16 @@ def pool_retrieval_map_oracle(gram: np.ndarray, labels: np.ndarray) -> float:
 def pca_transform_oracle(model: PcaModel, d: np.ndarray) -> np.ndarray:
     """features.pca_transform on the whole matrix at once."""
     return (np.asarray(d, dtype=np.float64) - model.mean) @ model.basis.T * model.scale
+
+
+def cluster_fit_project_oracle(
+    normalized: np.ndarray, target_dim: int, whiten: bool = False
+) -> tuple[PcaModel, np.ndarray]:
+    """features.fit_transform_pca_in_place as the cluster stage ran it
+    before: fit_pca on a centered copy, then pca_transform of the rows.
+    Leaves its input as it is."""
+    pca = features.fit_pca(normalized, target_dim, whiten=whiten)
+    return pca, features.pca_transform(pca, normalized)
 
 
 def encoding_gram_oracle(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import (
     assign_and_filter_oracle,
+    cluster_fit_project_oracle,
     kmeans_oracle,
     kmeans_pp_init_oracle,
     pca_transform_oracle,
@@ -21,6 +22,7 @@ from wret.features import (
     assign_and_filter,
     fit_kmeans,
     fit_pca,
+    fit_transform_pca_in_place,
     hellinger_normalize,
     pca_transform,
 )
@@ -261,6 +263,84 @@ class TestPcaTransform:
         model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
         with pytest.raises(ValidationError, match=r"\(n, 3\) matrix, got shape \(3,\)"):
             pca_transform(model, np.zeros(3))
+
+
+class TestFitTransformPcaInPlace:
+    @staticmethod
+    def _assert_matches_the_copying_fit(data: np.ndarray, target_dim: int, whiten: bool):
+        """Model and projection bitwise fit_pca then pca_transform; the input
+        comes back centered, and fit_pca leaves its own input as it was."""
+        before = data.tobytes()
+        want_model, want = cluster_fit_project_oracle(data, target_dim, whiten)
+        assert data.tobytes() == before
+        x = data.copy()
+        model, got = fit_transform_pca_in_place(x, target_dim, whiten)
+        for name in ("mean", "basis", "scale"):
+            assert getattr(model, name).tobytes() == getattr(want_model, name).tobytes(), name
+        assert model.whiten == whiten
+        assert got.shape == (len(data), target_dim)
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == (data - data.mean(axis=0)).tobytes()
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    @pytest.mark.parametrize("d", [64, 33])
+    @pytest.mark.parametrize(
+        "n", [NEAREST_CHUNK - 1, NEAREST_CHUNK, NEAREST_CHUNK + 1, 2 * NEAREST_CHUNK + 1]
+    )
+    def test_bitwise_the_fit_and_the_projection(self, n, d, whiten):
+        """At d = 33 a row is 264 bytes, not a multiple of 64, so the rows
+        of a block do not start on 64-byte boundaries."""
+        rng = np.random.default_rng([32, n, d])
+        data = rng.random((n, d)) * rng.uniform(0.5, 2.0, d)
+        self._assert_matches_the_copying_fit(data, 16, whiten)
+
+    @pytest.mark.parametrize("whiten", [False, True])
+    @pytest.mark.parametrize("d", [64, 33])
+    def test_fewer_samples_than_dimensions(self, d, whiten):
+        """The SVD branch of the shared fit core."""
+        rng = np.random.default_rng([33, d])
+        self._assert_matches_the_copying_fit(rng.normal(size=(20, d)), 8, whiten)
+
+    def test_hellinger_rows_of_the_cluster_stage(self):
+        rng = np.random.default_rng(34)
+        data = hellinger_normalize(rng.random((NEAREST_CHUNK + 7, 64)) ** 4)
+        self._assert_matches_the_copying_fit(data, 32, False)
+
+    @pytest.mark.parametrize(
+        "data",
+        [np.ones((10, 4), dtype=np.float32), np.ones(4), [[1.0, 2.0], [3.0, 4.0], [5.0, 7.0]]],
+        ids=["float32", "vector", "list"],
+    )
+    def test_only_a_float64_matrix_is_taken_over(self, data):
+        """A cast or a reshaped copy would be centered instead of the
+        caller's array, so anything else is refused."""
+        with pytest.raises(ValidationError, match="float64 \\(n, d\\) array"):
+            fit_transform_pca_in_place(data, 1)
+
+    @pytest.mark.parametrize(
+        "target_dim,nan,match",
+        [(2, True, "non-finite"), (0, False, "target_dim must be"),
+         (9, False, "target_dim must be"), (8, False, "need more than")],
+    )
+    def test_refused_input_is_left_as_it_is(self, target_dim, nan, match):
+        """fit_pca's checks, made before anything is centered."""
+        x = np.random.default_rng(35).normal(size=(8, 8))
+        if nan:
+            x[3, 2] = np.nan
+        before = x.tobytes()
+        with pytest.raises(ValidationError, match=match):
+            fit_transform_pca_in_place(x, target_dim)
+        with pytest.raises(ValidationError, match=match):
+            fit_pca(x, target_dim)
+        assert x.tobytes() == before
+
+    def test_peak_memory_is_the_projection(self):
+        """No centered copy: beyond the (n, 64) input it takes over, the
+        (n, 32) result (half a unit) and the finiteness mask (an eighth,
+        freed before the result is made)."""
+        data = np.random.default_rng(36).normal(size=(20000, 64))
+        peak = traced_peak(lambda: fit_transform_pca_in_place(data, target_dim=32))
+        assert peak < 0.55 * data.nbytes
 
 
 def _lloyd_oracle(points: np.ndarray, init: np.ndarray, iters: int = 100) -> np.ndarray:

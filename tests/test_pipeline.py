@@ -1,6 +1,8 @@
 import builtins
 import errno
 import fcntl
+import hashlib
+import io
 import json
 import os
 import re
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import model_file_oracle, traced_peak
+from helpers import cluster_fit_project_oracle, model_file_oracle, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -797,15 +799,32 @@ class TestStages:
     def test_cluster_peak_memory(self, tmp_path):
         """tracemalloc peak of the cluster stage above its start, in units
         of one (n, 64) float64 descriptor matrix, with n not a multiple of
-        NEAREST_CHUNK: fit_pca's centered copy beside the normalized
-        matrix sets it at 2 units."""
+        NEAREST_CHUNK. Two phases hold 1.5 units: the float32 pages beside
+        the normalized matrix while it is filled, and the normalized
+        matrix, centered in place, beside the (n, 32) projection."""
         spec = _tiny_spec(n_writers=8, pages_per_writer=5, descriptors_per_page=251, seed=23)
         manifest = run_synth(spec, tmp_path / "data")
         n = 8 * 5 * 251
         assert n % NEAREST_CHUNK
         cfg = ClusterConfig(n_clusters=16, target_dim=32, seed=SEED)
         peak = traced_peak(lambda: run_cluster(manifest, tmp_path / "run", cfg))
-        assert peak < 2.2 * n * 64 * 8
+        assert peak < 1.6 * n * 64 * 8
+
+    def test_cluster_artifacts_match_the_copying_fit(self, tmp_path, monkeypatch):
+        """The stage's artifacts are byte for byte those of its former
+        fit_pca-then-pca_transform body, on n not a multiple of
+        NEAREST_CHUNK."""
+        spec = _tiny_spec(n_writers=7, pages_per_writer=3, descriptors_per_page=83, seed=29)
+        manifest = run_synth(spec, tmp_path / "data")
+        assert (7 * 3 * 83) % NEAREST_CHUNK and 7 * 3 * 83 > NEAREST_CHUNK
+        cfg = ClusterConfig(n_clusters=8, target_dim=32, seed=SEED)
+        run_cluster(manifest, tmp_path / "in_place", cfg)
+        monkeypatch.setattr(stages, "fit_transform_pca_in_place", cluster_fit_project_oracle)
+        run_cluster(manifest, tmp_path / "copying", cfg)
+        for name in ("pca.wrmd", "kmeans.wrmd", "labels.wrmd", "cluster_report.json"):
+            assert (tmp_path / "in_place" / name).read_bytes() == (
+                tmp_path / "copying" / name
+            ).read_bytes(), name
 
     def test_cluster_deterministic(self, workspace, tmp_path):
         run_cluster(workspace["manifest"], tmp_path, workspace["ccfg"])
@@ -925,6 +944,45 @@ class TestStages:
         assert read_json(workspace["embeddings"])["config_hash"] == stages._stage_hash(
             "encode", {"page_dim": 8, "page_pca": None}
         )
+
+    def test_encode_hashes_the_page_pca_it_read(self, workspace, tmp_path, monkeypatch):
+        """A page PCA replaced while the pages are encoded does not change
+        the hash: it names the model that was used."""
+        page_pca = tmp_path / "page_pca.wrmd"
+        shutil.copyfile(workspace["run"] / "page_pca.wrmd", page_pca)
+        original = page_pca.read_bytes()
+        pca = load_pca(page_pca)
+        other = tmp_path / "other.wrmd"
+        save_pca(other, PcaModel(pca.mean + 1e-3, pca.basis, pca.scale, pca.whiten))
+        forward = stages.backbone_forward
+
+        def swap_then_forward(*args):
+            if other.exists():
+                os.replace(other, page_pca)
+            return forward(*args)
+
+        monkeypatch.setattr(stages, "backbone_forward", swap_then_forward)
+        cfg = EncodeConfig(page_dim=8, page_pca=str(page_pca))
+        path = run_encode(workspace["manifest"], workspace["run"], tmp_path / "out", cfg)
+        assert not other.exists() and page_pca.read_bytes() != original
+        hashed = {"page_dim": 8, "page_pca": hashlib.sha256(original).hexdigest()}
+        assert read_json(path)["config_hash"] == stages._stage_hash("encode", hashed)
+
+    def test_encode_reads_the_page_pca_once(self, workspace, tmp_path, monkeypatch):
+        page_pca = (workspace["run"] / "page_pca.wrmd").resolve()
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == page_pca:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        cfg = EncodeConfig(page_dim=8, page_pca=str(page_pca))
+        run_encode(workspace["manifest"], workspace["run"], tmp_path, cfg)
+        assert len(opened) == 1
 
     def test_evaluate_stage(self, workspace, tmp_path):
         report = run_evaluate(workspace["embeddings"], tmp_path, per_query=True)
