@@ -11,6 +11,7 @@ copy of its largest matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +87,14 @@ class PcaModel:
         return self.basis.shape[0]
 
 
-def _check_fit_input(x: np.ndarray, target_dim: int, what: str) -> None:
-    n, d = x.shape
+def _check_finite(x: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"{what} input contains non-finite entries")
+
+
+def _check_fit_input(x: np.ndarray, target_dim: int, what: str) -> None:
+    n, d = x.shape
+    _check_finite(x, what)
     if target_dim < 1 or target_dim > d:
         raise ValidationError(f"target_dim must be in [1, {d}], got {target_dim}")
     if n <= target_dim:
@@ -206,16 +211,56 @@ class ClusterModel:
         return self.centers.shape[0]
 
 
-def _squared_distances(
-    x: np.ndarray, xsq: np.ndarray, centers: np.ndarray, csq: np.ndarray
-) -> np.ndarray:
-    """(n, k) squared Euclidean distances ``xsq - 2 x.c + csq``, clipped at
-    zero; ``xsq`` and ``csq`` are the squared row norms of x and centers."""
-    sq = x @ centers.T
-    sq *= -2.0
-    sq += xsq[:, None]
-    sq += csq
-    return np.maximum(sq, 0.0, out=sq)
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    """``np.sum(x * x, axis=1)`` in ``row_blocks``: the same row-wise bits
+    without an (n, d) temporary."""
+    out = np.empty(len(x))
+    for rows in row_blocks(len(x), NEAREST_CHUNK):
+        np.sum(np.square(x[rows]), axis=1, out=out[rows])
+    return out
+
+
+def _distance_blocks(
+    x: np.ndarray, xsq: np.ndarray, centers: np.ndarray, blocks: list
+) -> Iterator[tuple[slice | np.ndarray, np.ndarray, np.ndarray]]:
+    """The reference distance kernel: for each block of rows (a slice or an
+    index array), yields ``(rows, sq, nearest)`` with the block's squared
+    distances ``xsq - 2 x.c + csq`` to every center, clipped at zero, and
+    each row's nearest center (ties to the lower index). ``xsq`` holds the
+    squared row norms of ``x``; ``sq`` is a view of one buffer that the
+    next block overwrites.
+
+    The product is scaled by -2 after it is formed, not through
+    ``-2 centers``: that is the same bits only while no product is
+    subnormal. Clipping can move the argmin only of a row whose minimum is
+    negative, so only such rows are clipped and searched again. A
+    ``row_blocks`` slice gives the rows of the whole (n, k) product
+    bitwise; a gathered block may round otherwise, by no more than the
+    margin ``_LloydBounds`` allows for.
+    """
+    csq = np.sum(centers * centers, axis=1)
+    buf = np.empty((max((len(xsq[rows]) for rows in blocks), default=0), len(centers)))
+    for rows in blocks:
+        part = x[rows]
+        sq = np.matmul(part, centers.T, out=buf[: len(part)])
+        sq *= -2.0
+        sq += xsq[rows, None]
+        sq += csq
+        nearest = np.argmin(sq, axis=1)
+        low = np.flatnonzero(sq[np.arange(len(sq)), nearest] < 0.0)
+        if len(low):
+            sq[low] = np.maximum(sq[low], 0.0)
+            nearest[low] = np.argmin(sq[low], axis=1)
+        yield rows, sq, nearest
+
+
+def _two_nearest(sq: np.ndarray, nearest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's distance to its nearest center and the smallest distance
+    to any other (inf with one center); overwrites the nearest's column."""
+    rows = np.arange(len(sq))
+    first = sq[rows, nearest]
+    sq[rows, nearest] = np.inf
+    return first, sq[rows, np.argmin(sq, axis=1)]
 
 
 def _nearest(
@@ -223,13 +268,11 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest center of every row (ties to the lower index) and its squared
     distance, computed in ``row_blocks`` of ``NEAREST_CHUNK`` rows."""
-    csq = np.sum(centers * centers, axis=1)
     assign = np.empty(len(x), dtype=np.intp)
     dmin = np.empty(len(x))
-    for rows in row_blocks(len(x), NEAREST_CHUNK):
-        sq = _squared_distances(x[rows], xsq[rows], centers, csq)
-        np.argmin(sq, axis=1, out=assign[rows])
-        dmin[rows] = sq[np.arange(len(sq)), assign[rows]]
+    for rows, sq, nearest in _distance_blocks(x, xsq, centers, row_blocks(len(x), NEAREST_CHUNK)):
+        assign[rows] = nearest
+        dmin[rows] = sq[np.arange(len(sq)), nearest]
     return assign, dmin
 
 
@@ -238,29 +281,112 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     centers = np.empty((k, x.shape[1]))
     first = int(rng.integers(n))
     centers[0] = x[first]
-    # One (n, d) buffer holds every (x - c)^2 in turn.
-    diff = np.empty_like(x)
+    blocks = row_blocks(n, NEAREST_CHUNK)
+    # One block-sized buffer holds each block's (x - c)^2 in turn.
+    diff = np.empty((blocks[-1].stop - blocks[-1].start, x.shape[1]))
 
-    def squared_distances_to(center: np.ndarray) -> np.ndarray:
-        np.subtract(x, center, out=diff)
-        np.square(diff, out=diff)
-        return np.sum(diff, axis=1)
+    def squared_distances_to(center: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for rows in blocks:
+            part = np.subtract(x[rows], center, out=diff[: rows.stop - rows.start])
+            np.square(part, out=part)
+            np.sum(part, axis=1, out=out[rows])
+        return out
 
-    d2 = squared_distances_to(centers[0])
+    d2 = squared_distances_to(centers[0], np.empty(n))
+    to_new = np.empty(n)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
-            # All remaining mass at zero distance: pick an unused point.
-            used = {tuple(c) for c in centers[:i]}
-            candidates = [j for j in range(n) if tuple(x[j]) not in used]
-            idx = candidates[int(rng.integers(len(candidates)))] if candidates else int(rng.integers(n))
+            # All remaining mass at zero distance: pick a point equal to no
+            # used center, as Python's float == compares (-0.0 == 0.0).
+            fresh = np.ones(n, dtype=bool)
+            for used in centers[:i]:
+                fresh &= (x != used).any(axis=1)
+            candidates = np.flatnonzero(fresh)
+            draw = int(rng.integers(len(candidates) or n))
+            idx = int(candidates[draw]) if len(candidates) else draw
         else:
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         centers[i] = x[idx]
-        np.minimum(d2, squared_distances_to(centers[i]), out=d2)
+        np.minimum(d2, squared_distances_to(centers[i], to_new), out=d2)
     return centers
+
+
+class _LloydBounds:
+    """Exact pruned assignment for Lloyd iterations, after Hamerly (SDM
+    2010): each row keeps an upper bound ``upper`` on the distance to its
+    own center and a lower bound ``lower`` on the distance to every other
+    one, so only the rows the bounds do not settle are scanned again.
+
+    Labels stay bitwise those of ``_nearest``, whose computed squared
+    distances lie within ``margin = c·eps·(‖x‖² + max‖center‖² + tiny)``
+    of the exact ones: the block formula rounds by at most about
+    ``2(d + 2)·eps`` times that sum, and ``c = 4(d + 2)`` doubles it;
+    ``c·eps·tiny`` (``tiny`` the smallest normal float) covers products
+    that underflow. The bounds are kept on exact distances, widened by a
+    relative ``c·eps`` wherever they are rounded (center movements also
+    by ``sqrt(c·eps·tiny)``, for squares that underflow), and a row is
+    settled only when
+    ``lower > 0`` and ``lower² - upper² > 2·margin``: then no other
+    center's computed distance can reach its own center's. A scanned row
+    is gathered into a block that may round otherwise than its
+    ``row_blocks`` block, so its nearest center is taken only when the
+    second-nearest lies more than ``4·margin`` beyond it; otherwise the
+    row's whole ``row_blocks`` block is computed again as ``_nearest``
+    computes it.
+    """
+
+    def __init__(self, x: np.ndarray, xsq: np.ndarray) -> None:
+        self.x, self.xsq = x, xsq
+        self.blocks = row_blocks(len(x), NEAREST_CHUNK)
+        self.slack = 4 * (x.shape[1] + 2) * np.finfo(np.float64).eps
+        self.floor = self.slack * np.finfo(np.float64).tiny
+        self.assign = np.zeros(len(x), dtype=np.intp)
+        self.upper = np.zeros(len(x))
+        self.lower = np.zeros(len(x))  # settles nothing: the first pass scans every row
+
+    def assign_to(self, centers: np.ndarray) -> np.ndarray:
+        """Every row's nearest center, ties to the lower index; the array
+        is overwritten by the next call."""
+        margin = self.xsq + np.max(np.sum(centers * centers, axis=1))
+        margin *= self.slack
+        margin += self.floor
+        # A NaN anywhere fails both tests, so such rows take the exact path.
+        gap = self.lower * self.lower - self.upper * self.upper
+        stale = np.flatnonzero(~((self.lower > 0.0) & (gap > 2.0 * margin)))
+        gathered = [stale[i : i + NEAREST_CHUNK] for i in range(0, len(stale), NEAREST_CHUNK)]
+        unsure = [stale[:0]]
+        for rows, sq, nearest in _distance_blocks(self.x, self.xsq, centers, gathered):
+            first, second = _two_nearest(sq, nearest)
+            sure = second - first > 4.0 * margin[rows]
+            self._reset(rows[sure], nearest[sure], first[sure], second[sure], margin)
+            unsure.append(rows[~sure])
+        # The last block also holds the remainder rows past its start.
+        owner = np.minimum(np.concatenate(unsure) // NEAREST_CHUNK, len(self.blocks) - 1)
+        redo = np.flatnonzero(np.bincount(owner, minlength=len(self.blocks)))
+        whole = [self.blocks[b] for b in redo]
+        for rows, sq, nearest in _distance_blocks(self.x, self.xsq, centers, whole):
+            self._reset(rows, nearest, *_two_nearest(sq, nearest), margin)
+        return self.assign
+
+    def _reset(self, rows, nearest, first, second, margin) -> None:
+        """Label ``rows`` and set their bounds from computed squared
+        distances to the nearest and second-nearest center."""
+        self.assign[rows] = nearest
+        self.upper[rows] = np.sqrt(first + margin[rows]) * (1.0 + self.slack)
+        self.lower[rows] = np.sqrt(np.maximum(second - margin[rows], 0.0)) * (1.0 - self.slack)
+
+    def centers_moved(self, movement: np.ndarray) -> None:
+        """Loosen the bounds by each center's ``movement`` (Euclidean)."""
+        step = (movement + np.sqrt(self.floor)) * (1.0 + self.slack)
+        top = int(np.argmax(step))
+        runner_up = np.max(np.delete(step, top), initial=0.0)
+        self.upper += step[self.assign]
+        self.upper *= 1.0 + self.slack
+        self.lower -= np.where(self.assign == top, runner_up, step[top])
+        self.lower *= 1.0 - self.slack
 
 
 def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
@@ -269,9 +395,12 @@ def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
     Stops when the largest per-center movement falls below ``KMEANS_TOL`` or
     after ``KMEANS_MAX_ITER`` iterations. Every cluster left empty by an
     assignment is re-seeded at the worst-served point. Deterministic for a
-    given seed; the returned model's ``run`` counts what happened.
+    given seed; the returned model's ``run`` counts what happened. Each
+    assignment rescans only the rows that ``_LloydBounds`` does not settle,
+    and labels every row as a full ``_nearest`` pass would.
     """
     x = as_matrix(data, "fit_kmeans")
+    _check_finite(x, "fit_kmeans")
     if n_clusters < 1:
         raise ValidationError("n_clusters must be >= 1")
     if x.shape[0] < n_clusters:
@@ -280,7 +409,8 @@ def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
         )
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(x, n_clusters, rng)
-    xsq = np.sum(x * x, axis=1)
+    xsq = _squared_norms(x)
+    bounds = _LloydBounds(x, xsq)
     # Per-dimension columns, so each center sum is one weighted bincount
     # adding member rows in index order, as a masked mean does.
     columns = x.T.copy()
@@ -288,7 +418,7 @@ def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
     converged = False
     while iterations < KMEANS_MAX_ITER and not converged:
         iterations += 1
-        assign, dmin = _nearest(x, xsq, centers)
+        assign = bounds.assign_to(centers)
         counts = np.bincount(assign, minlength=n_clusters)
         sums = np.stack(
             [np.bincount(assign, weights=col, minlength=n_clusters) for col in columns], axis=1
@@ -297,11 +427,13 @@ def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
         new_centers = sums / np.maximum(counts, 1)[:, None]
         if empty.any():
             # Re-seed every empty cluster at the worst-served point.
+            _, dmin = _nearest(x, xsq, centers)
             new_centers[empty] = x[np.argmax(dmin)]
             reseeds += int(empty.sum())
-        movement = float(np.sqrt(np.sum((new_centers - centers) ** 2, axis=1)).max())
+        movement = np.sqrt(np.sum((new_centers - centers) ** 2, axis=1))
+        bounds.centers_moved(movement)
         centers = new_centers
-        converged = movement < KMEANS_TOL
+        converged = float(movement.max()) < KMEANS_TOL
     _, dmin = _nearest(x, xsq, centers)
     return ClusterModel(
         centers=centers,
@@ -338,24 +470,19 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
     if model.n_clusters < 2:
         raise ValidationError("assign_and_filter needs a model with >= 2 centers")
     batch = as_matrix(data, "assign_and_filter", model.centers.shape[1])
-    centers = model.centers
-    csq = np.sum(centers * centers, axis=1)
+    _check_finite(batch, "assign_and_filter")
     nearest = np.empty(len(batch), dtype=np.intp)
     d1 = np.empty(len(batch))
     d2 = np.empty(len(batch))
     # A (rows, k) block of distances at a time, never the whole (n, k) matrix.
-    for block in row_blocks(len(batch), NEAREST_CHUNK):
-        x = batch[block]
-        sq = _squared_distances(x, np.sum(x * x, axis=1), centers, csq)
-        # argmin resolves distance ties toward the lower center index;
-        # masking the nearest center leaves the second nearest under the
-        # same rule.
-        rows = np.arange(len(x))
-        first = np.argmin(sq, axis=1)
-        nearest[block] = first
-        d1[block] = np.sqrt(sq[rows, first])
-        sq[rows, first] = np.inf
-        d2[block] = np.sqrt(sq[rows, np.argmin(sq, axis=1)])
+    # argmin resolves distance ties toward the lower center index; the
+    # second nearest is the minimum with the nearest masked out.
+    blocks = row_blocks(len(batch), NEAREST_CHUNK)
+    for rows, sq, first in _distance_blocks(batch, _squared_norms(batch), model.centers, blocks):
+        nearest[rows] = first
+        d1[rows], d2[rows] = _two_nearest(sq, first)
+    np.sqrt(d1, out=d1)
+    np.sqrt(d2, out=d2)
     rows = np.arange(len(batch))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))

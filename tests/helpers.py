@@ -196,10 +196,12 @@ def squared_distances_oracle(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def kmeans_oracle(
-    data: np.ndarray, n_clusters: int, seed: int
+    data: np.ndarray, n_clusters: int, seed: int, inertias: list[float] | None = None
 ) -> tuple[np.ndarray, float, int, bool, int]:
     """Lloyd iterations on the full distance matrix with one masked mean per
-    center. Returns centers, inertia, iterations, converged, empty reseeds."""
+    center. Returns centers, inertia, iterations, converged, empty reseeds;
+    appends the inertia of every assignment pass (one per iteration, then
+    the final one) to ``inertias`` when given."""
     x = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
     centers = features._kmeans_pp_init(x, n_clusters, rng)
@@ -209,6 +211,8 @@ def kmeans_oracle(
         iterations += 1
         sq = squared_distances_oracle(x, centers)
         assign = np.argmin(sq, axis=1)
+        if inertias is not None:
+            inertias.append(float(sq[np.arange(x.shape[0]), assign].sum()))
         new_centers = centers.copy()
         for k in range(n_clusters):
             members = assign == k
@@ -227,6 +231,8 @@ def kmeans_oracle(
     sq = squared_distances_oracle(x, centers)
     assign = np.argmin(sq, axis=1)
     inertia = float(sq[np.arange(x.shape[0]), assign].sum())
+    if inertias is not None:
+        inertias.append(inertia)
     return centers, inertia, iterations, converged, reseeds
 
 

@@ -6,12 +6,13 @@ from helpers import (
     kmeans_oracle,
     kmeans_pp_init_oracle,
     pca_transform_oracle,
+    squared_distances_oracle,
     traced_peak,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wret import features
+from wret import SynthSpec, features
 from wret.errors import ValidationError
 from wret.features import (
     NEAREST_CHUNK,
@@ -26,6 +27,9 @@ from wret.features import (
     hellinger_normalize,
     pca_transform,
 )
+from wret.fileio import load_manifest, load_page_descriptors
+from wret.seeds import derive_seed
+from wret.stages import run_synth
 
 
 class TestHellinger:
@@ -370,15 +374,16 @@ class TestNearest:
         x = rng.normal(size=(n, 32))
         centers = rng.normal(size=(64, 32))
         xsq = np.sum(x * x, axis=1)
-        sq = features._squared_distances(x, xsq, centers, np.sum(centers * centers, axis=1))
-        real = features._squared_distances
+        sq = squared_distances_oracle(x, centers)
+        real = features._distance_blocks
         lengths = []
 
-        def recorded(rows, *rest):
-            lengths.append(len(rows))
-            return real(rows, *rest)
+        def recorded(*args):
+            for rows, block, nearest in real(*args):
+                lengths.append(len(block))
+                yield rows, block, nearest
 
-        monkeypatch.setattr(features, "_squared_distances", recorded)
+        monkeypatch.setattr(features, "_distance_blocks", recorded)
         assign, dmin = features._nearest(x, xsq, centers)
         assert sum(lengths) == n and min(lengths) >= min(n, NEAREST_CHUNK)
         assert assign.tobytes() == np.argmin(sq, axis=1).tobytes()
@@ -386,21 +391,16 @@ class TestNearest:
 
 
 def _fit_checking_inertia(data: np.ndarray, k: int, seed: int) -> ClusterModel:
-    """fit_kmeans, recording the inertia of every assignment pass: one per
-    iteration plus the final one, none serving the points worse than the
-    pass before it."""
-    inertias = []
-    real = features._nearest
-
-    def recorded(x, xsq, centers):
-        assign, dmin = real(x, xsq, centers)
-        inertias.append(float(dmin.sum()))
-        return assign, dmin
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(features, "_nearest", recorded)
-        model = fit_kmeans(data, n_clusters=k, seed=seed)
-    assert len(inertias) == model.run.iterations + 1
+    """fit_kmeans, bitwise the plain Lloyd oracle (centers, inertia and run),
+    whose assignment passes, one per iteration plus the final one, never
+    serve the points worse than the pass before."""
+    inertias: list[float] = []
+    centers, inertia, iterations, converged, reseeds = kmeans_oracle(data, k, seed, inertias)
+    model = fit_kmeans(data, n_clusters=k, seed=seed)
+    assert model.centers.tobytes() == centers.tobytes()
+    assert model.inertia == inertia
+    assert model.run == KmeansRun(iterations, converged, reseeds)
+    assert len(inertias) == iterations + 1
     for before, after in zip(inertias, inertias[1:]):
         assert after <= before + 1e-9 * max(1.0, before), f"inertia rose: {before} -> {after}"
     return model
@@ -444,6 +444,13 @@ class TestFitKmeans:
         with pytest.raises(ValidationError):
             fit_kmeans(np.zeros((2, 3)), n_clusters=3, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        data = np.random.default_rng(11).normal(size=(50, 3))
+        data[17, 1] = bad
+        with pytest.raises(ValidationError, match="fit_kmeans input contains non-finite entries"):
+            fit_kmeans(data, n_clusters=4, seed=0)
+
 
 def _mixture(seed: int, n: int, d: int = 3, modes: int = 6) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -458,12 +465,8 @@ class TestFitKmeansMatchesPlainLloyd:
     @staticmethod
     def _assert_bitwise(x: np.ndarray, k: int, seed: int) -> ClusterModel:
         model = _fit_checking_inertia(x, k, seed)
-        centers, inertia, iterations, converged, reseeds = kmeans_oracle(x, k, seed)
-        assert model.centers.tobytes() == centers.tobytes()
-        assert model.inertia == inertia
-        assert model.run == KmeansRun(iterations, converged, reseeds)
-        for rho in (0.6, 0.9, 1.0):
-            items, rejected = assign_and_filter_oracle(centers, x, rho)
+        for rho in (0.6, 0.9, 1.0) if k > 1 else ():
+            items, rejected = assign_and_filter_oracle(model.centers, x, rho)
             assert _lists(assign_and_filter(model, x, rho)) == (
                 [list(pair) for pair in items],
                 list(rejected),
@@ -506,6 +509,141 @@ class TestFitKmeansMatchesPlainLloyd:
         monkeypatch.setattr(features, "_kmeans_pp_init", far_start)
         model = self._assert_bitwise(_mixture(3, 2 * NEAREST_CHUNK + 37), 6, 3)
         assert model.run.empty_reseeds > 0
+
+    def test_exact_ties_recompute_the_whole_block(self, monkeypatch):
+        """Grid points on the bisector of the two starting centers are
+        exactly as far from both. A gathered rescan cannot settle such a
+        row, so its row_blocks block is computed again as _nearest computes
+        it, and the tie still goes to the lower index."""
+        grid = [(x, y) for x in (*range(-12, -7), 0, *range(8, 13)) for y in range(-3, 4)]
+        x = np.repeat(np.array(grid, dtype=float), 30, axis=0)
+        x = x[np.random.default_rng(0).permutation(len(x))]
+        monkeypatch.setattr(
+            features, "_kmeans_pp_init", lambda x, k, rng: np.array([[-10.0, 0.0], [10.0, 0.0]])
+        )
+        rows = _count_kernel_rows(monkeypatch)
+        assert fit_kmeans(x, 2, 0).run.empty_reseeds == 0
+        # Whole blocks beyond the final inertia pass's n rows: the fallback ran.
+        assert rows["whole"] > len(x)
+        self._assert_bitwise(x, 2, 0)
+
+    def test_heavy_duplicates_reseeded_mid_run(self, monkeypatch):
+        """Six points repeated hundreds of times; a starting center serves
+        points in the first iteration and none in the second, so its
+        reseed runs with every row's bounds in place."""
+        points = np.array(
+            [[-3.0, 6.0], [-5.0, 0.0], [5.0, 0.0], [4.0, 1.0], [5.0, 2.0], [4.0, 0.0]]
+        )
+        x = np.repeat(points, [522, 138, 582, 489, 822, 798], axis=0)
+        x = x[np.random.default_rng(1).permutation(len(x))]
+        start = np.array([[2.0, 8.0], [-5.0, 0.0], [-2.0, 1.0], [8.0, -6.0]])
+        monkeypatch.setattr(features, "_kmeans_pp_init", lambda x, k, rng: start.copy())
+        events = []
+        real_assign, real_nearest = features._LloydBounds.assign_to, features._nearest
+
+        def assign_to(self, centers):
+            events.append("assign")
+            return real_assign(self, centers)
+
+        def nearest(*args):
+            events.append("nearest")
+            return real_nearest(*args)
+
+        monkeypatch.setattr(features._LloydBounds, "assign_to", assign_to)
+        monkeypatch.setattr(features, "_nearest", nearest)
+        model = self._assert_bitwise(x, 4, 0)
+        assert model.run.empty_reseeds > 0
+        # One full pass per reseed iteration, the first after the second assignment.
+        assert events.index("nearest") >= 2 and events[-1] == "nearest"
+
+    @pytest.mark.parametrize("scale", [2.0**200, 2.0**-200, 2.0**-530])
+    def test_extreme_scales(self, scale):
+        """At 2**-530 the products x·c are subnormal, where scaling the
+        centers by -2 before the product would round otherwise."""
+        self._assert_bitwise(_mixture(5, 2 * NEAREST_CHUNK + 37) * scale, 9, 5)
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (1, 1),
+            (500, 1),
+            (40, 40),
+            (NEAREST_CHUNK - 1, 7),
+            (NEAREST_CHUNK + 1, 7),
+            (2 * NEAREST_CHUNK - 1, 7),
+            (2 * NEAREST_CHUNK, 7),
+            (2 * NEAREST_CHUNK + 1, 7),
+        ],
+    )
+    def test_cluster_counts_and_block_edges(self, n, k):
+        self._assert_bitwise(_mixture(n, n), k, n)
+
+    @pytest.mark.parametrize("name", ["test_6", "test_7"])
+    def test_acceptance_fit_sets(self, acceptance_fit_sets, name):
+        """The reduced descriptors that run_cluster clusters in the
+        acceptance tests, at their 64 clusters and k-means seeds."""
+        x, seed = acceptance_fit_sets[name]
+        self._assert_bitwise(x, 64, seed)
+
+    def test_bounds_settle_most_rows(self, acceptance_fit_sets, monkeypatch):
+        """After the first pass, which scans every row, the bounds keep
+        more than half of the rows of each later pass from being scanned."""
+        x, seed = acceptance_fit_sets["test_7"]
+        rows = _count_kernel_rows(monkeypatch)
+        model = fit_kmeans(x, 64, seed)
+        rescanned = rows["gathered"] - len(x)
+        assert 0 < rescanned < 0.5 * len(x) * (model.run.iterations - 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_plus_plus_init_candidates_differ_from_used_centers_bitwise(self, seed):
+        """(1e-200)^2 underflows, so rows differing from a used center sit at
+        zero distance from it: the degenerate branch draws among the rows
+        equal to no used center, where -0.0 equals 0.0 as in Python."""
+        kinds = np.array([[0.0, 0.0], [-0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200], [1e-200, -0.0]])
+        x = np.repeat(kinds, [5, 4, 3, 2, 3], axis=0)
+        x = x[np.random.default_rng(seed).permutation(len(x))]
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = features._kmeans_pp_init(x, 5, rng)
+        assert got.tobytes() == kmeans_pp_init_oracle(x, 5, oracle_rng).tobytes()
+        assert rng.random() == oracle_rng.random()
+
+
+def _count_kernel_rows(patch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Counts the rows that features._distance_blocks computes, from then
+    on: in gathered blocks (the rescans) and in row_blocks slices (whole
+    blocks, as _nearest computes them)."""
+    rows = {"gathered": 0, "whole": 0}
+    real = features._distance_blocks
+
+    def recorded(*args):
+        for block, sq, nearest in real(*args):
+            rows["whole" if isinstance(block, slice) else "gathered"] += len(sq)
+            yield block, sq, nearest
+
+    patch.setattr(features, "_distance_blocks", recorded)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def acceptance_fit_sets(tmp_path_factory) -> dict[str, tuple[np.ndarray, int]]:
+    """run_cluster's (n, 32) k-means input and seed on the test_6 collection
+    (seed 0) and the test_7 fit collection (seed 31)."""
+    sets = {}
+    for name, strength, noise, seed in (("test_6", 4.0, 1.0, 0), ("test_7", 7.5, 5.0, 31)):
+        spec = SynthSpec(
+            n_writers=20,
+            pages_per_writer=5,
+            descriptors_per_page=200,
+            n_prototypes=16,
+            writer_style_strength=strength,
+            noise_sigma=noise,
+            seed=seed,
+        )
+        manifest = load_manifest(run_synth(spec, tmp_path_factory.mktemp(name)))
+        pages = [hellinger_normalize(page) for _, page in load_page_descriptors(manifest)]
+        _, reduced = fit_transform_pca_in_place(np.concatenate(pages), 32)
+        sets[name] = (reduced, derive_seed(seed, "cluster/kmeans"))
+    return sets
 
 
 def _lists(result: PseudoLabeledSet) -> tuple[list[list[int]], list[int]]:
@@ -604,3 +742,9 @@ class TestAssignAndFilter:
     def test_rho_out_of_range(self):
         with pytest.raises(ValidationError):
             assign_and_filter(self._line_model(), np.array([[1.0]]), rho=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        data = np.array([[1.0], [bad], [9.0]])
+        with pytest.raises(ValidationError, match="assign_and_filter input contains non-finite"):
+            assign_and_filter(self._line_model(), data, rho=0.9)
