@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .features import as_matrix, row_blocks
-from .retrieval import RANK_BLOCK
+from .features import RANK_BLOCK, _nearest, _squared_norms, as_matrix, row_blocks
 
 ACTIVATIONS = ("relu", "identity")
 MODES = ("netrvlad",)
@@ -243,17 +242,13 @@ def encode_flat(b: Backbone, cb: Codebook, xs: np.ndarray) -> np.ndarray:
 
 
 def encode_vlad_hard(centers: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Classic VLAD: sum residuals to the nearest center, ties to lowest index."""
+    """Classic VLAD: sum residuals to the nearest center, ties to lowest
+    index, assigned by the k-means kernel as the cluster stage assigns."""
     centers = np.asarray(centers, dtype=np.float64)
     rows = as_matrix(xs, "encode_vlad_hard", centers.shape[1])
     if rows.shape[0] == 0:
         raise ValidationError("encode_vlad_hard needs at least one descriptor")
-    sq = (
-        np.sum(rows**2, axis=1)[:, None]
-        + np.sum(centers**2, axis=1)[None, :]
-        - 2.0 * rows @ centers.T
-    )
-    nearest = np.argmin(sq, axis=1)  # argmin returns the lowest index on ties
+    nearest, _ = _nearest(rows, _squared_norms(rows), centers)
     v = np.zeros(centers.shape)
     # add.at adds the residuals in row order, one pass over the rows.
     np.add.at(v, nearest, rows - centers[nearest])

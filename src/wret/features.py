@@ -22,6 +22,9 @@ KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 300
 # Rows per distance block in k-means: bounds the (rows, k) temporary.
 NEAREST_CHUNK = 1024
+# Rows per block of an (n, n) score matrix in retrieval and encoding_gram:
+# bounds their (rows, n) temporaries.
+RANK_BLOCK = 64
 
 
 def as_matrix(x: np.ndarray, what: str, dim: int | None = None) -> np.ndarray:

@@ -40,7 +40,6 @@ MAGIC_MODEL = b"WRMD"
 FORMAT_VERSION = 1
 MATRIX_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, count
 
-SPLITS = ("train", "test")
 DESCRIPTOR_CAP = 2000  # rows read per page; later rows are ignored
 
 
@@ -390,7 +389,6 @@ class PageRecord:
 @dataclass(frozen=True)
 class Manifest:
     dataset: str
-    split: str
     pages: tuple[PageRecord, ...]
     base_dir: Path
 
@@ -398,9 +396,7 @@ class Manifest:
         return self.base_dir / record.descriptor_file
 
 
-def save_manifest(path: Path | str, dataset: str, split: str, pages: list[PageRecord]) -> None:
-    if split not in SPLITS:
-        raise ValidationError(f"split must be one of {SPLITS}, got {split!r}")
+def save_manifest(path: Path | str, dataset: str, pages: list[PageRecord]) -> None:
     write_json(
         path,
         {
@@ -413,7 +409,6 @@ def save_manifest(path: Path | str, dataset: str, split: str, pages: list[PageRe
                 }
                 for p in pages
             ],
-            "split": split,
         },
     )
 
@@ -423,10 +418,7 @@ def load_manifest(path: Path | str) -> Manifest:
     path = Path(path)
     doc = read_json(path)
     dataset = typed_entry(path, doc, "dataset", str)
-    split = typed_entry(path, doc, "split", str)
     pages = typed_entry(path, doc, "pages", list)
-    if split not in SPLITS:
-        raise ValidationError(f"manifest split must be one of {SPLITS}")
     if not pages:
         raise ValidationError(f"{path} lists no pages")
     records = []
@@ -446,7 +438,7 @@ def load_manifest(path: Path | str) -> Manifest:
                 f"missing file {base / record.descriptor_file} referenced by {path}"
             )
         records.append(record)
-    return Manifest(dataset=dataset, split=split, pages=tuple(records), base_dir=base)
+    return Manifest(dataset=dataset, pages=tuple(records), base_dir=base)
 
 
 def load_page_descriptors(manifest: Manifest) -> list[tuple[PageRecord, np.ndarray]]:

@@ -108,9 +108,9 @@ def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     return _with_vectors(pages, refined)
 
 
-def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
+def krnn_qe(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     """Reciprocal-kNN query expansion: average each embedding with the
-    neighbors that also list it back, then l2-normalize.
+    cfg.k nearest neighbors that also list it back, then l2-normalize.
 
     Each group (self included) is summed from zeros in ascending index
     order, so pages with the same group get bitwise-equal vectors and
@@ -118,11 +118,9 @@ def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
     n = len(pages)
     if n < 2:
         raise ValidationError("need at least 2 pages")
-    if k < 1:
-        raise ValidationError("k must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
-    neighbors = rank_rows(sims, np.arange(n), k=k)
+    neighbors = rank_rows(sims, np.arange(n), k=cfg.k)
     # reciprocal[i, c]: vertex i is among the neighbors of its c-th
     # neighbor. The edge i -> j is named i * n + j; sorting each row's
     # neighbors sorts every edge, so one binary search finds each reverse.
@@ -142,20 +140,17 @@ def krnn_qe(pages: list[PageEmbedding], k: int) -> list[PageEmbedding]:
     return _with_vectors(pages, out)
 
 
-def hard_graph_rerank(
-    pages: list[PageEmbedding], k1: int, k2: int, layers: int
-) -> list[PageEmbedding]:
-    """Discrete-adjacency baseline: A_ij is 1 for mutual k1-NN, 1/2 for
-    one-directional, 0 otherwise (A_ii = 1); rows of A are the features,
-    aggregation uses the k2 most cosine-similar vertices weighted by A,
-    added in descending A order (ties by ascending index). A is built
-    from the (n, k1) neighbor lists: 1/2 per k1-NN edge in each
+def hard_graph_rerank(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
+    """Discrete-adjacency baseline: A_ij is 1 for mutual k1-NN (k1 = cfg.k1),
+    1/2 for one-directional, 0 otherwise (A_ii = 1); rows of A are the
+    features, aggregation uses the k2 = cfg.k most cosine-similar vertices
+    weighted by A, added in descending A order (ties by ascending index).
+    A is built from the (n, k1) neighbor lists: 1/2 per k1-NN edge in each
     direction, so a mutual pair sums to exactly 1."""
     n = len(pages)
-    if not 1 <= k2 <= k1 < n:
+    k1, k2 = cfg.k1, cfg.k
+    if not k2 <= k1 < n:
         raise ValidationError("need k2 <= k1 < page count")
-    if layers < 1:
-        raise ValidationError("layers must be >= 1")
     unit = _unit_matrix(pages)
     sims = unit @ unit.T
     order = rank_rows(sims, np.arange(n), k=k1)
@@ -166,14 +161,11 @@ def hard_graph_rerank(
     adjacency[order, rows] += 0.5
     np.fill_diagonal(adjacency, 1.0)
     neighbors = rank_rows(adjacency, np.arange(n), candidates=order[:, :k2])
-    refined = _propagate(adjacency, neighbors, adjacency, layers)
+    refined = _propagate(adjacency, neighbors, adjacency, cfg.layers)
     return _with_vectors(pages, refined)
 
 
 def rerank(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
-    """Dispatch on cfg.method."""
-    if cfg.method == "sgr":
-        return sgr(pages, cfg)
-    if cfg.method == "krnn_qe":
-        return krnn_qe(pages, cfg.k)
-    return hard_graph_rerank(pages, cfg.k1, cfg.k, cfg.layers)
+    """Dispatch on cfg.method to the function its module name holds now."""
+    methods = {"sgr": sgr, "krnn_qe": krnn_qe, "hard_graph": hard_graph_rerank}
+    return methods[cfg.method](pages, cfg)

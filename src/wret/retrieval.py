@@ -13,10 +13,7 @@ import numpy as np
 
 from .aggregation import PageEmbedding, page_matrix
 from .errors import ValidationError
-
-# Rows per block of an (n, n) score matrix: bounds the (rows, n) temporaries
-# of evaluate, of rank_rows' top k and of encoder.encoding_gram.
-RANK_BLOCK = 64
+from .features import RANK_BLOCK
 
 
 @dataclass(frozen=True)
@@ -150,40 +147,16 @@ def rank_all(pages: list[PageEmbedding]) -> Ranking:
     ids = [p.page_id for p in pages]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate page_id in the collection")
-    vectors = page_matrix(pages)
-    norms = np.linalg.norm(vectors, axis=1)
+    unit = page_matrix(pages)  # a fresh matrix, normalized in place
+    norms = np.linalg.norm(unit, axis=1)
     if np.any(norms == 0.0):
         raise ValidationError("zero embedding cannot be ranked")
-    unit = vectors / norms[:, None]
+    unit /= norms[:, None]
     sims = unit @ unit.T
     np.fill_diagonal(sims, -np.inf)
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return Ranking(page_ids=tuple(ids), sims=sims, tie_rank=id_rank)
-
-
-def _lower_bound(rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """For each of the ascending `rows` (NaN last) and each of that row's
-    `keys`, the number of entries that sort before the key, as
-    np.searchsorted(row, keys, "left") gives it per row. A branchless
-    binary search: one gather on the (rows, width) keys per round,
-    ceil(log2(n)) rounds."""
-    m, n = rows.shape
-    # Flat gathers: take_along_axis doubles the search time at these sizes.
-    flat = rows.ravel()
-    start = n * np.arange(m)[:, None]
-    pos = np.repeat(start, keys.shape[1], axis=1)
-
-    def before(values: np.ndarray) -> np.ndarray:
-        # A number not at or above the key; NaN keys sort after every number.
-        return (values == values) & ~(values >= keys)
-
-    size = n
-    while size > 1:
-        half = size // 2
-        pos += half * before(flat[pos + half])
-        size -= half
-    return pos - start + before(flat[pos])
 
 
 def evaluate(
@@ -198,11 +171,12 @@ def evaluate(
     scored equal (NaN equal to NaN, below every number) with a lower page
     id. RANK_BLOCK rows at a time, each row's negated scores are sorted,
     values only, with the row's own column as NaN so that it sorts last
-    and is never counted, and a binary search gives each relevant page the
-    number of higher scores. Where another page shares a relevant score,
-    one pass over the row per tied score adds the equal pages with a lower
-    page id. O(n^2 log n) for any number of relevant pages; no (n, n - 1)
-    order is built, and `ranking.order` is left unbuilt."""
+    and is never counted, and a searchsorted on each sorted row gives
+    each relevant page the number of higher scores. Where another page
+    shares a relevant score, one pass over the row per tied score adds the
+    equal pages with a lower page id. O(n^2 log n) for any number of
+    relevant pages; no (n, n - 1) order is built, and `ranking.order` is
+    left unbuilt."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
@@ -229,7 +203,7 @@ def evaluate(
         keys[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         rel = np.take_along_axis(keys, relevant[lo:hi], axis=1)
         ordered = np.sort(keys, axis=1)
-        below = _lower_bound(ordered, rel)
+        below = np.array([row.searchsorted(k) for row, k in zip(ordered, rel)])
         ranks[lo:hi] = below + 1
         # A relevant key sits at `below` in its sorted row; an equal key
         # after it is a tie (a NaN key ties the own column at least). Only

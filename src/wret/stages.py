@@ -233,11 +233,9 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
             },
         )
         report = {
+            **asdict(kmeans.run),
             "config_hash": cfg_hash,
-            "converged": kmeans.run.converged,
-            "empty_reseeds": kmeans.run.empty_reseeds,
             "inertia": float(kmeans.inertia),
-            "iterations": kmeans.run.iterations,
             "n_descriptors": n_descriptors,
             "n_kept": len(labeled.items),
             "n_rejected": len(labeled.rejected),
@@ -278,17 +276,11 @@ def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) ->
         cfg_hash = _stage_hash("train", asdict(cfg))
         save_backbone(backbone_path, backbone, cfg.seed)
         save_codebook(codebook_path, codebook, cfg.seed)
+        # asdict keeps the report's tuples; JSON reads them back as lists.
         report = {
-            "best_epoch": result.best_epoch,
-            "best_val_map": result.best_val_map,
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()},
             "config_hash": cfg_hash,
-            "learning_rates": list(result.learning_rates),
-            "losses": list(result.losses),
             "seed": cfg.seed,
-            "steps": result.steps,
-            "stopped_epoch": result.stopped_epoch,
-            "triplets": list(result.triplets),
-            "val_maps": list(result.val_maps),
         }
         write_json(report_path, report)
     return report
@@ -335,7 +327,7 @@ def run_encode(
         for i, (record, data) in enumerate(load_page_descriptors(manifest)):
             if len(data) == 0:
                 raise ValidationError(f"page {record.page_id} has no descriptors")
-            reduced = pca_transform(pca, hellinger_normalize(data.astype(np.float64)))
+            reduced = pca_transform(pca, hellinger_normalize(data))
             embedded = backbone_forward(backbone, reduced)
             pooled[i] = power_normalize(pool_patches(codebook, embedded))
             page_ids.append(record.page_id)

@@ -92,7 +92,7 @@ def synth_generate(spec: SynthSpec, out_dir: Path | str) -> Path:
                 PageRecord(page_id=page_id, writer_id=writer_id, descriptor_file=rel)
             )
     manifest_path = out_dir / "manifest.json"
-    save_manifest(manifest_path, dataset=f"synthetic-{spec.seed}", split="test", pages=records)
+    save_manifest(manifest_path, dataset=f"synthetic-{spec.seed}", pages=records)
     return manifest_path
 
 

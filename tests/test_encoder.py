@@ -23,8 +23,14 @@ from wret.encoder import (
     soft_assign,
 )
 from wret.errors import ValidationError
-from wret.features import PseudoLabeledSet, fit_kmeans, fit_pca
-from wret.retrieval import RANK_BLOCK
+from wret.features import (
+    RANK_BLOCK,
+    PseudoLabeledSet,
+    _nearest,
+    _squared_norms,
+    fit_kmeans,
+    fit_pca,
+)
 from wret.trainer import TrainConfig, train
 
 
@@ -431,6 +437,28 @@ class TestHardVlad:
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
             encode_vlad_hard(np.zeros((2, 3)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("fixture", ["exact_tie", "near_tie"])
+    def test_assigns_as_the_kmeans_kernel(self, fixture):
+        """Each residual goes to the center that features._nearest labels
+        its descriptor with, as the cluster stage does. Near ties are
+        midpoints of centers far from the origin, where the expanded
+        distance cancels, and descriptors sitting on a center."""
+        if fixture == "exact_tie":
+            centers = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+            xs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 2.0], [2.0, 0.0]])
+        else:
+            rng = np.random.default_rng(0)
+            centers = 100.0 + rng.normal(size=(8, 4))
+            i, j = rng.integers(0, 8, size=(2, 500))
+            t = 0.5 + 1e-13 * rng.normal(size=(500, 1))
+            xs = np.vstack([centers[i] * t + centers[j] * (1 - t), centers])
+        labels, _ = _nearest(xs, _squared_norms(xs), centers)
+        if fixture == "exact_tie":
+            assert labels.tolist() == [0, 0, 0, 2, 1]  # ties to the lowest index
+        want = np.zeros(centers.shape)
+        np.add.at(want, labels, xs - centers[labels])
+        assert encode_vlad_hard(centers, xs).tobytes() == want.tobytes()
 
     def test_random_brute_force_oracle(self):
         rng = np.random.default_rng(3)

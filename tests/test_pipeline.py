@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 from contextlib import ExitStack, suppress
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ from wret.stages import (
     run_train,
 )
 from wret.synth import SynthSpec, nearest_centroid_accuracy, synth_generate
-from wret.trainer import TrainConfig
+from wret.trainer import TrainConfig, TrainReport
 
 SEED = 11
 
@@ -656,35 +657,42 @@ class TestManifests:
 
     def test_round_trip(self, tmp_path):
         records = self._write_pages(tmp_path)
-        save_manifest(tmp_path / "m.json", "demo", "test", records)
+        save_manifest(tmp_path / "m.json", "demo", records)
         manifest = load_manifest(tmp_path / "m.json")
-        assert manifest.dataset == "demo" and manifest.split == "test"
+        assert manifest.dataset == "demo"
         assert [p.page_id for p in manifest.pages] == ["p0", "p1", "p2"]
+        assert "split" not in json.loads((tmp_path / "m.json").read_text())
+
+    def test_manifest_with_a_split_still_loads(self, tmp_path):
+        """Manifests written before the split was dropped hold one; it is
+        not read, whatever its value."""
+        records = self._write_pages(tmp_path)
+        save_manifest(tmp_path / "m.json", "demo", records)
+        doc = json.loads((tmp_path / "m.json").read_text())
+        for split in ("test", "train", "dev"):
+            (tmp_path / "old.json").write_text(json.dumps({**doc, "split": split}))
+            assert load_manifest(tmp_path / "old.json") == load_manifest(tmp_path / "m.json")
 
     def test_duplicate_page_id(self, tmp_path):
         records = self._write_pages(tmp_path, n=2)
         dup = [records[0], PageRecord("p0", "w1", records[1].descriptor_file)]
-        save_manifest(tmp_path / "m.json", "demo", "test", dup)
+        save_manifest(tmp_path / "m.json", "demo", dup)
         with pytest.raises(ValidationError, match="duplicate"):
             load_manifest(tmp_path / "m.json")
 
     def test_missing_descriptor_file(self, tmp_path):
         records = self._write_pages(tmp_path, n=2)
         records.append(PageRecord("p9", "w0", "absent.wrds"))
-        save_manifest(tmp_path / "m.json", "demo", "test", records)
+        save_manifest(tmp_path / "m.json", "demo", records)
         with pytest.raises(ArtifactIOError, match="absent.wrds"):
             load_manifest(tmp_path / "m.json")
-
-    def test_bad_split_rejected(self, tmp_path):
-        with pytest.raises(ValidationError, match="split"):
-            save_manifest(tmp_path / "m.json", "demo", "dev", [])
 
     def test_descriptor_cap(self, tmp_path):
         rows = fileio.DESCRIPTOR_CAP + 7
         data = np.random.default_rng(3).normal(size=(rows, 4)).astype(np.float32)
         write_descriptors(tmp_path / "big.wrds", data)
         save_manifest(
-            tmp_path / "m.json", "demo", "test", [PageRecord("p0", "w0", "big.wrds")]
+            tmp_path / "m.json", "demo", [PageRecord("p0", "w0", "big.wrds")]
         )
         manifest = load_manifest(tmp_path / "m.json")
         [(record, capped)] = load_page_descriptors(manifest)
@@ -697,7 +705,7 @@ class TestManifests:
         data = np.ones((fileio.DESCRIPTOR_CAP + 3000, 4), dtype=np.float32)
         write_descriptors(tmp_path / "big.wrds", data)
         save_manifest(
-            tmp_path / "m.json", "demo", "test", [PageRecord("p0", "w0", "big.wrds")]
+            tmp_path / "m.json", "demo", [PageRecord("p0", "w0", "big.wrds")]
         )
         [(_, capped)] = load_page_descriptors(load_manifest(tmp_path / "m.json"))
         owner = capped if capped.base is None else capped.base
@@ -741,7 +749,7 @@ class TestSynth:
                 rel = f"{writer}{p}.wrds"
                 write_descriptors(tmp_path / rel, np.full((2, 3), value, dtype=np.float32))
                 records.append(PageRecord(f"{writer}{p}", writer, rel))
-        save_manifest(tmp_path / "m.json", "demo", "test", records)
+        save_manifest(tmp_path / "m.json", "demo", records)
         assert nearest_centroid_accuracy(load_manifest(tmp_path / "m.json")) == 0.75
 
     def test_oracle_on_a_low_separability_spec(self, tmp_path):
@@ -849,6 +857,12 @@ class TestStages:
             assert (tmp_path / name).read_bytes() == (
                 workspace["run"] / name
             ).read_bytes()
+
+    def test_train_report_is_what_run_train_returns(self, workspace, tmp_path):
+        """Every TrainReport field, its tuples as JSON lists."""
+        report = run_train(workspace["run"] / "labels.wrmd", tmp_path, _tiny_train_cfg())
+        assert report == read_json(tmp_path / "train_report.json")
+        assert set(report) == {f.name for f in fields(TrainReport)} | {"config_hash", "seed"}
 
     def test_backbone_dims_config_hash_is_stable(self, workspace, tmp_path):
         # backbone_dims is hashed as a JSON array, so a tuple and a list

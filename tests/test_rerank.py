@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -31,6 +32,14 @@ def _unit_pages(vectors: np.ndarray, writers: list[str] | None = None) -> list[P
 def _tied_pages() -> list[PageEmbedding]:
     # p001 and p002 are exactly equally similar to p000 (s = 0.6 both).
     return _unit_pages(np.array([[1.0, 0.0], [0.6, 0.8], [0.6, -0.8]]))
+
+
+def _qe(k: int) -> RerankConfig:
+    return RerankConfig(method="krnn_qe", k=k)
+
+
+def _hard(k1: int, k2: int, layers: int) -> RerankConfig:
+    return RerankConfig(method="hard_graph", k=k2, layers=layers, k1=k1)
 
 
 def _ring_pages(n: int, seed: int = 0) -> list[PageEmbedding]:
@@ -167,13 +176,13 @@ class TestKrnnQe:
         # p002 points at the tight pair, but neither lists the outlier back.
         vectors = np.array([[1.0, 0.0, 0.0], [0.99, 0.1, 0.0], [0.0, 0.0, 1.0]])
         pages = _unit_pages(vectors)
-        out = krnn_qe(pages, k=1)
+        out = krnn_qe(pages, _qe(1))
         np.testing.assert_allclose(out[2].vector, pages[2].vector, atol=1e-12)
 
     def test_mutual_identical_vectors_unchanged(self):
         v = np.array([1.0, 1.0, 0.0])
         pages = _unit_pages(np.array([v, v]))
-        out = krnn_qe(pages, k=1)
+        out = krnn_qe(pages, _qe(1))
         np.testing.assert_allclose(out[0].vector, pages[0].vector, atol=1e-12)
         np.testing.assert_allclose(out[1].vector, pages[1].vector, atol=1e-12)
 
@@ -181,7 +190,7 @@ class TestKrnnQe:
         rng = np.random.default_rng(5)
         pages = _unit_pages(rng.normal(size=(4, 3)))
         k = 2
-        out = krnn_qe(pages, k)
+        out = krnn_qe(pages, _qe(k))
         x = np.array([p.vector for p in pages])
         s = x @ x.T
         # Brute-force reciprocal sets.
@@ -201,7 +210,7 @@ class TestKrnnQe:
         # Every page lists all the others, so every group is the whole
         # collection, summed in ascending index order.
         pages = _ring_pages(6, seed=3)
-        out = krnn_qe(pages, k=len(pages) - 1 + extra)
+        out = krnn_qe(pages, _qe(len(pages) - 1 + extra))
         acc = np.zeros(5)
         for p in pages:
             acc += p.vector
@@ -217,18 +226,18 @@ class TestKrnnQe:
         tight = np.array([1.0, 0, 0, 0, 0, 0]) + 0.05 * rng.normal(size=(3, 6))
         rest = rng.normal(size=(6, 6)) + np.array([0, 0, 0, 0, 0, -4.0])
         pages = _unit_pages(np.vstack([tight, rest]))
-        out = krnn_qe(pages, k=2)
+        out = krnn_qe(pages, _qe(2))
         assert out[0].vector.tobytes() == out[1].vector.tobytes() == out[2].vector.tobytes()
         base = {rl.query: rl.gallery for rl in rank_all(out)}
         assert base["p000"][:2] == ("p001", "p002") and base["p002"][:2] == ("p000", "p001")
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(len(pages))
-            shuffled = krnn_qe([pages[i] for i in perm], k=2)
+            shuffled = krnn_qe([pages[i] for i in perm], _qe(2))
             assert {rl.query: rl.gallery for rl in rank_all(shuffled)} == base
 
     def test_single_page_rejected(self):
         with pytest.raises(ValidationError):
-            krnn_qe(_ring_pages(1), k=1)
+            krnn_qe(_ring_pages(1), _qe(1))
 
 
 class TestHardGraph:
@@ -236,7 +245,7 @@ class TestHardGraph:
         # Chain: p0-p1 tight pair (mutual), p2 points at p1 one-directionally.
         vectors = np.array([[1.0, 0.0], [0.999, 0.04], [0.9, 0.43]])
         pages = _unit_pages(vectors)
-        out = hard_graph_rerank(pages, k1=1, k2=1, layers=1)
+        out = hard_graph_rerank(pages, _hard(k1=1, k2=1, layers=1))
         x = np.array([p.vector for p in pages])
         s = x @ x.T
         # Independent adjacency oracle.
@@ -265,20 +274,20 @@ class TestHardGraph:
     def test_exact_tie_keeps_lowest_index(self):
         # p000 ties between p001 and p002 and must pick p001: mutual with
         # p001, one-directional with p002 (which points back at p000).
-        out = hard_graph_rerank(_tied_pages(), k1=1, k2=1, layers=1)
+        out = hard_graph_rerank(_tied_pages(), _hard(k1=1, k2=1, layers=1))
         row = np.array([1.0, 1.0, 0.5]) + 1.0 * np.array([1.0, 1.0, 0.0])
         np.testing.assert_allclose(out[0].vector, row / np.linalg.norm(row), atol=1e-12)
 
     def test_k1_saturation(self):
         pages = _ring_pages(5, seed=6)
-        out = hard_graph_rerank(pages, k1=4, k2=2, layers=1)
+        out = hard_graph_rerank(pages, _hard(k1=4, k2=2, layers=1))
         assert len(out) == 5  # no error: every off-diagonal pair is mutual
 
     def test_five_page_dense_oracle(self):
         rng = np.random.default_rng(7)
         pages = _unit_pages(rng.normal(size=(5, 4)))
         k1, k2, layers = 3, 2, 2
-        out = hard_graph_rerank(pages, k1, k2, layers)
+        out = hard_graph_rerank(pages, _hard(k1, k2, layers))
         x = np.array([p.vector for p in pages])
         s = x @ x.T
         knn1 = [
@@ -308,9 +317,9 @@ class TestHardGraph:
     def test_parameter_validation(self):
         pages = _ring_pages(4)
         with pytest.raises(ValidationError):
-            hard_graph_rerank(pages, k1=2, k2=3, layers=1)  # k2 > k1
+            hard_graph_rerank(pages, _hard(k1=2, k2=3, layers=1))  # k2 > k1
         with pytest.raises(ValidationError):
-            hard_graph_rerank(pages, k1=4, k2=1, layers=1)  # k1 >= n
+            hard_graph_rerank(pages, _hard(k1=4, k2=1, layers=1))  # k1 >= n
 
 
 class TestPropagationOrder:
@@ -362,7 +371,7 @@ class TestPropagationOrder:
         # The adjacency order differs from the similarity order somewhere.
         assert neighbors.tolist() != nearest
         want = _propagate(adj, neighbors, adj, layers)
-        got = np.array([p.vector for p in hard_graph_rerank(pages, k1, k2, layers)])
+        got = np.array([p.vector for p in hard_graph_rerank(pages, _hard(k1, k2, layers))])
         assert got.tobytes() == want.tobytes()
 
 
@@ -382,12 +391,12 @@ class TestPeakMemory:
 
     def test_hard_graph(self):
         pages = _ring_pages(self.N, seed=9)
-        assert traced_peak(lambda: hard_graph_rerank(pages, 4, 2, 1)) < 5.5 * self.UNIT
+        assert traced_peak(lambda: hard_graph_rerank(pages, _hard(4, 2, 1))) < 5.5 * self.UNIT
 
     def test_krnn_qe_selects_its_neighbors_in_row_blocks(self):
         """The similarities, and (RANK_BLOCK, n) blocks for the top k."""
         pages = _ring_pages(self.N, seed=9)
-        assert traced_peak(lambda: krnn_qe(pages, 2)) < 1.8 * self.UNIT
+        assert traced_peak(lambda: krnn_qe(pages, _qe(2))) < 1.8 * self.UNIT
 
 
 class TestDispatch:
@@ -397,6 +406,27 @@ class TestDispatch:
         b = rerank(pages, RerankConfig(method="krnn_qe", k=2))
         c = rerank(pages, RerankConfig(method="hard_graph", k=2, layers=1, k1=3))
         assert len(a) == len(b) == len(c) == 6
+
+    @pytest.mark.parametrize(
+        "method, name", [("sgr", "sgr"), ("krnn_qe", "krnn_qe"), ("hard_graph", "hard_graph_rerank")]
+    )
+    def test_rerank_reaches_the_module_function(self, monkeypatch, method, name):
+        """rerank looks each method up when it is called, so a function
+        rebound on the module, as a tracer binds its wrappers, sees the call."""
+        module = importlib.import_module("wret.rerank")  # wret.rerank is also a function
+        real = getattr(module, name)
+        calls = []
+
+        def spy(pages, cfg):
+            calls.append(cfg)
+            return real(pages, cfg)
+
+        monkeypatch.setattr(module, name, spy)
+        pages = _ring_pages(6, seed=8)
+        cfg = RerankConfig(method=method, k=2, layers=1, k1=3)
+        out = rerank(pages, cfg)
+        assert calls == [cfg]
+        assert [p.vector.tobytes() for p in out] == [p.vector.tobytes() for p in real(pages, cfg)]
 
     def test_bad_config_values(self):
         with pytest.raises(ValidationError):

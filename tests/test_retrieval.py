@@ -275,9 +275,9 @@ class TestNoFullSortWithoutTies:
         monkeypatch.setattr(importlib.import_module("wret.rerank"), "rank_rows", no_full_sort)
         evaluate(rank_all(distinct), {p.page_id: p.writer_id for p in distinct})
         sgr(distinct, RerankConfig(k=2))
-        krnn_qe(distinct, 3)
+        krnn_qe(distinct, RerankConfig(method="krnn_qe", k=3))
         # k2 = 1: hard_graph's 0 / 0.5 / 1 weights tie on any two neighbours.
-        hard_graph_rerank(distinct, 4, 1, 2)
+        hard_graph_rerank(distinct, RerankConfig(method="hard_graph", k=1, layers=2, k1=4))
         # p000's relevant p001 ties with p002: exact ties are counted too.
         evaluate(rank_all(tied), dict(zip(("p000", "p001", "p002"), "aab")))
         # A NaN relevant score ties the other NaN scores of its row.
@@ -328,28 +328,6 @@ class TestNoFullSortWithoutTies:
             ranking, writers = _width_case(50, _widest_counted(50), kind, seed=9)
             evaluate(ranking, writers)
             _assert_sorted_in_blocks(shapes, 50)
-
-
-class TestLowerBound:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 1000])
-    def test_matches_searchsorted(self, n):
-        """Rows of repeated values (both zeros, both infinities, trailing
-        NaN), a row of distinct values, an all-NaN row and a row without
-        NaN; keys from the rows' values and between them, NaN included."""
-        rng = np.random.default_rng(n)
-        values = np.array([-np.inf, -1.5, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
-        rows = rng.choice(values, size=(6, n))
-        rows[0] = rng.normal(size=n)
-        rows[0, rng.random(n) < 0.2] = np.nan
-        rows[1] = np.nan
-        rows[2] = rng.choice(values[:-1], size=n)
-        rows = np.sort(rows, axis=1)
-        pool = np.concatenate([values, [-9.0, -1.0, 0.25, 9.0], rows[0]])
-        for width in range(1, n + 1) if n <= 8 else (1, 2, n // 2, n):
-            keys = rng.choice(pool, size=(len(rows), width))
-            got = retrieval._lower_bound(rows, keys)
-            want = np.array([np.searchsorted(row, k, "left") for row, k in zip(rows, keys)])
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _ap(hits: np.ndarray) -> np.ndarray:
@@ -714,6 +692,19 @@ class TestPeakMemory:
         ranking = rank_all(_pages(vectors, [f"w{c:03d}" for c in labels]))
         writers = dict(zip(ranking.page_ids, map(str, labels)))
         assert traced_peak(lambda: evaluate(ranking, writers)) < 0.27 * self.UNIT
+
+    def test_rank_all_normalizes_the_page_matrix_in_place(self):
+        """Pages as wide as the collection, as sgr returns them: the page
+        matrix and the similarities, and no unit-norm copy beside them.
+        The similarities are bitwise those of a normalized copy."""
+        n = 400
+        vectors = np.random.default_rng(16).normal(size=(n, n))
+        pages = _pages(vectors)
+        assert traced_peak(lambda: rank_all(pages)) < 2.5 * n * n * 8
+        unit = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+        want = unit @ unit.T
+        np.fill_diagonal(want, -np.inf)
+        assert rank_all(pages).sims.tobytes() == want.tobytes()
 
     def test_pool_retrieval_map_holds_one_similarity_matrix(self):
         gram, labels = self._pool()
