@@ -252,7 +252,7 @@ _COMMANDS = {
     "rerank": _Command(
         "graph reranking over an embedding dump", ("embeddings", "out"), RerankConfig,
         lambda args, cfg: run_rerank(args.embeddings, args.out, cfg),
-        "{method}: mAP {before[map]:.4f} -> {after[map]:.4f}",
+        "{params[method]}: mAP {before[map]:.4f} -> {after[map]:.4f}",
     ),
     "sweep": _Command(
         "grid-search rerank parameters to CSV", ("embeddings", "out"), _Sweep,

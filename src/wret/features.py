@@ -71,15 +71,14 @@ def hellinger_normalize(d: np.ndarray) -> np.ndarray:
 class PcaModel:
     """Fitted projection: y = scale * (basis @ (x - mean)).
 
-    ``basis`` rows are orthonormal principal directions. ``scale`` holds the
-    reciprocal square roots of the component variances when ``whiten`` is on,
-    all ones otherwise.
+    ``basis`` rows are orthonormal principal directions. ``scale`` is the
+    whitening: the reciprocal square roots of the component variances for
+    a model fit with ``whiten``, all ones otherwise.
     """
 
     mean: np.ndarray   # (d_in,)
     basis: np.ndarray  # (d_out, d_in)
     scale: np.ndarray  # (d_out,)
-    whiten: bool
 
     @property
     def d_in(self) -> int:
@@ -132,7 +131,7 @@ def _fit_centered(
             row *= -1.0
     variances = power[:target_dim] / (n - 1)
     scale = 1.0 / np.sqrt(variances) if whiten else np.ones(target_dim)
-    return PcaModel(mean=mean, basis=basis, scale=scale, whiten=whiten)
+    return PcaModel(mean=mean, basis=basis, scale=scale)
 
 
 def fit_pca(data: np.ndarray, target_dim: int, whiten: bool = False) -> PcaModel:

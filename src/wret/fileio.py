@@ -178,8 +178,6 @@ def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash
     sidecar = {
         "blob": blob_path.name,
         "config_hash": cfg_hash,
-        "count": len(pages),
-        "dim": vectors.shape[1],
         "pages": [
             {"page_id": p.page_id, "writer_id": p.writer_id} for p in pages
         ],
@@ -188,6 +186,8 @@ def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash
 
 
 def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
+    """The pages of a dump and its sidecar, whose `config_hash` is a string;
+    the blob's header gives the dimension and one row per listed page."""
     json_path = Path(json_path)
     sidecar = read_json(json_path)
     blob = typed_entry(json_path, sidecar, "blob", str)
@@ -195,17 +195,14 @@ def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
     if blob in ("", "..") or Path(blob).name != blob:
         raise ArtifactIOError(f"{json_path}: blob {blob!r} is not a bare file name")
     blob_path = json_path.parent / blob
-    sidecar_count = typed_entry(json_path, sidecar, "count", int)
-    sidecar_dim = typed_entry(json_path, sidecar, "dim", int)
+    typed_entry(json_path, sidecar, "config_hash", str)
     ids = [
         (typed_entry(json_path, rec, "page_id", str), typed_entry(json_path, rec, "writer_id", str))
         for rec in typed_entry(json_path, sidecar, "pages", list)
     ]
     matrix = _read_matrix(blob_path, MAGIC_EMBEDDINGS, "<f8", "an embedding blob")
-    if matrix.shape != (sidecar_count, sidecar_dim):
-        raise ArtifactIOError(f"{blob_path} disagrees with its sidecar")
-    if sidecar_count != len(ids):
-        raise ArtifactIOError(f"{json_path} page list does not match count")
+    if len(matrix) != len(ids):
+        raise ArtifactIOError(f"{blob_path} disagrees with the page list of {json_path}")
     pages = [
         PageEmbedding(page_id=page_id, writer_id=writer_id, vector=matrix[i])
         for i, (page_id, writer_id) in enumerate(ids)
@@ -303,11 +300,7 @@ def save_backbone(path: Path | str, backbone: Backbone, seed: int) -> None:
     for i, layer in enumerate(backbone.layers):
         arrays[f"layer{i}.weight"] = layer.weight
         arrays[f"layer{i}.bias"] = layer.bias
-    meta = {
-        "activations": [layer.activation for layer in backbone.layers],
-        "dims": [backbone.input_dim] + [layer.weight.shape[0] for layer in backbone.layers],
-        "seed": seed,
-    }
+    meta = {"activations": [layer.activation for layer in backbone.layers], "seed": seed}
     save_model(path, "backbone", meta, arrays)
 
 
@@ -347,19 +340,17 @@ def load_codebook(path: Path | str) -> Codebook:
 
 def save_pca(path: Path | str, model: PcaModel) -> None:
     arrays = {"basis": model.basis, "mean": model.mean, "scale": model.scale}
-    save_model(path, "pca", {"whiten": bool(model.whiten)}, arrays)
+    save_model(path, "pca", {}, arrays)
 
 
 def load_pca(path: Path | str, raw: bytes | None = None) -> PcaModel:
-    meta, arrays = load_model(path, "pca", raw)
+    _, arrays = load_model(path, "pca", raw)
     mean, basis, scale = (
         typed_entry(path, arrays, name, np.ndarray) for name in ("mean", "basis", "scale")
     )
     if not (mean.ndim == scale.ndim == 1 and basis.shape == (len(scale), len(mean))):
         raise ArtifactIOError(f"{path} has a basis that does not match its mean and scale")
-    return PcaModel(
-        mean=mean, basis=basis, scale=scale, whiten=typed_entry(path, meta, "whiten", bool)
-    )
+    return PcaModel(mean=mean, basis=basis, scale=scale)
 
 
 def save_cluster_model(path: Path | str, model: ClusterModel, seed: int) -> None:

@@ -98,8 +98,6 @@ def sgr(pages: list[PageEmbedding], cfg: RerankConfig) -> list[PageEmbedding]:
     then aggregation over the k nearest neighbors, weighted by similarity,
     runs for cfg.layers rounds. The neighbors are ranked by similarity,
     which is also their weight, so they reach the propagation in order."""
-    if cfg.method != "sgr":
-        raise ValidationError("config method must be sgr")
     if len(pages) < cfg.k + 1:
         raise ValidationError("need at least k + 1 pages")
     sims, adjacency = build_similarity_graph(pages, cfg.gamma)

@@ -229,7 +229,6 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
                 "descriptors": reduced,
                 "kept": labeled.kept_indices,
                 "labels": labeled.labels,
-                "rejected": labeled.rejected,
             },
         )
         report = {
@@ -246,22 +245,25 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
 
 
 def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
-    """Read a labels artifact back into trainer inputs."""
+    """Read a labels artifact back into trainer inputs. The rejected rows
+    are the descriptors that `kept` does not list."""
     meta, arrays = load_model(path, "labels")
-    kept, labels, rejected, descriptors = (
-        typed_entry(path, arrays, name, np.ndarray)
-        for name in ("kept", "labels", "rejected", "descriptors")
+    kept, labels, descriptors = (
+        typed_entry(path, arrays, name, np.ndarray) for name in ("kept", "labels", "descriptors")
     )
     if not (
         descriptors.ndim == 2
-        and kept.ndim == labels.ndim == rejected.ndim == 1
+        and kept.ndim == labels.ndim == 1
         and len(kept) == len(labels)
-        and all(a.dtype.kind == "i" for a in (kept, labels, rejected))
-        and all(np.all((a >= 0) & (a < len(descriptors))) for a in (kept, rejected))
+        and kept.dtype.kind == labels.dtype.kind == "i"
+        and np.all((kept >= 0) & (kept < len(descriptors)))
     ):
         raise ArtifactIOError(f"{path} has label arrays that do not index its descriptors")
-    labeled = PseudoLabeledSet(items=np.column_stack([kept, labels]), rejected=rejected)
-    return labeled, descriptors, meta
+    # A mask, not np.setdiff1d: that sorts through np.unique, which imports numpy.ma.
+    rejected = np.ones(len(descriptors), dtype=bool)
+    rejected[kept] = False
+    items = np.column_stack([kept, labels])
+    return PseudoLabeledSet(items=items, rejected=np.flatnonzero(rejected)), descriptors, meta
 
 
 def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) -> dict:
@@ -361,7 +363,7 @@ def run_evaluate(
         report["config_hash"] = _stage_hash(
             "evaluate",
             {
-                "embeddings_hash": sidecar.get("config_hash", ""),
+                "embeddings_hash": sidecar["config_hash"],
                 "score_isolated": score_isolated,
             },
         )
@@ -389,14 +391,13 @@ def run_rerank(
         after = evaluate(rank_all(refined), writers)
         cfg_hash = _stage_hash(
             "rerank",
-            {"embeddings_hash": sidecar.get("config_hash", ""), **asdict(cfg)},
+            {"embeddings_hash": sidecar["config_hash"], **asdict(cfg)},
         )
         write_embeddings(reranked_path, refined, cfg_hash)
         report = {
             "after": {"map": after.map, "top1": after.top1},
             "before": {"map": before.map, "top1": before.top1},
             "config_hash": cfg_hash,
-            "method": cfg.method,
             "params": asdict(cfg),
             "per_query": _ap_changes(before.per_query_ap, after.per_query_ap),
         }

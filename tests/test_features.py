@@ -216,7 +216,7 @@ class TestPcaTransform:
         np.testing.assert_allclose(out, np.zeros((1, 2)), atol=1e-12)
 
     def test_identity_model(self):
-        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
+        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3))
         vec = np.array([[1.0, -2.0, 0.5]])
         np.testing.assert_array_equal(pca_transform(model, vec), vec)
 
@@ -236,7 +236,7 @@ class TestPcaTransform:
         np.testing.assert_allclose(pca_transform(model, vec[None, :])[0], expected, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
+        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3))
         with pytest.raises(ValidationError):
             pca_transform(model, np.zeros((1, 4)))
 
@@ -264,7 +264,7 @@ class TestPcaTransform:
         assert traced_peak(lambda: pca_transform(model, data)) < 0.6 * data.nbytes
 
     def test_descriptor_vector_rejected(self):
-        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3), whiten=False)
+        model = PcaModel(mean=np.zeros(3), basis=np.eye(3), scale=np.ones(3))
         with pytest.raises(ValidationError, match=r"\(n, 3\) matrix, got shape \(3,\)"):
             pca_transform(model, np.zeros(3))
 
@@ -281,7 +281,6 @@ class TestFitTransformPcaInPlace:
         model, got = fit_transform_pca_in_place(x, target_dim, whiten)
         for name in ("mean", "basis", "scale"):
             assert getattr(model, name).tobytes() == getattr(want_model, name).tobytes(), name
-        assert model.whiten == whiten
         assert got.shape == (len(data), target_dim)
         assert got.tobytes() == want.tobytes()
         assert x.tobytes() == (data - data.mean(axis=0)).tobytes()

@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 from contextlib import ExitStack, suppress
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
 from wret import fileio, stages
-from wret.features import NEAREST_CHUNK, KmeansRun, PcaModel, fit_kmeans, fit_pca
+from wret.features import NEAREST_CHUNK, KmeansRun, PcaModel, assign_and_filter, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
     PageRecord,
@@ -184,6 +184,9 @@ class TestDescriptorFiles:
             read_descriptors(path)
 
 
+_ABSENT = object()
+
+
 class TestEmbeddingDumps:
     def _pages(self):
         rng = np.random.default_rng(1)
@@ -221,6 +224,18 @@ class TestEmbeddingDumps:
         write_json(path, {**read_json(path), "seed": 0})
         back, meta = read_embeddings(path)
         assert meta["seed"] == 0 and [p.page_id for p in back] == ["p0", "p1", "p2"]
+
+    @pytest.mark.parametrize(
+        "value", [_ABSENT, None, 5, ["h"]], ids=["missing", "null", "int", "list"]
+    )
+    def test_sidecar_without_a_string_config_hash_rejected(self, tmp_path, value):
+        # evaluate and rerank hash it into their own config hash
+        path = tmp_path / "emb.json"
+        write_embeddings(path, self._pages(), "h")
+        doc = {k: v for k, v in read_json(path).items() if k != "config_hash"}
+        write_json(path, doc if value is _ABSENT else {**doc, "config_hash": value})
+        with pytest.raises(ArtifactIOError, match="'config_hash' entry of the expected type"):
+            read_embeddings(path)
 
     def test_empty_dump_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -291,13 +306,6 @@ class TestModelFiles:
             np.testing.assert_array_equal(got.bias, orig.bias)
             assert got.activation == orig.activation
 
-    def test_backbone_dims_metadata_follows_layer_outputs(self, tmp_path):
-        path = tmp_path / "bb.wrmd"
-        save_backbone(path, init_backbone((32, 48, 64), seed=0), seed=0)
-        meta, _ = load_model(path, "backbone")
-        assert meta["dims"] == [32, 48, 64]
-        assert [layer.weight.shape for layer in load_backbone(path).layers] == [(48, 32), (64, 48)]
-
     def test_codebook_round_trip(self, tmp_path):
         codebook = init_codebook(4, 6, seed=5)
         path = tmp_path / "cb.wrmd"
@@ -314,7 +322,6 @@ class TestModelFiles:
         path = tmp_path / "pca.wrmd"
         save_pca(path, model)
         back = load_pca(path)
-        assert back.whiten is True
         np.testing.assert_array_equal(back.mean, model.mean)
         np.testing.assert_array_equal(back.basis, model.basis)
         np.testing.assert_array_equal(back.scale, model.scale)
@@ -356,6 +363,70 @@ class TestModelFiles:
             save_model(
                 tmp_path / "m.wrmd", "labels", {}, {"x": np.ones(3, dtype=np.float32)}
             )
+
+
+def _flat(obj):
+    """obj with arrays as (dtype, shape, bytes) and dataclasses as dicts, for ==."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if is_dataclass(obj):
+        return {f.name: _flat(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_flat(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _flat(value) for key, value in obj.items()}
+    return obj
+
+
+def _write_artifact(kind, path, earlier):
+    """A small `kind` artifact at path as this version writes it or, with
+    `earlier`, with the entries that the earlier format also stored; returns
+    its loader."""
+    if kind == "sidecar":
+        pages = [PageEmbedding(f"p{i}", f"w{i % 2}", np.array([1.0, float(i)])) for i in range(3)]
+        write_embeddings(path, pages, "h")
+        if earlier:
+            write_json(path, {**read_json(path), "count": 3, "dim": 2})
+        return read_embeddings
+    if kind == "labels":
+        descriptors = np.random.default_rng(4).normal(size=(60, 3))
+        labeled = assign_and_filter(fit_kmeans(descriptors, 4, seed=0), descriptors, 0.7)
+        assert 0 < len(labeled.rejected) < 60
+        arrays = {"descriptors": descriptors, "kept": labeled.kept_indices, "labels": labeled.labels}
+        if earlier:
+            arrays["rejected"] = labeled.rejected
+        save_model(path, "labels", {"rho": 0.7}, arrays)
+        return load_labels
+    if kind == "pca":
+        save_pca(path, fit_pca(np.random.default_rng(2).normal(size=(30, 5)), 3, whiten=True))
+        dropped, load = {"whiten": True}, load_pca
+    else:
+        save_backbone(path, init_backbone((5, 8, 4), seed=3), seed=3)
+        dropped, load = {"dims": [5, 8, 4]}, load_backbone
+    if earlier:
+        meta, arrays = load_model(path, kind)
+        save_model(path, kind, {**meta, **dropped}, arrays)
+    return load
+
+
+@pytest.mark.parametrize("kind", ["sidecar", "pca", "backbone", "labels"])
+def test_earlier_format_loads_as_the_same_objects(tmp_path, kind):
+    """Files that still hold a sidecar's count and dim, a pca model's
+    whiten flag, a backbone's dims or a labels file's rejected array load
+    as the same objects as files without them: the entries are ignored."""
+    now, earlier = (tmp_path / version / "artifact" for version in ("now", "earlier"))
+    now.parent.mkdir()
+    earlier.parent.mkdir()
+    load = _write_artifact(kind, now, earlier=False)
+    _write_artifact(kind, earlier, earlier=True)
+    assert earlier.read_bytes() != now.read_bytes()
+    got, want = load(earlier), load(now)
+    if kind == "sidecar":
+        got = (got[0], {k: v for k, v in got[1].items() if k not in ("count", "dim")})
+    if kind == "labels":  # the derived rejected rows are the ones once stored
+        stored = load_model(earlier, "labels")[1]["rejected"]
+        assert _flat(got[0].rejected) == _flat(stored)
+    assert _flat(got) == _flat(want)
 
 
 _GOOD_ENTRY = {"dtype": "<i8", "name": "x", "shape": [2]}
@@ -404,11 +475,7 @@ def test_oversized_model_shape_reads_as_truncated(tmp_path):
 _LAYER = {"layer0.weight": np.ones((2, 2)), "layer0.bias": np.zeros(2)}
 _CODEBOOK = {"bias": np.zeros(2), "centers": np.ones((2, 2)), "weights": np.ones((2, 2))}
 _PCA = {"basis": np.eye(2), "mean": np.zeros(2), "scale": np.ones(2)}
-_LABELS = {
-    "descriptors": np.ones((2, 2)),
-    "labels": np.zeros(2, dtype=np.int64),
-    "rejected": np.zeros(0, dtype=np.int64),
-}
+_LABELS = {"descriptors": np.ones((2, 2)), "labels": np.zeros(2, dtype=np.int64)}
 
 
 @pytest.mark.parametrize(
@@ -420,8 +487,6 @@ _LABELS = {
         (load_codebook, "codebook", {}, _CODEBOOK),
         (load_codebook, "codebook", {"mode": ["netrvlad"]}, _CODEBOOK),
         (load_codebook, "codebook", {"mode": "netrvlad"}, {**_CODEBOOK, "centers": None}),
-        (load_pca, "pca", {}, _PCA),
-        (load_pca, "pca", {"whiten": "yes"}, _PCA),
         (load_cluster_model, "kmeans", {}, {"centers": np.ones((2, 2))}),
         (load_cluster_model, "kmeans", {"inertia": "big"}, {"centers": np.ones((2, 2))}),
         (load_labels, "labels", {}, _LABELS),
@@ -448,7 +513,6 @@ _KEPT = {**_LABELS, "kept": np.array([0, 1], dtype=np.int64)}
         (load_labels, "labels", {**_KEPT, "kept": np.array([0.0, 1.0])}, {}),
         (load_labels, "labels", {**_KEPT, "labels": np.zeros(1, dtype=np.int64)}, {}),
         (load_labels, "labels", {**_KEPT, "labels": np.zeros((2, 1), dtype=np.int64)}, {}),
-        (load_labels, "labels", {**_KEPT, "rejected": np.array([5], dtype=np.int64)}, {}),
         (load_labels, "labels", {**_KEPT, "descriptors": np.ones(2)}, {}),
         (load_codebook, "codebook", {**_CODEBOOK, "centers": np.ones((2, 3))}, {}),
         # an encoder mode this version no longer implements
@@ -461,9 +525,8 @@ _KEPT = {**_LABELS, "kept": np.array([0, 1], dtype=np.int64)}
     ],
     ids=[
         "pca-basis-rows", "pca-basis-cols", "pca-mean-2d", "kept-out-of-range",
-        "kept-negative", "kept-float", "labels-short", "labels-2d", "rejected-out-of-range",
-        "descriptors-1d", "codebook-weights", "codebook-netvlad-mode", "backbone-bias",
-        "backbone-chain",
+        "kept-negative", "kept-float", "labels-short", "labels-2d", "descriptors-1d",
+        "codebook-weights", "codebook-netvlad-mode", "backbone-bias", "backbone-chain",
     ],
 )
 def test_model_with_inconsistent_arrays_raises_artifact_error(
@@ -472,7 +535,7 @@ def test_model_with_inconsistent_arrays_raises_artifact_error(
     path = tmp_path / "m.wrmd"
     # each loader reads only its own meta keys; load_labels reads none
     layers = sum(name.endswith(".weight") for name in arrays)
-    meta = {"activations": ["relu"] * layers, "mode": "netrvlad", "whiten": True, **meta}
+    meta = {"activations": ["relu"] * layers, "mode": "netrvlad", **meta}
     save_model(path, kind, meta, arrays)
     with pytest.raises(ArtifactIOError, match=re.escape(str(path))):
         loader(path)
@@ -788,13 +851,16 @@ class TestStages:
         kmeans = load_cluster_model(run / "kmeans.wrmd")
         labeled, descriptors, meta = load_labels(run / "labels.wrmd")
         _, arrays = load_model(run / "labels.wrmd", "labels")
-        assert sorted(arrays) == ["descriptors", "kept", "labels", "rejected"]
+        assert sorted(arrays) == ["descriptors", "kept", "labels"]
         assert pca.basis.shape == (16, 64)
         assert kmeans.centers.shape == (6, 16)
         assert descriptors.shape == (480, 16)
         assert meta["rho"] == 0.9
         kept = labeled.kept_indices
-        assert len(kept) + len(labeled.rejected) == 480
+        # load_labels derives the rejected rows, ascending: the complement of kept
+        assert labeled.rejected.dtype == np.int64
+        assert labeled.rejected.tolist() == sorted(set(range(480)) - set(kept.tolist()))
+        assert len(labeled.rejected) == read_json(run / "cluster_report.json")["n_rejected"]
         assert np.all(labeled.labels >= 0) and np.all(labeled.labels < 6)
 
     def test_cluster_report_counts_the_kmeans_run(self, workspace):
@@ -900,7 +966,8 @@ class TestStages:
 
     def test_encode_output(self, workspace):
         pages, meta = read_embeddings(workspace["embeddings"])
-        assert len(pages) == 12 and meta["dim"] == 8
+        assert len(pages) == 12 and all(len(page.vector) == 8 for page in pages)
+        assert sorted(meta) == ["blob", "config_hash", "pages"]  # the blob header holds the shape
         for page in pages:
             assert abs(np.linalg.norm(page.vector) - 1.0) <= 1e-9
         writers = {p.writer_id for p in pages}
@@ -952,7 +1019,7 @@ class TestStages:
         first = encode_hash(original, "a")
         assert encode_hash(copy, "b") == first
         pca = load_pca(copy)
-        save_pca(copy, PcaModel(pca.mean + 1e-3, pca.basis, pca.scale, pca.whiten))
+        save_pca(copy, PcaModel(pca.mean + 1e-3, pca.basis, pca.scale))
         assert encode_hash(copy, "c") != first
         # Without a prefit model the hash is the config's alone.
         assert read_json(workspace["embeddings"])["config_hash"] == stages._stage_hash(
@@ -967,7 +1034,7 @@ class TestStages:
         original = page_pca.read_bytes()
         pca = load_pca(page_pca)
         other = tmp_path / "other.wrmd"
-        save_pca(other, PcaModel(pca.mean + 1e-3, pca.basis, pca.scale, pca.whiten))
+        save_pca(other, PcaModel(pca.mean + 1e-3, pca.basis, pca.scale))
         forward = stages.backbone_forward
 
         def swap_then_forward(*args):
@@ -1027,7 +1094,7 @@ class TestStages:
     def test_rerank_stage(self, workspace, tmp_path):
         cfg = RerankConfig(method="sgr", k=2, layers=1, gamma=0.4)
         report = run_rerank(workspace["embeddings"], tmp_path, cfg)
-        assert report["method"] == "sgr"
+        assert report["params"]["method"] == "sgr" and "method" not in report
         assert 0.0 <= report["after"]["map"] <= 1.0
         pages, meta = read_embeddings(tmp_path / "reranked.json")
         assert len(pages) == 12
@@ -1253,6 +1320,71 @@ def _lock_holding_child(out: Path) -> subprocess.Popen:
     )
     assert child.stdout.readline() == "held\n"
     return child
+
+
+# test_acceptance's test_8 chain, plus every rerank method and a sweep; the
+# child prints whether any numpy.ma module was imported.
+_CHAIN = """
+import sys
+from pathlib import Path
+from wret.rerank import METHODS, RerankConfig
+from wret.stages import (
+    ClusterConfig, EncodeConfig, run_cluster, run_encode, run_evaluate, run_rerank,
+    run_sweep, run_synth, run_train,
+)
+from wret.synth import SynthSpec
+from wret.trainer import TrainConfig
+
+root = Path(sys.argv[1])
+spec = SynthSpec(
+    n_writers=4, pages_per_writer=3, descriptors_per_page=40, n_prototypes=8,
+    writer_style_strength=4.0, noise_sigma=1.0, seed=11,
+)
+manifest = run_synth(spec, root / "data")
+run_cluster(manifest, root / "run", ClusterConfig(n_clusters=6, target_dim=16, seed=11))
+run_train(
+    root / "run" / "labels.wrmd", root / "run",
+    TrainConfig(
+        batch_size=8, per_class=4, epochs_max=2, warmup_epochs=1, patience=2, max_steps=25,
+        seed=11,
+    ),
+)
+embeddings = run_encode(manifest, root / "run", root / "enc", EncodeConfig(page_dim=8))
+run_evaluate(embeddings, root / "eval", per_query=True)
+for method in METHODS:
+    run_rerank(embeddings, root / method, RerankConfig(method=method, k=2, layers=1, gamma=0.4))
+run_sweep(embeddings, root / "sweep", gammas=[0.4, 1.0], layers_grid=[1, 2], ks=[1, 2])
+print(any(name == "numpy.ma" or name.startswith("numpy.ma.") for name in sys.modules))
+"""
+
+
+def test_chain_is_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    """Two processes with different string hashing write the same bytes,
+    and neither imports numpy.ma (a values-only np.unique, np.setdiff1d
+    among its callers, imports it: a cost in time and memory)."""
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "PYTHONPATH": str(Path(stages.__file__).resolve().parents[1]),
+    }
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CHAIN, str(tmp_path / seed)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={**env, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outputs == ["False\n", "False\n"]
+    first, second = (
+        {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+        for root in (tmp_path / "1", tmp_path / "2")
+    )
+    assert len(first) > 30 and sorted(first) == sorted(second)
+    assert [name for name in first if first[name] != second[name]] == []
 
 
 def _with_last_bytes(value: bytes):
@@ -1534,8 +1666,13 @@ class TestCli:
             lambda doc: {**doc, "pages": ["p0", *doc["pages"][1:]]},
             lambda doc: {**doc, "pages": [{"writer_id": "w0"}, *doc["pages"][1:]]},
             lambda doc: {**doc, "pages": [{**doc["pages"][0], "writer_id": 7}, *doc["pages"][1:]]},
+            lambda doc: {k: v for k, v in doc.items() if k != "config_hash"},
+            lambda doc: {**doc, "config_hash": 7},
         ],
-        ids=["not-an-object", "page-not-an-object", "no-page-id", "numeric-writer-id"],
+        ids=[
+            "not-an-object", "page-not-an-object", "no-page-id", "numeric-writer-id",
+            "no-config-hash", "numeric-config-hash",
+        ],
     )
     def test_malformed_embeddings_sidecar_exits_two(self, workspace, tmp_path, capsys, edit):
         sidecar = tmp_path / "embeddings.json"
@@ -1641,7 +1778,7 @@ class TestCli:
         assert f"{path} holds non-finite values" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_evaluate_and_rerank_commands(self, workspace, tmp_path):
+    def test_evaluate_and_rerank_commands(self, workspace, tmp_path, capsys):
         code = entrypoint(
             [
                 "evaluate", "--embeddings", str(workspace["embeddings"]),
@@ -1657,7 +1794,8 @@ class TestCli:
         )
         assert code == 0
         report = json.loads((tmp_path / "rr" / "rerank_report.json").read_text())
-        assert report["method"] == "krnn_qe"
+        assert report["params"]["method"] == "krnn_qe"
+        assert capsys.readouterr().out.splitlines()[-1].startswith("krnn_qe: mAP ")
 
     def test_sweep_command(self, workspace, tmp_path):
         code = entrypoint(
