@@ -72,8 +72,7 @@ class PcaModel:
     """Fitted projection: y = scale * (basis @ (x - mean)).
 
     ``basis`` rows are orthonormal principal directions. ``scale`` is the
-    whitening: the reciprocal square roots of the component variances for
-    a model fit with ``whiten``, all ones otherwise.
+    whitening: 1 / sqrt(component variances), or all ones without ``whiten``.
     """
 
     mean: np.ndarray   # (d_in,)
@@ -446,10 +445,9 @@ def fit_kmeans(data: np.ndarray, n_clusters: int, seed: int) -> ClusterModel:
 
 @dataclass(frozen=True)
 class PseudoLabeledSet:
-    """Descriptor indices kept with their cluster label, plus the rejects."""
+    """Descriptor indices kept with their cluster label."""
 
     items: np.ndarray  # (m, 2) int64 rows (descriptor index, cluster label)
-    rejected: np.ndarray  # (r,) int64 descriptor indices
 
     @property
     def kept_indices(self) -> np.ndarray:
@@ -485,11 +483,7 @@ def assign_and_filter(model: ClusterModel, data: np.ndarray, rho: float) -> Pseu
         d1[rows], d2[rows] = _two_nearest(sq, first)
     np.sqrt(d1, out=d1)
     np.sqrt(d2, out=d2)
-    rows = np.arange(len(batch))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))
     kept = ratio <= rho
-    return PseudoLabeledSet(
-        items=np.column_stack([rows[kept], nearest[kept]]).astype(np.int64),
-        rejected=rows[~kept].astype(np.int64),
-    )
+    return PseudoLabeledSet(np.column_stack([np.flatnonzero(kept), nearest[kept]]).astype(np.int64))

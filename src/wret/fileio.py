@@ -26,6 +26,7 @@ import uuid
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypedDict
 
 import numpy as np
 
@@ -178,6 +179,7 @@ def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash
     sidecar = {
         "blob": blob_path.name,
         "config_hash": cfg_hash,
+        "dim": vectors.shape[1],
         "pages": [
             {"page_id": p.page_id, "writer_id": p.writer_id} for p in pages
         ],
@@ -185,9 +187,17 @@ def write_embeddings(json_path: Path | str, pages: list[PageEmbedding], cfg_hash
     write_json(json_path, sidecar)
 
 
-def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
-    """The pages of a dump and its sidecar, whose `config_hash` is a string;
-    the blob's header gives the dimension and one row per listed page."""
+class Sidecar(TypedDict):
+    """The sidecar entries that later stages read, each checked on load."""
+
+    blob: str
+    config_hash: str
+
+
+def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], Sidecar]:
+    """The pages of a dump and its sidecar's checked entries. The blob must
+    hold one row of the sidecar's `dim` per listed page: a blob beside the
+    sidecar of an encode of another shape does not load under it."""
     json_path = Path(json_path)
     sidecar = read_json(json_path)
     blob = typed_entry(json_path, sidecar, "blob", str)
@@ -195,19 +205,20 @@ def read_embeddings(json_path: Path | str) -> tuple[list[PageEmbedding], dict]:
     if blob in ("", "..") or Path(blob).name != blob:
         raise ArtifactIOError(f"{json_path}: blob {blob!r} is not a bare file name")
     blob_path = json_path.parent / blob
-    typed_entry(json_path, sidecar, "config_hash", str)
+    cfg_hash = typed_entry(json_path, sidecar, "config_hash", str)
+    dim = typed_entry(json_path, sidecar, "dim", int)
     ids = [
         (typed_entry(json_path, rec, "page_id", str), typed_entry(json_path, rec, "writer_id", str))
         for rec in typed_entry(json_path, sidecar, "pages", list)
     ]
     matrix = _read_matrix(blob_path, MAGIC_EMBEDDINGS, "<f8", "an embedding blob")
-    if len(matrix) != len(ids):
-        raise ArtifactIOError(f"{blob_path} disagrees with the page list of {json_path}")
+    if matrix.shape != (len(ids), dim):
+        raise ArtifactIOError(f"{blob_path} disagrees with its sidecar")
     pages = [
         PageEmbedding(page_id=page_id, writer_id=writer_id, vector=matrix[i])
         for i, (page_id, writer_id) in enumerate(ids)
     ]
-    return pages, sidecar
+    return pages, Sidecar(blob=blob, config_hash=cfg_hash)
 
 
 # --------------------------------------------------------------------------

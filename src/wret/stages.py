@@ -237,7 +237,7 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
             "inertia": float(kmeans.inertia),
             "n_descriptors": n_descriptors,
             "n_kept": len(labeled.items),
-            "n_rejected": len(labeled.rejected),
+            "n_rejected": n_descriptors - len(labeled.items),
             "seed": cfg.seed,
         }
         write_json(report_path, report)
@@ -245,8 +245,7 @@ def run_cluster(manifest_path: Path | str, out_dir: Path | str, cfg: ClusterConf
 
 
 def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
-    """Read a labels artifact back into trainer inputs. The rejected rows
-    are the descriptors that `kept` does not list."""
+    """Read a labels artifact back into trainer inputs."""
     meta, arrays = load_model(path, "labels")
     kept, labels, descriptors = (
         typed_entry(path, arrays, name, np.ndarray) for name in ("kept", "labels", "descriptors")
@@ -259,11 +258,7 @@ def load_labels(path: Path | str) -> tuple[PseudoLabeledSet, np.ndarray, dict]:
         and np.all((kept >= 0) & (kept < len(descriptors)))
     ):
         raise ArtifactIOError(f"{path} has label arrays that do not index its descriptors")
-    # A mask, not np.setdiff1d: that sorts through np.unique, which imports numpy.ma.
-    rejected = np.ones(len(descriptors), dtype=bool)
-    rejected[kept] = False
-    items = np.column_stack([kept, labels])
-    return PseudoLabeledSet(items=items, rejected=np.flatnonzero(rejected)), descriptors, meta
+    return PseudoLabeledSet(items=np.column_stack([kept, labels])), descriptors, meta
 
 
 def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) -> dict:

@@ -258,9 +258,9 @@ def kmeans_pp_init_oracle(x: np.ndarray, k: int, rng: np.random.Generator) -> np
 
 def assign_and_filter_oracle(
     centers: np.ndarray, data: np.ndarray, rho: float
-) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """(kept (index, label) pairs, rejected indices) via a stable sort of
-    each row's distances."""
+) -> tuple[tuple[int, int], ...]:
+    """The kept (index, label) pairs, via a stable sort of each row's
+    distances."""
     sq = squared_distances_oracle(data, centers)
     order = np.argsort(sq, axis=1, kind="stable")
     nearest = order[:, 0]
@@ -271,9 +271,7 @@ def assign_and_filter_oracle(
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(d1 == 0.0, 0.0, d1 / np.where(d2 > 0.0, d2, np.inf))
     kept = ratio <= rho
-    items = tuple((int(i), int(nearest[i])) for i in rows[kept])
-    rejected = tuple(int(i) for i in rows[~kept])
-    return items, rejected
+    return tuple((int(i), int(nearest[i])) for i in rows[kept])
 
 
 def mine_oracle(

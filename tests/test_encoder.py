@@ -529,7 +529,7 @@ class TestOneRowIsAMatrix:
             lambda x: whiten_pages(x, 1, ["p0", "p1"], ["w0", "w1"]),
             pool_page,
             lambda x: train(
-                PseudoLabeledSet(np.array([[0, 0], [1, 1]]), np.array([], dtype=np.int64)),
+                PseudoLabeledSet(np.array([[0, 0], [1, 1]])),
                 x,
                 TrainConfig(batch_size=4, per_class=2),
             ),

@@ -465,11 +465,8 @@ class TestFitKmeansMatchesPlainLloyd:
     def _assert_bitwise(x: np.ndarray, k: int, seed: int) -> ClusterModel:
         model = _fit_checking_inertia(x, k, seed)
         for rho in (0.6, 0.9, 1.0) if k > 1 else ():
-            items, rejected = assign_and_filter_oracle(model.centers, x, rho)
-            assert _lists(assign_and_filter(model, x, rho)) == (
-                [list(pair) for pair in items],
-                list(rejected),
-            )
+            items = assign_and_filter_oracle(model.centers, x, rho)
+            assert _lists(assign_and_filter(model, x, rho)) == [list(pair) for pair in items]
         return model
 
     @pytest.mark.parametrize(
@@ -645,11 +642,11 @@ def acceptance_fit_sets(tmp_path_factory) -> dict[str, tuple[np.ndarray, int]]:
     return sets
 
 
-def _lists(result: PseudoLabeledSet) -> tuple[list[list[int]], list[int]]:
-    """The (m, 2) int64 items and int64 rejects as nested lists."""
-    assert result.items.dtype == result.rejected.dtype == np.int64
-    assert result.items.shape == (len(result.items), 2) and result.rejected.ndim == 1
-    return result.items.tolist(), result.rejected.tolist()
+def _lists(result: PseudoLabeledSet) -> list[list[int]]:
+    """The (m, 2) int64 items as nested lists."""
+    assert result.items.dtype == np.int64
+    assert result.items.shape == (len(result.items), 2)
+    return result.items.tolist()
 
 
 class TestAssignAndFilter:
@@ -658,16 +655,16 @@ class TestAssignAndFilter:
 
     def test_equidistant_rejected(self):
         result = assign_and_filter(self._line_model(), np.array([[5.0]]), rho=0.9)
-        assert _lists(result) == ([], [0])
+        assert _lists(result) == []
 
     def test_on_center_kept(self):
         result = assign_and_filter(self._line_model(), np.array([[10.0]]), rho=0.9)
-        assert _lists(result) == ([[0, 1]], [])
+        assert _lists(result) == [[0, 1]]
 
     def test_scalar_hand_oracle(self):
         # 4.8: ratio 4.8/5.2 ~ 0.923 > 0.9 rejected; 4.5: 4.5/5.5 ~ 0.818 kept.
         result = assign_and_filter(self._line_model(), np.array([[4.8], [4.5]]), rho=0.9)
-        assert _lists(result) == ([[1, 0]], [0])
+        assert _lists(result) == [[1, 0]]
         np.testing.assert_array_equal(result.kept_indices, [1])
         np.testing.assert_array_equal(result.labels, [0])
 
@@ -676,26 +673,25 @@ class TestAssignAndFilter:
         d1, d2 = 4.5, 5.0
         model = ClusterModel(centers=np.array([[0.0], [d1 + d2]]), inertia=0.0)
         result = assign_and_filter(model, np.array([[d1]]), rho=d1 / d2)
-        assert _lists(result) == ([[0, 0]], [])
+        assert _lists(result) == [[0, 0]]
 
     def test_rho_one_keeps_everything(self):
         rng = np.random.default_rng(11)
         model = ClusterModel(centers=rng.normal(size=(3, 2)), inertia=0.0)
         data = rng.normal(size=(50, 2))
         result = assign_and_filter(model, data, rho=1.0)
-        assert len(result.items) + len(result.rejected) == 50
-        assert len(result.rejected) == 0  # generic data has no exact ties
+        assert len(result.items) == 50  # generic data has no exact ties
         pair = ClusterModel(centers=np.array([[0.0], [2.0]]), inertia=0.0)
         mid = assign_and_filter(pair, np.array([[1.0]]), rho=1.0)
-        assert _lists(mid) == ([[0, 0]], [])  # ratio == rho is kept, lower index wins the tie
+        assert _lists(mid) == [[0, 0]]  # ratio == rho is kept, lower index wins the tie
 
     def test_equidistant_centers_keep_lowest_index(self):
         # Three centers at squared distance exactly 25 from (1, 2), one at 100.
         centers = np.array([[7.0, 10.0], [6.0, 2.0], [4.0, 6.0], [5.0, 5.0]])
         model = ClusterModel(centers=centers, inertia=0.0)
         point = np.array([[1.0, 2.0]])
-        assert _lists(assign_and_filter(model, point, rho=1.0)) == ([[0, 1]], [])
-        assert _lists(assign_and_filter(model, point, rho=0.99)) == ([], [0])
+        assert _lists(assign_and_filter(model, point, rho=1.0)) == [[0, 1]]
+        assert _lists(assign_and_filter(model, point, rho=0.99)) == []
 
     def test_partition_for_all_rho(self):
         rng = np.random.default_rng(12)
@@ -703,11 +699,9 @@ class TestAssignAndFilter:
         data = rng.normal(size=(80, 3))
         for rho in (0.2, 0.5, 0.9, 1.0):
             result = assign_and_filter(model, data, rho=rho)
-            items, rejected = _lists(result)
-            kept = {i for i, _ in items}
-            assert kept.isdisjoint(rejected)
-            assert kept | set(rejected) == set(range(80))
-            assert all(lab < 4 for _, lab in items)
+            kept = result.kept_indices.tolist()
+            assert kept == sorted(set(kept)) and set(kept) <= set(range(80))
+            assert all(0 <= lab < 4 for lab in result.labels)
 
     @pytest.mark.parametrize("n", [1, NEAREST_CHUNK - 1, NEAREST_CHUNK + 1, 3 * NEAREST_CHUNK])
     def test_blocks_match_the_oracle(self, n):
@@ -715,11 +709,8 @@ class TestAssignAndFilter:
         model = ClusterModel(centers=rng.normal(size=(9, 4)), inertia=0.0)
         data = rng.normal(size=(n, 4))
         for rho in (0.5, 0.9, 1.0):
-            items, rejected = assign_and_filter_oracle(model.centers, data, rho)
-            assert _lists(assign_and_filter(model, data, rho)) == (
-                [list(pair) for pair in items],
-                list(rejected),
-            )
+            items = assign_and_filter_oracle(model.centers, data, rho)
+            assert _lists(assign_and_filter(model, data, rho)) == [list(pair) for pair in items]
 
     def test_peak_memory_is_a_fraction_of_the_input(self):
         """A (rows, k) distance block per NEAREST_CHUNK rows and a few

@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 from contextlib import ExitStack, suppress
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from wret.cli import entrypoint
 from wret.encoder import init_backbone, init_codebook
 from wret.errors import ArtifactIOError, ValidationError
 from wret import fileio, stages
-from wret.features import NEAREST_CHUNK, KmeansRun, PcaModel, assign_and_filter, fit_kmeans, fit_pca
+from wret.features import NEAREST_CHUNK, KmeansRun, PcaModel, fit_kmeans, fit_pca
 from wret.fileio import (
     MAGIC_MODEL,
     PageRecord,
@@ -201,7 +201,7 @@ class TestEmbeddingDumps:
         path = tmp_path / "emb.json"
         write_embeddings(path, pages, "abc123")
         back, meta = read_embeddings(path)
-        assert meta["config_hash"] == "abc123" and "seed" not in meta
+        assert meta == {"blob": "emb.bin", "config_hash": "abc123"}
         for orig, got in zip(pages, back):
             assert got.page_id == orig.page_id
             assert got.writer_id == orig.writer_id
@@ -211,7 +211,6 @@ class TestEmbeddingDumps:
         path = tmp_path / "emb.json"
         write_embeddings(path, self._pages(), "h")
         doc = json.loads(path.read_text())
-        doc["count"] = 99
         doc["pages"] = doc["pages"] * 33
         path.write_text(json.dumps(doc))
         with pytest.raises(ArtifactIOError, match="disagrees"):
@@ -222,19 +221,42 @@ class TestEmbeddingDumps:
         path = tmp_path / "emb.json"
         write_embeddings(path, self._pages(), "h")
         write_json(path, {**read_json(path), "seed": 0})
-        back, meta = read_embeddings(path)
-        assert meta["seed"] == 0 and [p.page_id for p in back] == ["p0", "p1", "p2"]
+        back, _ = read_embeddings(path)
+        assert [p.page_id for p in back] == ["p0", "p1", "p2"]
+
+    def test_blob_of_another_dimension_beside_an_old_sidecar_rejected(self, tmp_path):
+        # an interrupted re-encode: the new blob is written, the sidecar not
+        path = tmp_path / "emb.json"
+        write_embeddings(path, self._pages(), "old")
+        old_sidecar = path.read_bytes()
+        pages = [PageEmbedding(p.page_id, p.writer_id, p.vector[:4]) for p in self._pages()]
+        write_embeddings(path, pages, "new")
+        path.write_bytes(old_sidecar)
+        with pytest.raises(ArtifactIOError, match="disagrees"):
+            read_embeddings(path)
 
     @pytest.mark.parametrize(
-        "value", [_ABSENT, None, 5, ["h"]], ids=["missing", "null", "int", "list"]
+        "key, value",
+        [
+            # evaluate and rerank hash the config hash into their own
+            ("config_hash", _ABSENT),
+            ("config_hash", None),
+            ("config_hash", 5),
+            ("config_hash", ["h"]),
+            ("dim", _ABSENT),
+            ("dim", "6"),
+            ("dim", 6.0),
+        ],
+        ids=[
+            "hash-missing", "hash-null", "hash-int", "hash-list", "dim-missing", "dim-str", "dim-float"
+        ],
     )
-    def test_sidecar_without_a_string_config_hash_rejected(self, tmp_path, value):
-        # evaluate and rerank hash it into their own config hash
+    def test_sidecar_without_a_needed_entry_rejected(self, tmp_path, key, value):
         path = tmp_path / "emb.json"
         write_embeddings(path, self._pages(), "h")
-        doc = {k: v for k, v in read_json(path).items() if k != "config_hash"}
-        write_json(path, doc if value is _ABSENT else {**doc, "config_hash": value})
-        with pytest.raises(ArtifactIOError, match="'config_hash' entry of the expected type"):
+        doc = {k: v for k, v in read_json(path).items() if k != key}
+        write_json(path, doc if value is _ABSENT else {**doc, key: value})
+        with pytest.raises(ArtifactIOError, match=f"'{key}' entry of the expected type"):
             read_embeddings(path)
 
     def test_empty_dump_rejected(self, tmp_path):
@@ -365,68 +387,54 @@ class TestModelFiles:
             )
 
 
-def _flat(obj):
-    """obj with arrays as (dtype, shape, bytes) and dataclasses as dicts, for ==."""
-    if isinstance(obj, np.ndarray):
-        return (obj.dtype.str, obj.shape, obj.tobytes())
-    if is_dataclass(obj):
-        return {f.name: _flat(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_flat(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: _flat(value) for key, value in obj.items()}
-    return obj
+def _add_entries(path, kind, meta=None, arrays=None):
+    """Rewrite the `kind` model file at path with extra meta and arrays."""
+    old_meta, old_arrays = load_model(path, kind)
+    save_model(path, kind, {**old_meta, **(meta or {})}, {**old_arrays, **(arrays or {})})
 
 
-def _write_artifact(kind, path, earlier):
-    """A small `kind` artifact at path as this version writes it or, with
-    `earlier`, with the entries that the earlier format also stored; returns
-    its loader."""
-    if kind == "sidecar":
-        pages = [PageEmbedding(f"p{i}", f"w{i % 2}", np.array([1.0, float(i)])) for i in range(3)]
-        write_embeddings(path, pages, "h")
-        if earlier:
-            write_json(path, {**read_json(path), "count": 3, "dim": 2})
-        return read_embeddings
-    if kind == "labels":
-        descriptors = np.random.default_rng(4).normal(size=(60, 3))
-        labeled = assign_and_filter(fit_kmeans(descriptors, 4, seed=0), descriptors, 0.7)
-        assert 0 < len(labeled.rejected) < 60
-        arrays = {"descriptors": descriptors, "kept": labeled.kept_indices, "labels": labeled.labels}
-        if earlier:
-            arrays["rejected"] = labeled.rejected
-        save_model(path, "labels", {"rho": 0.7}, arrays)
-        return load_labels
-    if kind == "pca":
+class TestEarlierFormats:
+    """Files that still hold an entry this version no longer writes load
+    as the same objects as files without it: the entry is ignored."""
+
+    def test_sidecar_with_count(self, tmp_path):
+        path = tmp_path / "e.json"
+        write_embeddings(path, [PageEmbedding(f"p{i}", "w", np.array([1.0, i])) for i in range(3)], "h")
+        want_pages, want_sidecar = read_embeddings(path)
+        write_json(path, {**read_json(path), "count": 3})
+        pages, sidecar = read_embeddings(path)
+        assert sidecar == want_sidecar
+        assert [(p.page_id, p.writer_id, p.vector.tobytes()) for p in pages] == [
+            (p.page_id, p.writer_id, p.vector.tobytes()) for p in want_pages
+        ]
+
+    def test_pca_with_whiten(self, tmp_path):
+        path = tmp_path / "pca.wrmd"
         save_pca(path, fit_pca(np.random.default_rng(2).normal(size=(30, 5)), 3, whiten=True))
-        dropped, load = {"whiten": True}, load_pca
-    else:
+        want = load_pca(path)
+        _add_entries(path, "pca", meta={"whiten": True})
+        got = load_pca(path)
+        for name in ("mean", "basis", "scale"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_backbone_with_dims(self, tmp_path):
+        path = tmp_path / "bb.wrmd"
         save_backbone(path, init_backbone((5, 8, 4), seed=3), seed=3)
-        dropped, load = {"dims": [5, 8, 4]}, load_backbone
-    if earlier:
-        meta, arrays = load_model(path, kind)
-        save_model(path, kind, {**meta, **dropped}, arrays)
-    return load
+        want = load_backbone(path)
+        _add_entries(path, "backbone", meta={"dims": [5, 8, 4]})
+        got = load_backbone(path)
+        assert [(a.weight.tobytes(), a.bias.tobytes(), a.activation) for a in got.layers] == [
+            (a.weight.tobytes(), a.bias.tobytes(), a.activation) for a in want.layers
+        ]
 
-
-@pytest.mark.parametrize("kind", ["sidecar", "pca", "backbone", "labels"])
-def test_earlier_format_loads_as_the_same_objects(tmp_path, kind):
-    """Files that still hold a sidecar's count and dim, a pca model's
-    whiten flag, a backbone's dims or a labels file's rejected array load
-    as the same objects as files without them: the entries are ignored."""
-    now, earlier = (tmp_path / version / "artifact" for version in ("now", "earlier"))
-    now.parent.mkdir()
-    earlier.parent.mkdir()
-    load = _write_artifact(kind, now, earlier=False)
-    _write_artifact(kind, earlier, earlier=True)
-    assert earlier.read_bytes() != now.read_bytes()
-    got, want = load(earlier), load(now)
-    if kind == "sidecar":
-        got = (got[0], {k: v for k, v in got[1].items() if k not in ("count", "dim")})
-    if kind == "labels":  # the derived rejected rows are the ones once stored
-        stored = load_model(earlier, "labels")[1]["rejected"]
-        assert _flat(got[0].rejected) == _flat(stored)
-    assert _flat(got) == _flat(want)
+    def test_labels_with_rejected(self, tmp_path):
+        path = tmp_path / "labels.wrmd"
+        save_model(path, "labels", {"rho": 0.9}, {**_KEPT, "descriptors": np.ones((3, 2))})
+        want, want_descriptors, want_meta = load_labels(path)
+        _add_entries(path, "labels", arrays={"rejected": np.array([2])})
+        got, descriptors, meta = load_labels(path)
+        assert got.items.tobytes() == want.items.tobytes()
+        assert descriptors.tobytes() == want_descriptors.tobytes() and meta == want_meta
 
 
 _GOOD_ENTRY = {"dtype": "<i8", "name": "x", "shape": [2]}
@@ -856,11 +864,8 @@ class TestStages:
         assert kmeans.centers.shape == (6, 16)
         assert descriptors.shape == (480, 16)
         assert meta["rho"] == 0.9
-        kept = labeled.kept_indices
-        # load_labels derives the rejected rows, ascending: the complement of kept
-        assert labeled.rejected.dtype == np.int64
-        assert labeled.rejected.tolist() == sorted(set(range(480)) - set(kept.tolist()))
-        assert len(labeled.rejected) == read_json(run / "cluster_report.json")["n_rejected"]
+        n_rejected = read_json(run / "cluster_report.json")["n_rejected"]
+        assert 0 < n_rejected == 480 - len(labeled.kept_indices)
         assert np.all(labeled.labels >= 0) and np.all(labeled.labels < 6)
 
     def test_cluster_report_counts_the_kmeans_run(self, workspace):
@@ -965,9 +970,9 @@ class TestStages:
         assert report["config_hash"] == "6aa32d06d83f405c28b0fdf50b9071b4acafed5b4d9e76e00a0cbfb5ad90042c"
 
     def test_encode_output(self, workspace):
-        pages, meta = read_embeddings(workspace["embeddings"])
+        pages, _ = read_embeddings(workspace["embeddings"])
         assert len(pages) == 12 and all(len(page.vector) == 8 for page in pages)
-        assert sorted(meta) == ["blob", "config_hash", "pages"]  # the blob header holds the shape
+        assert sorted(read_json(workspace["embeddings"])) == ["blob", "config_hash", "dim", "pages"]
         for page in pages:
             assert abs(np.linalg.norm(page.vector) - 1.0) <= 1e-9
         writers = {p.writer_id for p in pages}
@@ -1099,7 +1104,8 @@ class TestStages:
         pages, meta = read_embeddings(tmp_path / "reranked.json")
         assert len(pages) == 12
         assert meta["config_hash"] == report["config_hash"]
-        assert "seed" not in report and "seed" not in meta  # rerank draws no random numbers
+        # rerank draws no random numbers
+        assert "seed" not in report and "seed" not in read_json(tmp_path / "reranked.json")
 
     @pytest.mark.parametrize("method", ["sgr", "krnn_qe", "hard_graph"])
     def test_rerank_report_counts_per_query_changes(self, workspace, tmp_path, method):

@@ -426,7 +426,7 @@ def _two_blob_dataset(n_per: int = 60, dim: int = 8, seed: int = 0):
     data = np.vstack([a, b])
     rows = np.arange(2 * n_per)
     items = np.column_stack([rows, rows >= n_per]).astype(np.int64)
-    return PseudoLabeledSet(items=items, rejected=np.array([], dtype=np.int64)), data
+    return PseudoLabeledSet(items=items), data
 
 
 class TestSampler:
