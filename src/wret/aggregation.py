@@ -55,11 +55,16 @@ def pool_page(encodings: np.ndarray) -> np.ndarray:
 
 
 def power_normalize(v: np.ndarray) -> np.ndarray:
-    """sign(x) |x|^POWER_ALPHA componentwise, then l2; zero maps to zero."""
+    """sign(x) |x|^POWER_ALPHA componentwise, then l2 of the vector, or of
+    each row of a matrix; zero maps to zero. Each norm is the 1-D
+    np.linalg.norm of its row, so a row's bits do not depend on the rows
+    beside it."""
     v = np.asarray(v, dtype=np.float64)
     powered = np.sign(v) * np.abs(v) ** POWER_ALPHA
-    norm = np.linalg.norm(powered)
-    return powered / norm if norm > 0.0 else powered
+    rows = powered.reshape(-1, powered.shape[-1])  # a view: powered is a new array
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    rows /= np.where(norms > 0.0, norms, 1.0)[:, None]
+    return powered
 
 
 def whiten_pages(

@@ -212,11 +212,11 @@ class ClusterModel:
         return self.centers.shape[0]
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    """``np.sum(x * x, axis=1)`` in ``row_blocks``: the same row-wise bits
-    without an (n, d) temporary."""
+def _squared_norms(x: np.ndarray, block: int = NEAREST_CHUNK) -> np.ndarray:
+    """``np.sum(x * x, axis=1)`` in ``row_blocks`` of ``block`` rows: the
+    same row-wise bits without an (n, d) temporary."""
     out = np.empty(len(x))
-    for rows in row_blocks(len(x), NEAREST_CHUNK):
+    for rows in row_blocks(len(x), block):
         np.sum(np.square(x[rows]), axis=1, out=out[rows])
     return out
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .aggregation import PageEmbedding, page_matrix
 from .errors import ValidationError
-from .features import RANK_BLOCK
+from .features import RANK_BLOCK, _squared_norms
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,55 @@ def average_precisions(ranks: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def rank_all(pages: list[PageEmbedding]) -> Ranking:
-    """Each page queries all the others: exhaustive cosine similarities,
-    ranked with ties broken by ascending page_id."""
-    if len(pages) < 2:
+    """`rank_vectors` of the pages' vectors: each page queries all the
+    others, ties broken by ascending page_id."""
+    return rank_vectors(page_matrix(pages), [p.page_id for p in pages])
+
+
+def rank_vectors(vectors: np.ndarray, page_ids: Sequence[str]) -> Ranking:
+    """Each row of the float64 (n, d) `vectors` queries all the others:
+    exhaustive cosine similarities, ranked with ties broken by ascending
+    page id. `vectors` is normalized in place; its norms are taken in
+    RANK_BLOCK row blocks, bitwise those of np.linalg.norm(axis=1), so a
+    wide (n, n) input gets no temporary of its size."""
+    ids = list(page_ids)
+    if len(ids) < 2:
         raise ValidationError("ranking needs at least 2 pages")
-    ids = [p.page_id for p in pages]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate page_id in the collection")
-    unit = page_matrix(pages)  # a fresh matrix, normalized in place
-    norms = np.linalg.norm(unit, axis=1)
+    norms = np.sqrt(_squared_norms(vectors, RANK_BLOCK))
     if np.any(norms == 0.0):
         raise ValidationError("zero embedding cannot be ranked")
-    unit /= norms[:, None]
-    sims = unit @ unit.T
+    vectors /= norms[:, None]
+    sims = vectors @ vectors.T
     np.fill_diagonal(sims, -np.inf)
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return Ranking(page_ids=tuple(ids), sims=sims, tie_rank=id_rank)
+
+
+def _lower_bounds(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each ascending row of `ordered` (NaN last, as np.sort puts it)
+    and each of that row's `keys`, the number of entries that sort before
+    the key: np.searchsorted(row, keys, "left") for all rows at once. A
+    branchless binary search, one gather on the (rows, width) keys per
+    round, ceil(log2(n)) rounds."""
+    rows, n = ordered.shape
+    # Gathers from the flat rows: take_along_axis costs twice as much here.
+    flat = ordered.ravel()
+    start = n * np.arange(rows)[:, None]
+    pos = np.repeat(start, keys.shape[1], axis=1)
+
+    def before(values: np.ndarray) -> np.ndarray:
+        # A number that is not at or above the key; a NaN key follows every number.
+        return (values == values) & ~(values >= keys)
+
+    size = n
+    while size > 1:
+        half = size // 2
+        pos += half * before(flat[pos + half])
+        size -= half
+    return pos - start + before(flat[pos])
 
 
 def evaluate(
@@ -171,12 +203,12 @@ def evaluate(
     scored equal (NaN equal to NaN, below every number) with a lower page
     id. RANK_BLOCK rows at a time, each row's negated scores are sorted,
     values only, with the row's own column as NaN so that it sorts last
-    and is never counted, and a searchsorted on each sorted row gives
-    each relevant page the number of higher scores. Where another page
-    shares a relevant score, one pass over the row per tied score adds the
-    equal pages with a lower page id. O(n^2 log n) for any number of
-    relevant pages; no (n, n - 1) order is built, and `ranking.order` is
-    left unbuilt."""
+    and is never counted, and one binary search over the block's sorted
+    rows gives each relevant page the number of higher scores. Where
+    another page shares a relevant score, one pass over the row per tied
+    score adds the equal pages with a lower page id. O(n^2 log n) for any
+    number of relevant pages; no (n, n - 1) order is built, and
+    `ranking.order` is left unbuilt."""
     ids = ranking.page_ids
     for page in ids:
         if page not in writers:
@@ -203,7 +235,7 @@ def evaluate(
         keys[np.arange(hi - lo), np.arange(lo, hi)] = np.nan
         rel = np.take_along_axis(keys, relevant[lo:hi], axis=1)
         ordered = np.sort(keys, axis=1)
-        below = np.array([row.searchsorted(k) for row, k in zip(ordered, rel)])
+        below = _lower_bounds(ordered, rel)
         ranks[lo:hi] = below + 1
         # A relevant key sits at `below` in its sorted row; an equal key
         # after it is a tie (a NaN key ties the own column at least). Only

@@ -10,6 +10,12 @@ is still empty; a directory that existed before is always kept. Every
 file is written whole or not at all (`fileio.write_atomic`), but the
 files a stage finished before it failed stay behind.
 
+`encode` works on blocks of whole pages, and `sweep` on one (gamma, k)
+chain of its grid at a time, continuing each chain's propagation from
+one layer count to the next; both write what page-by-page and
+point-by-point runs would write, byte for byte (see `_pool_pages` and
+`run_sweep`).
+
 Every report embeds the stage's config hash. The stages that draw
 random numbers (synth, cluster, train, report) also record their seed;
 encode, evaluate, rerank and sweep draw none and record none. Reports
@@ -32,10 +38,18 @@ import numpy as np
 
 # encode_patches, aggregate_pages, fit_pca: the traced run wraps them here;
 # test_perfbench_layers pins that.
-from .aggregation import aggregate_pages, power_normalize, whiten_pages  # noqa: F401
-from .encoder import backbone_forward, encode_patches, pool_patches  # noqa: F401
+from .aggregation import PageEmbedding, aggregate_pages, power_normalize, whiten_pages  # noqa: F401
+from .encoder import (  # noqa: F401
+    Backbone,
+    Codebook,
+    backbone_forward,
+    encode_patches,
+    pool_patches,
+)
 from .errors import ArtifactIOError, ValidationError
 from .features import (
+    NEAREST_CHUNK,
+    PcaModel,
     PseudoLabeledSet,
     assign_and_filter,
     fit_kmeans,
@@ -64,8 +78,15 @@ from .fileio import (
     write_embeddings,
     write_json,
 )
-from .rerank import RerankConfig, rerank
-from .retrieval import evaluate, rank_all, report_to_csv, report_to_json
+from .rerank import RerankConfig, layer_outputs, rerank
+from .retrieval import (
+    RetrievalReport,
+    evaluate,
+    rank_all,
+    rank_vectors,
+    report_to_csv,
+    report_to_json,
+)
 from .seeds import derive_seed
 from .synth import SynthSpec, synth_generate
 from .trainer import TrainConfig, train
@@ -283,6 +304,45 @@ def run_train(labels_path: Path | str, out_dir: Path | str, cfg: TrainConfig) ->
     return report
 
 
+def _page_blocks(lengths: list[int], rows: int) -> list[slice]:
+    """Consecutive slices over the pages, each closed at the first page
+    that brings it to `rows` descriptor rows; a shorter remainder joins
+    the block before it. So, as with `features.row_blocks`, no block holds
+    fewer than `rows` rows unless the whole collection does."""
+    ends, held = [], 0
+    for end, length in enumerate(lengths, 1):
+        held += length
+        if held >= rows:
+            ends.append(end)
+            held = 0
+    if held:  # the remainder closes the last block, or is the only one
+        ends[-1:] = [len(lengths)]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
+def _pool_pages(
+    pages: list[np.ndarray], pca: PcaModel, backbone: Backbone, codebook: Codebook
+) -> np.ndarray:
+    """One power-normalized pooled encoding per page, (pages, n_clusters *
+    dim), with Hellinger, PCA, backbone, pooling and power normalization
+    each run once per block of whole pages of about NEAREST_CHUNK rows.
+    Every step is row-wise or per page except the products over a block's
+    rows (PCA, backbone, and pooling's assignment and distances), which
+    give each row the bits of a page's own product from about 100 rows up
+    (OpenBLAS 0.3.31; fewer rows may take another kernel). So the rows
+    equal those of encoding page by page wherever each page has that
+    many descriptors, and match to rounding otherwise."""
+    pooled = np.empty((len(pages), codebook.n_clusters * codebook.dim))
+    for block in _page_blocks([len(data) for data in pages], NEAREST_CHUNK):
+        data = pages[block]
+        reduced = pca_transform(pca, hellinger_normalize(np.concatenate(data)))
+        starts = np.cumsum([0] + [len(page) for page in data[:-1]])
+        pooled[block] = power_normalize(
+            pool_patches(codebook, backbone_forward(backbone, reduced), starts)
+        )
+    return pooled
+
+
 def run_encode(
     manifest_path: Path | str,
     models_dir: Path | str,
@@ -317,18 +377,13 @@ def run_encode(
         pca = load_pca(pca_path)
         backbone = load_backbone(backbone_path)
         codebook = load_codebook(codebook_path)
-        # One row per page, filled in place: no per-page vectors to stack.
-        pooled = np.empty((len(manifest.pages), codebook.n_clusters * codebook.dim))
-        page_ids = []
-        writer_ids = []
-        for i, (record, data) in enumerate(load_page_descriptors(manifest)):
+        loaded = load_page_descriptors(manifest)
+        for record, data in loaded:
             if len(data) == 0:
                 raise ValidationError(f"page {record.page_id} has no descriptors")
-            reduced = pca_transform(pca, hellinger_normalize(data))
-            embedded = backbone_forward(backbone, reduced)
-            pooled[i] = power_normalize(pool_patches(codebook, embedded))
-            page_ids.append(record.page_id)
-            writer_ids.append(record.writer_id)
+        pooled = _pool_pages([data for _, data in loaded], pca, backbone, codebook)
+        page_ids = [record.page_id for record, _ in loaded]
+        writer_ids = [record.writer_id for record, _ in loaded]
         pages, page_pca = whiten_pages(
             pooled, cfg.page_dim, page_ids=page_ids, writer_ids=writer_ids, pca=prefit
         )
@@ -422,7 +477,10 @@ def run_sweep(
     ks: list[int],
     method: str = "sgr",
 ) -> Path:
-    """Grid-search rerank parameters; one CSV row per grid point."""
+    """Grid-search rerank parameters; one CSV row per grid point, in grid
+    order. The grid is walked one (gamma, k) chain at a time: the chain's
+    graph is built once, and its layer counts are scored in ascending
+    order, each continuing the propagation from the one before."""
     if not gammas or not layers_grid or not ks:
         raise ValidationError("sweep grid must not be empty")
     grid = [
@@ -433,17 +491,48 @@ def run_sweep(
     ]
     with _stage(out_dir, [(embeddings_path, "encode")], ["sweep.csv"]) as [out_csv]:
         pages, _ = read_embeddings(embeddings_path)
-        writers = {p.page_id: p.writer_id for p in pages}
+        chains: dict[tuple[float, int], set[int]] = {}
+        for cfg in grid:
+            chains.setdefault((cfg.gamma, cfg.k), set()).add(cfg.layers)
+        results = {}
+        for (gamma, k), counts in chains.items():
+            chain = RerankConfig(method=method, k=k, gamma=gamma)
+            scored = _score_chain(pages, chain, sorted(counts))
+            results.update({(gamma, k, layers): r for layers, r in scored.items()})
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["gamma", "layers", "k", "map", "top1"])
         for cfg in grid:
-            result = evaluate(rank_all(rerank(pages, cfg)), writers)
+            result = results[cfg.gamma, cfg.k, cfg.layers]
             writer.writerow(
                 [repr(float(cfg.gamma)), cfg.layers, cfg.k, repr(result.map), repr(result.top1)]
             )
         write_atomic(out_csv, buf.getvalue().encode("utf-8"))
     return out_csv
+
+
+def _score_chain(
+    pages: list[PageEmbedding], cfg: RerankConfig, counts: list[int]
+) -> dict[int, RetrievalReport]:
+    """`evaluate` of cfg's refined rows at each of the ascending layer
+    `counts`. The last count's rows are ranked in place; earlier ones on a
+    copy, since the next layer reads them. So at most three (n, n) arrays
+    are held: a layer and the next, or a layer, its copy and the copy's
+    similarities."""
+    ids = [p.page_id for p in pages]
+    writers = {p.page_id: p.writer_id for p in pages}
+    outputs = layer_outputs(pages, cfg)
+    results = {}
+    done = 0
+    for layers in counts:
+        for _ in range(layers - done):
+            refined = next(outputs)
+        done = layers
+        in_place = layers == counts[-1]
+        results[layers] = evaluate(
+            rank_vectors(refined if in_place else refined.copy(), ids), writers
+        )
+    return results
 
 
 def run_report(

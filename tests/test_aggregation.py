@@ -80,6 +80,15 @@ class TestPowerNormalize:
         v = rng.normal(size=8)
         np.testing.assert_allclose(power_normalize(-v), -power_normalize(v), atol=1e-12)
 
+    def test_rows_of_a_matrix_normalize_as_lone_vectors(self):
+        """The encode stage's block form: each row bitwise its 1-D call, a
+        zero row included."""
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(7, 33)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1))
+        rows[4] = 0.0
+        want = np.array([power_normalize(row) for row in rows])
+        assert power_normalize(rows).tobytes() == want.tobytes()
+
 
 class TestWhitenPages:
     def test_unit_norms_and_unit_variance(self):

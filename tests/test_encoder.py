@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import encoding_gram_oracle, traced_peak
 
-from wret.aggregation import pool_page, whiten_pages
+from wret.aggregation import pool_page, power_normalize, whiten_pages
 from wret.encoder import (
     Backbone,
     Codebook,
@@ -24,13 +24,17 @@ from wret.encoder import (
 )
 from wret.errors import ValidationError
 from wret.features import (
+    NEAREST_CHUNK,
     RANK_BLOCK,
     PseudoLabeledSet,
     _nearest,
     _squared_norms,
     fit_kmeans,
     fit_pca,
+    hellinger_normalize,
+    pca_transform,
 )
+from wret.stages import _page_blocks, _pool_pages
 from wret.trainer import TrainConfig, train
 
 
@@ -241,7 +245,7 @@ def _assert_pools_alike(cb: Codebook, xs: np.ndarray) -> bool:
         with pytest.raises(ValidationError, match=re.escape(str(err))):
             pool_patches(cb, xs)
         return False
-    got = pool_patches(cb, xs)
+    got = pool_patches(cb, xs)[0]  # the block of one page
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     return True
@@ -317,6 +321,97 @@ class TestPoolPatches:
     def test_empty_page_rejected(self):
         with pytest.raises(ValidationError, match="at least one patch"):
             pool_patches(_simple_codebook(), np.zeros((0, 2)))
+
+
+def _encode_models(seed: int):
+    """The pipeline's shapes: 64-dim descriptors, PCA to 32, backbone
+    (32, 64, 64), 16 clusters."""
+    rng = np.random.default_rng(seed)
+    fit = rng.gamma(1.0, size=(400, 64)).astype(np.float32)
+    pca = fit_pca(hellinger_normalize(fit), target_dim=32)
+    return pca, init_backbone((32, 64, 64), seed=seed), init_codebook(16, 64, seed=seed)
+
+
+def _page_by_page(pages, pca, backbone, codebook) -> np.ndarray:
+    """run_encode's former loop: each page through Hellinger, PCA, backbone,
+    pooling and power normalization on its own."""
+    rows = []
+    for page in pages:
+        embedded = backbone_forward(backbone, pca_transform(pca, hellinger_normalize(page)))
+        rows.append(power_normalize(pool_patches(codebook, embedded))[0])
+    return np.array(rows)
+
+
+def _descriptor_pages(rng, lengths) -> list[np.ndarray]:
+    return [rng.gamma(1.0, size=(n, 64)).astype(np.float32) for n in lengths]
+
+
+# Page lengths, with NEAREST_CHUNK = 1024 rows per block. A product over
+# fewer than about 100 rows may round its rows otherwise than a block's
+# (OpenBLAS 0.3.31: x @ W.T differed at up to 17 rows for 64 columns and
+# up to 65 rows for 16), so pages at least that long must match bitwise.
+_LONG_PAGES = {
+    "pages_of_100": [100] * 25,  # blocks of 11 and 14 pages
+    "ragged_100_to_400": [100, 399, 250, 101, 333, 180, 400, 120, 2500, 210, 100, 377],
+    "page_longer_than_a_block": [150, 2100, 130],
+    "short_final_block": [400, 400, 400, 150],  # the 150 rows join the block before
+}
+_SHORT_PAGES = {
+    "lengths_1_to_1025": [1, 7, 17, 64, 65, 100, 1025],
+    "ragged_below_130": [3, 129, 1, 64, 17, 88, 65, 7, 120, 45, 99, 2, 66, 18, 100, 33] * 5,
+}
+
+
+class TestBlockedEncode:
+    """run_encode pools blocks of whole pages (stages._pool_pages); each
+    page's row against the page-by-page path."""
+
+    @pytest.mark.parametrize("case", sorted(_LONG_PAGES))
+    def test_pages_of_100_rows_or_more_match_bitwise(self, case):
+        rng = np.random.default_rng(sorted(_LONG_PAGES).index(case))
+        pages = _descriptor_pages(rng, _LONG_PAGES[case])
+        models = _encode_models(3)
+        assert _pool_pages(pages, *models).tobytes() == _page_by_page(pages, *models).tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_SHORT_PAGES))
+    def test_short_pages_match_to_rounding(self, case):
+        rng = np.random.default_rng(10 + sorted(_SHORT_PAGES).index(case))
+        pages = _descriptor_pages(rng, _SHORT_PAGES[case])
+        models = _encode_models(4)
+        got, want = _pool_pages(pages, *models), _page_by_page(pages, *models)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_fallback_pairs_in_several_pages_of_one_block(self):
+        """Codebook centers placed on embedded patches of pages 0, 2, 3 and 5
+        of the first block, so those patches' pairs cancel (CANCEL_RATIO)
+        and are formed from the difference."""
+        rng = np.random.default_rng(7)
+        lengths = [120] * 20
+        pages = _descriptor_pages(rng, lengths)
+        pca, backbone, codebook = _encode_models(5)
+        reduced = pca_transform(pca, hellinger_normalize(np.concatenate(pages)))
+        embedded = backbone_forward(backbone, reduced)
+        on = [0, 5, 250, 251, 370, 600, 601, 602, 650, 700] + [840, 900, 1000, 1100, 1200, 1300]
+        codebook = Codebook(centers=embedded[on], weights=codebook.weights, bias=codebook.bias)
+        _, _, fallback, _, _ = _weighted_residuals(codebook, embedded)
+        pages_hit = set(np.asarray(fallback) // 120)
+        assert {0, 2, 3, 5} <= pages_hit
+        assert _page_blocks(lengths, NEAREST_CHUNK)[0] == slice(0, 9)
+        got = _pool_pages(pages, pca, backbone, codebook)
+        assert got.tobytes() == _page_by_page(pages, pca, backbone, codebook).tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[100] * 25, [2000], [5, 3], [1024, 1024, 1], [3, 5000, 2000, 1], [300] * 7, []],
+        ids=["pages_of_100", "one_long", "all_short", "tail_of_one", "mixed", "remainder", "none"],
+    )
+    def test_blocks_hold_whole_pages_and_none_is_short(self, lengths):
+        blocks = _page_blocks(lengths, NEAREST_CHUNK)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(len(lengths)))
+        total = sum(lengths)
+        for b in blocks:
+            assert sum(lengths[b]) >= min(NEAREST_CHUNK, total)
 
 
 def _assert_grams_alike(cb: Codebook, xs: np.ndarray) -> None:

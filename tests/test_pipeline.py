@@ -51,7 +51,8 @@ from wret.fileio import (
     write_embeddings,
     write_json,
 )
-from wret.rerank import RerankConfig
+from wret.rerank import RerankConfig, rerank
+from wret.retrieval import evaluate, rank_all
 from wret.seeds import derive_seed
 from wret.stages import (
     ClusterConfig,
@@ -498,6 +499,11 @@ _LABELS = {"descriptors": np.ones((2, 2)), "labels": np.zeros(2, dtype=np.int64)
         (load_cluster_model, "kmeans", {}, {"centers": np.ones((2, 2))}),
         (load_cluster_model, "kmeans", {"inertia": "big"}, {"centers": np.ones((2, 2))}),
         (load_labels, "labels", {}, _LABELS),
+    ],
+    ids=[
+        "backbone-activations-missing", "backbone-weight-missing", "backbone-activations-int",
+        "codebook-mode-missing", "codebook-mode-list", "codebook-centers-missing",
+        "kmeans-inertia-missing", "kmeans-inertia-str", "labels-kept-missing",
     ],
 )
 def test_model_without_needed_entry_raises_artifact_error(tmp_path, loader, kind, meta, arrays):
@@ -1157,6 +1163,31 @@ class TestStages:
             gamma, layers, k, map_val, top1 = line.split(",")
             assert 0.0 <= float(map_val) <= 1.0
             assert 0.0 <= float(top1) <= 1.0
+
+    @pytest.mark.parametrize("method", ["sgr", "hard_graph", "krnn_qe"])
+    def test_sweep_csv_equals_one_rerank_per_grid_point(self, tmp_path, method):
+        """run_sweep walks (gamma, k) chains and continues their layers; its
+        CSV is byte-equal to scoring every grid point on its own with
+        rerank + rank_all + evaluate, in grid order, the duplicate gamma
+        0.4 included. 60 pages of 4 per writer, dimension 8."""
+        rng = np.random.default_rng(23)
+        vectors = rng.normal(size=(60, 8))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        written = [PageEmbedding(f"p{i:03d}", f"w{i // 4:02d}", v) for i, v in enumerate(vectors)]
+        (tmp_path / "enc").mkdir()
+        write_embeddings(tmp_path / "enc" / "embeddings.json", written, "h")
+        pages, _ = read_embeddings(tmp_path / "enc" / "embeddings.json")
+        grid = {"gammas": [0.4, 1.0, 0.25, 0.4], "layers_grid": [3, 1, 2], "ks": [2, 1]}
+        path = run_sweep(tmp_path / "enc" / "embeddings.json", tmp_path / "sw", **grid, method=method)
+        writers = {p.page_id: p.writer_id for p in pages}
+        want = ["gamma,layers,k,map,top1"]
+        for gamma in grid["gammas"]:
+            for layers in grid["layers_grid"]:
+                for k in grid["ks"]:
+                    cfg = RerankConfig(method=method, k=k, layers=layers, gamma=gamma)
+                    result = evaluate(rank_all(rerank(pages, cfg)), writers)
+                    want.append(f"{gamma!r},{layers},{k},{result.map!r},{result.top1!r}")
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
     def test_sweep_empty_grid(self, workspace, tmp_path):
         with pytest.raises(ValidationError, match="empty"):

@@ -9,6 +9,8 @@ from wret.aggregation import PageEmbedding
 from wret.errors import ValidationError
 from wret.rerank import (
     RerankConfig,
+    _adjacency,
+    _after,
     _propagate,
     build_similarity_graph,
     hard_graph_rerank,
@@ -16,7 +18,9 @@ from wret.rerank import (
     rerank,
     sgr,
 )
+from wret.fileio import write_embeddings
 from wret.retrieval import rank_all
+from wret.stages import run_sweep
 
 
 def _unit_pages(vectors: np.ndarray, writers: list[str] | None = None) -> list[PageEmbedding]:
@@ -77,6 +81,13 @@ class TestSimilarityGraph:
             assert np.all(np.diff(a) > 0)  # exp(-c/gamma) grows with gamma
         # A_ij strictly decreases with gamma... for fixed s < 1 the exponent
         # -(1-s)^2/gamma rises toward 0, so adjacency increases with gamma.
+
+    def test_adjacency_in_place_is_the_expression_bitwise(self):
+        rng = np.random.default_rng(4)
+        sims = rng.uniform(-1.0, 1.0, size=(70, 70))
+        for gamma in (0.05, 0.4, 1.0, 7.3):
+            want = np.exp(-((1.0 - sims) ** 2) / gamma)
+            assert _adjacency(sims.copy(), gamma).tobytes() == want.tobytes()
 
     def test_non_unit_input_rejected(self):
         pages = _ring_pages(3)
@@ -352,7 +363,8 @@ class TestPropagationOrder:
         cfg = RerankConfig(method="sgr", k=4, layers=2)
         sims, adjacency = build_similarity_graph(pages, cfg.gamma)
         neighbors = self._by_weight(sims, self._nearest(sims, cfg.k))
-        want = _propagate(adjacency, neighbors, sims, cfg.layers)
+        weights = np.take_along_axis(sims, neighbors, axis=1)
+        want = _after(_propagate(adjacency, neighbors, weights), cfg.layers)
         got = np.array([p.vector for p in sgr(pages, cfg)])
         assert got.tobytes() == want.tobytes()
 
@@ -370,9 +382,41 @@ class TestPropagationOrder:
         neighbors = self._by_weight(adj, nearest)
         # The adjacency order differs from the similarity order somewhere.
         assert neighbors.tolist() != nearest
-        want = _propagate(adj, neighbors, adj, layers)
+        weights = np.take_along_axis(adj, neighbors, axis=1)
+        want = _after(_propagate(adj, neighbors, weights), layers)
         got = np.array([p.vector for p in hard_graph_rerank(pages, _hard(k1, k2, layers))])
         assert got.tobytes() == want.tobytes()
+
+
+def _propagate_oracle(features, neighbors, weights, layers):
+    """Propagation over whole arrays, one layer at a time."""
+    h = features
+    for _ in range(layers):
+        nxt = h.copy()
+        for c in range(neighbors.shape[1]):
+            nxt += weights[:, c, None] * h[neighbors[:, c]]
+        norms = np.linalg.norm(nxt, axis=1)
+        nxt /= np.where(norms > 0.0, norms, 1.0)[:, None]
+        h = nxt
+    return h
+
+
+class TestPropagateInRowBlocks:
+    @pytest.mark.parametrize("n", [5, 64, 150])
+    def test_each_layer_is_the_whole_array_propagation_bitwise(self, n):
+        """n below, at and off a multiple of RANK_BLOCK; the features are
+        only read, and a zero row stays zero."""
+        rng = np.random.default_rng(n)
+        features = rng.uniform(0.0, 1.0, size=(n, n))
+        features[1] = 0.0
+        before = features.tobytes()
+        neighbors = np.column_stack([(np.arange(n) + s) % n for s in (1, 2, 3)])
+        neighbors[1] = 1  # the zero row's neighbors are itself
+        weights = rng.uniform(0.0, 1.0, size=(n, 3))
+        for layers, got in zip(range(1, 5), _propagate(features, neighbors, weights)):
+            want = _propagate_oracle(features, neighbors, weights, layers)
+            assert got.tobytes() == want.tobytes()
+        assert features.tobytes() == before
 
 
 class TestPeakMemory:
@@ -385,13 +429,34 @@ class TestPeakMemory:
     UNIT = N * N * 8
 
     def test_sgr(self):
+        """The adjacency, built in the similarity buffer, and the layer's
+        output (2.47 units; 5.06 when the adjacency had its own array)."""
         pages = _ring_pages(self.N, seed=9)
         cfg = RerankConfig(method="sgr", k=2, layers=1)
-        assert traced_peak(lambda: sgr(pages, cfg)) < 5.5 * self.UNIT
+        assert traced_peak(lambda: sgr(pages, cfg)) < 2.6 * self.UNIT
+
+    def test_sgr_frees_the_adjacency_after_the_first_layer(self):
+        pages = _ring_pages(self.N, seed=9)
+        cfg = RerankConfig(method="sgr", k=2, layers=3)
+        assert traced_peak(lambda: sgr(pages, cfg)) < 2.6 * self.UNIT
 
     def test_hard_graph(self):
+        """The similarities are dropped once the k1 lists are taken
+        (2.47 units; 5.09 before)."""
         pages = _ring_pages(self.N, seed=9)
-        assert traced_peak(lambda: hard_graph_rerank(pages, _hard(4, 2, 1))) < 5.5 * self.UNIT
+        assert traced_peak(lambda: hard_graph_rerank(pages, _hard(4, 2, 1))) < 3.6 * self.UNIT
+
+    def test_sweep_holds_one_chain(self, tmp_path):
+        """gammas 0.4, 1.0 x layers 1, 3 over writers of 5 pages: one layer
+        beside the next, or a layer, its copy and the copy's similarities
+        (3.26 units; 6.35 when each grid point ran sgr and rank_all on its
+        own)."""
+        vectors = np.random.default_rng(9).normal(size=(self.N, 5))
+        writers = [f"w{i // 5:03d}" for i in range(self.N)]
+        write_embeddings(tmp_path / "embeddings.json", _unit_pages(vectors, writers), "h")
+        grid = {"gammas": [0.4, 1.0], "layers_grid": [1, 3], "ks": [1]}
+        sweep = lambda: run_sweep(tmp_path / "embeddings.json", tmp_path / "sweep", **grid)  # noqa: E731
+        assert traced_peak(sweep) < 3.5 * self.UNIT
 
     def test_krnn_qe_selects_its_neighbors_in_row_blocks(self):
         """The similarities, and (RANK_BLOCK, n) blocks for the top k."""

@@ -363,6 +363,19 @@ class TestAveragePrecision:
         )
 
 
+class TestLowerBounds:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 1000])
+    def test_matches_searchsorted_per_row(self, n):
+        """Rows with repeated values, signed zeros, infinities and NaN (sorted
+        last), searched for values from each row, between them and NaN."""
+        rng = np.random.default_rng(n)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 0.5, 2.0, np.inf, np.nan])
+        rows = np.sort(rng.choice(pool, size=(9, n)), axis=1)
+        keys = np.concatenate([rng.choice(pool, size=(9, 7)), rng.normal(size=(9, 3))], axis=1)
+        want = np.array([row.searchsorted(k) for row, k in zip(rows, keys)])
+        assert retrieval._lower_bounds(rows, keys).tolist() == want.tolist()
+
+
 class TestEvaluate:
     def test_perfect_ranking(self):
         vectors = np.array([[1.0, 0.0], [1.0, 0.01], [0.0, 1.0], [0.01, 1.0]])
@@ -601,6 +614,25 @@ class TestEvaluateMatchesHitsMatrix:
         )
         assert got.first_relevant_rank == want.first_relevant_rank
         assert got.isolated_queries == want.isolated_queries
+        assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
+
+    @pytest.mark.parametrize("relevant", [1, 4, 15, 62])
+    def test_block_search_ranks_every_width_as_the_oracle(self, relevant):
+        """640 pages in writers of relevant + 1 (the last writer smaller);
+        every other page repeats another's vector, so relevant scores tie."""
+        rng = np.random.default_rng(relevant)
+        vectors = rng.normal(size=(640, 6))
+        vectors[1::2] = vectors[rng.integers(0, 640, size=320)]
+        writers = [f"w{i // (relevant + 1):03d}" for i in range(640)]
+        ranking = rank_all(_pages(vectors, writers))
+        by_id = dict(zip(ranking.page_ids, writers))
+        got = evaluate(ranking, by_id)
+        want = evaluate_oracle(_fresh(ranking), by_id)
+        assert got.first_relevant_rank == want.first_relevant_rank
+        assert (
+            np.array(list(got.per_query_ap.values())).tobytes()
+            == np.array(list(want.per_query_ap.values())).tobytes()
+        )
         assert repr(got.map) == repr(want.map) and repr(got.top1) == repr(want.top1)
 
     @pytest.mark.parametrize("score_isolated", [False, True])
